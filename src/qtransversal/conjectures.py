@@ -33,6 +33,7 @@ from .errors import InfeasibleScale, OutOfRange
 from .fields import field_make, modulus_from_string, prime_power
 from .qmatroids import QMatroid, free_matroid, matroid_from_table, rank_one, union
 from .qtransversals import (
+    _meets_by_mask,
     is_minimal_presentation,
     is_partial_q_transversal,
     presentation_matroid,
@@ -213,16 +214,10 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
         if is_partial_q_transversal(t, fam, with_witness=False).verdict:
             lhs_witness = t
             break
-    member_idx = [lattice.idx(m) for m in fam.members]
+    meets = _meets_by_mask(lattice, [lattice.idx(m) for m in fam.members])
     barn_v = matroid.bar_nullity_idx(lattice.top_index)
     rhs_witness = None
-    for mask in range(1 << n):
-        xj = lattice.top_index
-        rest = mask
-        while rest:
-            low = (rest & -rest).bit_length() - 1
-            xj = lattice.meet_idx(xj, member_idx[low])
-            rest &= rest - 1
+    for mask, xj in enumerate(meets):
         if matroid.bar_nullity_idx(xj) + mask.bit_count() > barn_v:
             rhs_witness = mask
             break

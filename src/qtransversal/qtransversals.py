@@ -24,7 +24,12 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .classical import SetFamily, avoiding_transversal_check, maximum_matching
+from .classical import (
+    SetFamily,
+    _mask_to_indices,
+    avoiding_transversal_check,
+    maximum_matching,
+)
 from .errors import InfeasibleScale, InvariantViolation
 from .qmatroids import QMatroid, rank_one, union, zero_matroid
 from .subspaces import (
@@ -55,17 +60,6 @@ def _meets_by_mask(lattice, member_idx: list[int]) -> list[int]:
         low = (mask & -mask).bit_length() - 1
         meets[mask] = lattice.meet_idx(meets[mask & (mask - 1)], member_idx[low])
     return meets
-
-
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 def family_meet(fam: SubspaceFamily, indices) -> Subspace:
@@ -160,16 +154,13 @@ def is_partial_q_transversal(
             )
     if not with_witness:
         return QTransversalCertificate(True)
+    member_masks = [lattice.masks[mi] for mi in member_idx]
     witnesses = []
     for basis in enumerate_bases(t, basis_cap=basis_cap):
-        adj = [
-            sum(
-                1 << i
-                for i in range(n)
-                if v not in lattice.vecset(member_idx[i])
-            )
-            for v in basis
-        ]
+        adj = []
+        for v in basis:
+            bit = 1 << lattice.codes[v]
+            adj.append(sum(1 << i for i in range(n) if not member_masks[i] & bit))
         match = maximum_matching(adj, n)
         if any(m < 0 for m in match):
             raise InvariantViolation(
@@ -183,26 +174,39 @@ def is_partial_q_transversal(
 def recheck_certificate(
     cert: QTransversalCertificate, t: Subspace, fam: SubspaceFamily
 ) -> bool:
-    """Re-verify a certificate from its data alone."""
+    """Re-verify a certificate from its data alone.
+
+    A violating J must be strictly increasing within 1..n; every
+    assignment must send the dim T vectors of a basis of T injectively
+    to indices within 1..n, each avoiding its member.
+    """
     n = len(fam)
     if not cert.verdict:
+        j = cert.violating_J
+        if j is None or list(j) != sorted(set(j)) or not all(1 <= i <= n for i in j):
+            return False
         lattice = get_lattice(fam.spec)
-        xj = family_meet(fam, cert.violating_J)
+        xj = family_meet(fam, j)
         md = lattice.dims[lattice.meet_idx(lattice.idx(t), lattice.idx(xj))]
-        return md == cert.violation_meet_dim and md + len(cert.violating_J) > n
+        return md == cert.violation_meet_dim and md + len(j) > n
     if cert.basis_witnesses is None:
         return is_partial_q_transversal(t, fam, with_witness=False).verdict
-    lattice = get_lattice(fam.spec)
-    member_idx = [lattice.idx(m) for m in fam.members]
+    lattice, member_idx = _member_indices(fam)
+    bases = set(enumerate_bases(t))
     seen = set()
     for basis, assignment in cert.basis_witnesses:
-        if len(set(assignment)) != len(assignment):
+        if (
+            basis not in bases
+            or len(assignment) != t.dim
+            or len(set(assignment)) != t.dim
+            or not all(1 <= i <= n for i in assignment)
+        ):
             return False
         for v, i in zip(basis, assignment):
-            if v in lattice.vecset(member_idx[i - 1]):
+            if lattice.contains_idx(member_idx[i - 1], v):
                 return False
         seen.add(basis)
-    return seen == set(enumerate_bases(t))
+    return seen == bases
 
 
 def q_transversal_by_definition(
@@ -225,7 +229,7 @@ def q_transversal_by_definition(
                 frozenset(
                     lbl
                     for lbl, v in zip(labels, basis)
-                    if v in lattice.vecset(mi)
+                    if lattice.contains_idx(mi, v)
                 )
                 for mi in member_idx
             ),

@@ -412,17 +412,49 @@ def family_from_rows(spec: VectorSpaceSpec, member_rows) -> SubspaceFamily:
 # -- the materialized lattice ---------------------------------------------
 
 
+def _orthogonal_complement(s: Subspace) -> Subspace:
+    """The subspace orthogonal to s under the standard dot product.
+
+    Its basis is read off the RREF: one vector per free column f, with
+    a 1 at f and minus row r's entry at f in row r's pivot column.
+    """
+    field = s.spec.field
+    n = s.spec.dim
+    pivots = [next(j for j, x in enumerate(row) if x) for row in s.rows]
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        w = [0] * n
+        w[f] = 1
+        for p, row in zip(pivots, s.rows):
+            w[p] = field.neg_code(row[f])
+        basis.append(w)
+    return canonicalize(s.spec, basis)
+
+
 class Lattice:
     """Fully materialized subspace lattice with order and meet/join tables.
 
     Subspaces are indexed in enumeration order, so index 0 is the bottom
-    element and the last index is the ambient space.  All tables are
+    element and the last index is the ambient space.  Each subspace's
+    point set is held one way: an int bitmask ``masks[i]`` whose bit
+    ``codes[v]`` is set exactly when the vector v lies in subspace i
+    (``codes`` numbers the q^n vectors of V in lexicographic order).
+
+    Every table is derived from the masks.  The meet is the intersection
+    of point sets, ``masks[i] & masks[j]``, looked up among the masks;
+    j lies below i exactly when their meet is j.  The join comes by
+    duality under the standard dot product, which is nondegenerate over
+    every GF(q): U + W = (U-perp meet W-perp)-perp, with the orthogonal
+    complement of each subspace read off its RREF once.  All tables are
     precomputed; every query afterwards is a lookup.
     """
 
     def __init__(self, spec: VectorSpaceSpec, *, max_size: int = LATTICE_CAP):
         q = spec.field.order
-        total = sum(gaussian_binomial(spec.dim, k, q) for k in range(spec.dim + 1))
+        n = spec.dim
+        total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
         if total > max_size:
             raise InfeasibleScale(
                 f"lattice with {total} subspaces exceeds the cap {max_size}"
@@ -438,37 +470,27 @@ class Lattice:
         )
         self.by_dim: dict[int, tuple[int, ...]] = {
             k: tuple(i for i, d in enumerate(self.dims) if d == k)
-            for k in range(spec.dim + 1)
+            for k in range(n + 1)
         }
-        vecsets = [frozenset(subspace_vectors(s)) for s in self.subspaces]
-        self._vecsets = vecsets
-        by_vecset = {vs: i for i, vs in enumerate(vecsets)}
-        size = len(self.subspaces)
-        below_sets = [set() for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                if vecsets[j] <= vecsets[i]:
-                    below_sets[i].add(j)
-        self._below_sets = tuple(frozenset(s) for s in below_sets)
-        self.below: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in below_sets
+        self.codes: dict[tuple[int, ...], int] = {
+            v: c for c, v in enumerate(itertools.product(range(q), repeat=n))
+        }
+        self.masks: tuple[int, ...] = tuple(
+            sum(1 << self.codes[v] for v in subspace_vectors(s))
+            for s in self.subspaces
         )
-        meet_table = [[0] * size for _ in range(size)]
-        join_table = [[0] * size for _ in range(size)]
-        field = spec.field
-        for i in range(size):
-            meet_table[i][i] = i
-            join_table[i][i] = i
-            for j in range(i + 1, size):
-                m = by_vecset[vecsets[i] & vecsets[j]]
-                meet_table[i][j] = meet_table[j][i] = m
-                rows, _ = rref(
-                    field, self.subspaces[i].rows + self.subspaces[j].rows, spec.dim
-                )
-                jn = self.index[Subspace(spec, rows)]
-                join_table[i][j] = join_table[j][i] = jn
-        self.meet_table = meet_table
-        self.join_table = join_table
+        by_mask = {m: i for i, m in enumerate(self.masks)}
+        self.meet_table = [
+            [by_mask[mi & mj] for mj in self.masks] for mi in self.masks
+        ]
+        self.below: tuple[tuple[int, ...], ...] = tuple(
+            tuple(j for j, m in enumerate(row) if m == j) for row in self.meet_table
+        )
+        perp = [self.index[_orthogonal_complement(s)] for s in self.subspaces]
+        self.join_table = [
+            [perp[row[pj]] for pj in perp]
+            for row in (self.meet_table[pi] for pi in perp)
+        ]
 
     def __len__(self):
         return len(self.subspaces)
@@ -480,7 +502,7 @@ class Lattice:
         return i
 
     def leq_idx(self, i: int, j: int) -> bool:
-        return i in self._below_sets[j]
+        return self.meet_table[i][j] == i
 
     def meet_idx(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -488,8 +510,8 @@ class Lattice:
     def join_idx(self, i: int, j: int) -> int:
         return self.join_table[i][j]
 
-    def vecset(self, i: int) -> frozenset:
-        return self._vecsets[i]
+    def contains_idx(self, i: int, vector) -> bool:
+        return self.masks[i] >> self.codes[tuple(vector)] & 1 == 1
 
 
 @lru_cache(maxsize=None)

@@ -106,6 +106,19 @@ def test_rado_command(tmp_path, capsys):
     assert code == 0 and out["verdict"] is True
 
 
+def test_avoid_rado_command(tmp_path, capsys):
+    matroid = {"kind": "linear", "q": 2, "columns": ["10", "01", "11"]}
+    ground = ["s1", "s2", "s3"]
+    doc = {"ground": ground, "members": [["s1", "s2"], ["s3"]], "matroid": matroid}
+    code, out = run_cli(capsys, "avoid-rado", write(tmp_path, "i.json", doc))
+    assert code == 0 and out["verdict"] is True
+    assert out["matroid"] == "linear over GF(2)" and "witness_J" not in out
+    # X(1) = S has co-nullity 2 = nu*(S), so J = {1} violates the condition.
+    doc = {"ground": ground, "members": [ground], "matroid": matroid}
+    code, out = run_cli(capsys, "avoid-rado", write(tmp_path, "f.json", doc))
+    assert code == 0 and out["verdict"] is False and out["witness_J"] == [1]
+
+
 def test_check_transversal_command(tmp_path, capsys):
     doc = {
         "ground": ["a", "b", "c"],

@@ -1,10 +1,12 @@
 """q-transversal tests, presentations, reduction, and minimality."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from qtransversal import (
+    QTransversalCertificate,
     SubspaceFamily,
     VectorSpaceSpec,
     bottom,
@@ -106,6 +108,37 @@ def test_certificates_recheck():
         for t in LAT2.subspaces:
             cert = is_partial_q_transversal(t, family)
             assert recheck_certificate(cert, t, family)
+
+
+def _forge(cert, rewrite):
+    return dataclasses.replace(
+        cert,
+        basis_witnesses=tuple(
+            (basis, rewrite(assignment)) for basis, assignment in cert.basis_witnesses
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # False verdicts: repeated indices inflate |J|; J names a member past n.
+        lambda cert: QTransversalCertificate(False, (1, 1, 1), 1),
+        lambda cert: QTransversalCertificate(False, (1, 3), 0),
+        # True verdicts: index 0 aliases member n through a negative index.
+        lambda cert: _forge(cert, lambda a: tuple(0 if i == 2 else i for i in a)),
+        # Assignments of the wrong length, or naming a member past n.
+        lambda cert: _forge(cert, lambda a: a[:1]),
+        lambda cert: _forge(cert, lambda a: a + (3,)),
+        lambda cert: _forge(cert, lambda a: (3,) + a[1:]),
+    ],
+    ids=["repeated-J", "J-past-n", "index-0", "truncated", "extended", "index-past-n"],
+)
+def test_recheck_rejects_forged_certificates(forge):
+    family = fam2(L10, L01)
+    cert = is_partial_q_transversal(V2, family)
+    assert cert.verdict and recheck_certificate(cert, V2, family)
+    assert recheck_certificate(forge(cert), V2, family) is False
 
 
 def test_too_large_t_fails_at_empty_J():

@@ -260,13 +260,30 @@ def test_spec_mismatch_between_spaces():
         join(top(GF2_2), top(other))
 
 
-def test_lattice_tables_agree_with_direct_ops():
-    lat = get_lattice(GF2_3)
+# (p, e, n): GF(2)^1..4, GF(3)^1..3, GF(4)^1..2 and GF(5)^2.
+LATTICE_SPACES = (
+    [(2, 1, n) for n in range(1, 5)]
+    + [(3, 1, n) for n in range(1, 4)]
+    + [(2, 2, n) for n in range(1, 3)]
+    + [(5, 1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "p,e,n", LATTICE_SPACES, ids=[f"{p**e}-{n}" for p, e, n in LATTICE_SPACES]
+)
+def test_lattice_tables_agree_with_direct_ops(p, e, n):
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    lat = get_lattice(spec)
+    vectors = list(itertools.product(range(p**e), repeat=n))
     for i, a in enumerate(lat.subspaces):
         for j, b in enumerate(lat.subspaces):
             assert lat.subspaces[lat.meet_idx(i, j)] == meet(a, b)
             assert lat.subspaces[lat.join_idx(i, j)] == join(a, b)
             assert lat.leq_idx(i, j) == leq(a, b)
+        assert lat.below[i] == tuple(j for j in range(len(lat)) if lat.leq_idx(j, i))
+        for v in vectors:
+            assert lat.contains_idx(i, v) == contains_vector(a, v)
 
 
 def test_serialization_round_trip():
