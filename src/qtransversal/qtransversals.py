@@ -36,6 +36,7 @@ from .subspaces import (
     BASIS_CAP,
     Subspace,
     SubspaceFamily,
+    count_bases,
     enumerate_bases,
     get_lattice,
     vector_to_string,
@@ -155,19 +156,32 @@ def is_partial_q_transversal(
     if not with_witness:
         return QTransversalCertificate(True)
     member_masks = [lattice.masks[mi] for mi in member_idx]
+    # Bases share their vectors and, often, their adjacency patterns; the
+    # matching is a deterministic function of the pattern, so each
+    # vector's avoid mask and each pattern's match are computed once.
+    avoid_of = {}
+    match_of = {}
     witnesses = []
     for basis in enumerate_bases(t, basis_cap=basis_cap):
         adj = []
         for v in basis:
-            bit = 1 << lattice.codes[v]
-            adj.append(sum(1 << i for i in range(n) if not member_masks[i] & bit))
-        match = maximum_matching(adj, n)
-        if any(m < 0 for m in match):
-            raise InvariantViolation(
-                "fast q-transversal test passed but a basis has no avoiding injection",
-                payload={"T": t.to_rows(), "family": fam.to_rows()},
-            )
-        witnesses.append((basis, tuple(m + 1 for m in match)))
+            avoid = avoid_of.get(v)
+            if avoid is None:
+                bit = 1 << lattice.codes[v]
+                avoid = sum(1 << i for i in range(n) if not member_masks[i] & bit)
+                avoid_of[v] = avoid
+            adj.append(avoid)
+        adj = tuple(adj)
+        assignment = match_of.get(adj)
+        if assignment is None:
+            match = maximum_matching(adj, n)
+            if any(m < 0 for m in match):
+                raise InvariantViolation(
+                    "fast q-transversal test passed but a basis has no avoiding injection",
+                    payload={"T": t.to_rows(), "family": fam.to_rows()},
+                )
+            assignment = match_of[adj] = tuple(m + 1 for m in match)
+        witnesses.append((basis, assignment))
     return QTransversalCertificate(True, basis_witnesses=tuple(witnesses))
 
 
@@ -178,7 +192,9 @@ def recheck_certificate(
 
     A violating J must be strictly increasing within 1..n; every
     assignment must send the dim T vectors of a basis of T injectively
-    to indices within 1..n, each avoiding its member.
+    to indices within 1..n, each avoiding its member.  The bases of T
+    are enumerated afresh and their number is checked against the
+    closed form count_bases(T); a mismatch raises InvariantViolation.
     """
     n = len(fam)
     if not cert.verdict:
@@ -193,6 +209,17 @@ def recheck_certificate(
         return is_partial_q_transversal(t, fam, with_witness=False).verdict
     lattice, member_idx = _member_indices(fam)
     bases = set(enumerate_bases(t))
+    expected = count_bases(t)
+    if len(bases) != expected:
+        raise InvariantViolation(
+            "basis enumeration disagrees with the closed-form basis count",
+            payload={
+                "T": t.to_rows(),
+                "family": fam.to_rows(),
+                "enumerated": len(bases),
+                "expected": expected,
+            },
+        )
     seen = set()
     for basis, assignment in cert.basis_witnesses:
         if (

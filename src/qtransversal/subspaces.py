@@ -32,7 +32,7 @@ from .fields import FieldSpec
 VECTOR_CAP = 2**20
 #: Largest single-dimension block of subspaces materialized at once.
 SUBSPACE_BLOCK_CAP = 10**6
-#: Largest number of vector bases enumerate_bases will walk.
+#: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
 #: Largest lattice materialized with full meet/join tables.
 LATTICE_CAP = 4096
@@ -336,23 +336,63 @@ def count_bases(t: Subspace) -> int:
 def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
     """Stream every unordered vector basis of t, deterministically.
 
-    A basis is a sorted tuple of t.dim linearly independent vectors.
+    A basis is a sorted tuple of t.dim linearly independent vectors, and
+    the bases come in lexicographic order.  The guard compares the
+    number of bases, count_bases(t), with basis_cap.
+
+    The walk runs in t's pivot coordinates: the vector of t with
+    coefficients c = (v[p_1], ..., v[p_r]) on its RREF rows carries c
+    at its pivot columns p_i, and vectors agree before the first pivot
+    where their coefficients differ, so lexicographic order on the
+    vectors equals that on their coefficients.  The sorted vectors of t
+    are therefore numbered by the vector codes of the coordinate lattice
+    of GF(q)^r.  Each basis grows one code at a time, in ascending
+    order: a later code extends a prefix when its bit is clear in the
+    mask of the prefix's span, and the new span is read from the join
+    table.  Dependent prefixes are skipped, not filtered afterwards.
+
+    The coordinate lattice is built after the guard.  Only a raised
+    basis_cap reaches one above LATTICE_CAP (GF(2)^7 has about 10^11
+    bases); there get_lattice raises InfeasibleScale.
     """
     r = t.dim
     if r == 0:
         yield ()
         return
-    q = t.spec.field.order
-    candidates = math.comb(q**r - 1, r)
-    if candidates > basis_cap:
-        raise InfeasibleScale(
-            f"{candidates} candidate vector sets exceed the basis cap {basis_cap}"
-        )
-    field = t.spec.field
-    nonzero = [v for v in subspace_vectors(t) if any(v)]
-    for combo in itertools.combinations(nonzero, r):
-        if matrix_rank(field, combo, t.spec.dim) == r:
-            yield combo
+    total = count_bases(t)
+    if total > basis_cap:
+        raise InfeasibleScale(f"{total} vector bases exceed the basis cap {basis_cap}")
+    coords = get_lattice(VectorSpaceSpec(t.spec.field, r))
+    # The atom (line) through each nonzero code; bit 0, the zero vector,
+    # lies in every atom and is never a candidate.
+    atom_of = [0] * len(coords.codes)
+    for a in coords.atoms:
+        mask = coords.masks[a] & ~1
+        while mask:
+            low = mask & -mask
+            atom_of[low.bit_length() - 1] = a
+            mask ^= low
+    yield from _extend_bases(
+        subspace_vectors(t), coords.masks, coords.join_table, atom_of,
+        (), coords.bottom_index, 1, r,
+    )
+
+
+def _extend_bases(vectors, masks, join_table, atom_of, prefix, span, start, left):
+    # A module-level generator: a nested one that recursed through its
+    # closure would leave a function-cell reference cycle per call.
+    inside = masks[span]
+    if left == 1:  # the last vector: yield here, not from one generator per basis
+        for k in range(start, len(vectors)):
+            if not inside >> k & 1:
+                yield prefix + (vectors[k],)
+        return
+    for k in range(start, len(vectors)):
+        if not inside >> k & 1:
+            yield from _extend_bases(
+                vectors, masks, join_table, atom_of, prefix + (vectors[k],),
+                join_table[span][atom_of[k]], k + 1, left - 1,
+            )
 
 
 @dataclass(frozen=True)

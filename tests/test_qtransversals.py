@@ -1,11 +1,13 @@
 """q-transversal tests, presentations, reduction, and minimality."""
 
 import dataclasses
+import gc
 import itertools
 
 import pytest
 
 from qtransversal import (
+    InvariantViolation,
     QTransversalCertificate,
     SubspaceFamily,
     VectorSpaceSpec,
@@ -28,6 +30,7 @@ from qtransversal import (
     top,
     union,
 )
+from qtransversal import qtransversals
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
 GF2_3 = VectorSpaceSpec(field_make(2, 1), 3)
@@ -139,6 +142,38 @@ def test_recheck_rejects_forged_certificates(forge):
     cert = is_partial_q_transversal(V2, family)
     assert cert.verdict and recheck_certificate(cert, V2, family)
     assert recheck_certificate(forge(cert), V2, family) is False
+
+
+def test_recheck_counts_bases_independently(monkeypatch):
+    # An enumerator that drops a basis would shrink the certificate and
+    # its re-check alike; the closed-form count catches it.
+    family = fam2(L10, L01)
+    cert = is_partial_q_transversal(V2, family)
+    assert recheck_certificate(cert, V2, family)
+    real = qtransversals.enumerate_bases
+    monkeypatch.setattr(
+        qtransversals, "enumerate_bases", lambda t, **kw: list(real(t, **kw))[1:]
+    )
+    with pytest.raises(InvariantViolation, match="basis count"):
+        recheck_certificate(cert, V2, family)
+
+
+def test_witness_and_recheck_leave_no_reference_cycles():
+    # Garbage left in cycles waits for the cyclic collector; with the
+    # collector paused, one cycle per call grows memory without bound.
+    spec = VectorSpaceSpec(field_make(2, 2), 3)
+    plane = canonicalize(spec, [(1, 0, 0), (0, 1, 0)])
+    e3 = line(spec, 0, 0, 1)
+    family = SubspaceFamily(spec, (e3, e3))
+    gc.collect()
+    gc.disable()
+    try:
+        cert = is_partial_q_transversal(plane, family, with_witness=True)
+        assert recheck_certificate(cert, plane, family)
+        assert len(cert.basis_witnesses) == 90
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_too_large_t_fails_at_empty_J():

@@ -24,7 +24,12 @@ from qtransversal import (
     meet,
     top,
 )
-from qtransversal.subspaces import contains_vector, count_bases, subspace_vectors
+from qtransversal.subspaces import (
+    contains_vector,
+    count_bases,
+    matrix_rank,
+    subspace_vectors,
+)
 
 
 def space(q, n):
@@ -238,6 +243,24 @@ def test_enumerate_bases_scale_guard():
         next(enumerate_bases(big, basis_cap=10))
 
 
+def test_enumerate_bases_guard_counts_bases():
+    # GF(3)^4 has 1,010,880 bases among 1,581,580 candidate 4-sets.
+    full = top(space(3, 4))
+    bases = count_bases(full)
+    assert bases == 1_010_880
+    assert len(next(enumerate_bases(full, basis_cap=bases))) == 4
+    with pytest.raises(InfeasibleScale):
+        next(enumerate_bases(full, basis_cap=bases - 1))
+
+
+def test_enumerate_bases_beyond_lattice_cap():
+    # A raised cap lets the guard pass; the coordinate lattice of GF(2)^7
+    # (29,212 subspaces) is then refused instead.
+    full = top(VectorSpaceSpec(field_make(2, 1), 7))
+    with pytest.raises(InfeasibleScale, match="lattice"):
+        next(enumerate_bases(full, basis_cap=count_bases(full)))
+
+
 def test_subspace_validation_rejects_non_rref():
     with pytest.raises(ValueError):
         Subspace(GF2_2, ((1, 1), (0, 1)))  # nonzero above the second pivot
@@ -267,6 +290,26 @@ LATTICE_SPACES = (
     + [(2, 2, n) for n in range(1, 3)]
     + [(5, 1, 2)]
 )
+
+
+def _bases_by_rank_filter(t):
+    # The route the coordinate walk replaced: every r-subset of the
+    # sorted nonzero vectors, kept when its rank is r.
+    nonzero = [v for v in subspace_vectors(t) if any(v)]
+    return [
+        combo
+        for combo in itertools.combinations(nonzero, t.dim)
+        if matrix_rank(t.spec.field, combo, t.spec.dim) == t.dim
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,e,n", LATTICE_SPACES, ids=[f"{p**e}-{n}" for p, e, n in LATTICE_SPACES]
+)
+def test_enumerate_bases_matches_rank_filter(p, e, n):
+    # Lists, not sets: the order of the bases is checked too.
+    for t in enumerate_subspaces(VectorSpaceSpec(field_make(p, e), n)):
+        assert list(enumerate_bases(t)) == _bases_by_rank_filter(t)
 
 
 @pytest.mark.parametrize(
