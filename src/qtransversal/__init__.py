@@ -46,7 +46,6 @@ from .qmatroids import (
     check_submodular,
     free_matroid,
     induce,
-    is_independent,
     matroid_from_table,
     rank_one,
     union,

@@ -196,8 +196,9 @@ def default_matroid_source(lattice) -> list[QMatroid]:
     singles = [rank_one(s) for s in lattice.subspaces]
     for m in singles:
         push(m)
-    for a in singles:
-        for b in singles:
+    # Union is commutative: (b, a) repeats (a, b), which came earlier.
+    for i, a in enumerate(singles):
+        for b in singles[i:]:
             push(union([a, b]))
     return out
 
@@ -323,10 +324,9 @@ def scan_minimal_uniqueness(
             if idx % cfg.shards != shard:
                 continue
             checked += 1
-            matroid = presentation_matroid(fam)
-            report = is_minimal_presentation(fam)
-            if not report.minimal:
+            if not is_minimal_presentation(fam).minimal:
                 continue
+            matroid = presentation_matroid(fam)
             multiset = tuple(sorted(tuple(m.to_rows()) for m in fam.members))
             key = (fam.spec.dim, matroid.ranks, len(fam))
             entry = groups.setdefault(key, {})

@@ -125,15 +125,19 @@ class QMatroid:
         """Closure of the bottom element: the largest rank-0 subspace."""
         return self.closure(self.lattice.subspaces[self.lattice.bottom_index])
 
-    def is_cyclic(self, x: Subspace) -> bool:
-        """True iff x equals the join of the circuits below it (empty join = bottom)."""
+    def circuit_join_idx(self, xi: int) -> int:
+        """Index of the join of the circuits below subspace xi (empty join = bottom)."""
         lat = self.lattice
-        xi = lat.idx(x)
         cur = lat.bottom_index
         for c in self.circuits_idx():
             if lat.leq_idx(c, xi):
                 cur = lat.join_idx(cur, c)
-        return cur == xi
+        return cur
+
+    def is_cyclic(self, x: Subspace) -> bool:
+        """True iff x equals the join of the circuits below it."""
+        xi = self.lattice.idx(x)
+        return self.circuit_join_idx(xi) == xi
 
     def fundamental_circuit(self, s: Subspace) -> Subspace:
         """The unique circuit below a nullity-1 subspace.
@@ -296,10 +300,6 @@ def union(members: Sequence[QMatroid], provenance: str = "union") -> QMatroid:
             raise SpecMismatch("union members live on different spaces")
     summed = [sum(m.ranks[i] for m in members) for i in range(len(lattice))]
     return induce(lattice, summed, provenance)
-
-
-def is_independent(matroid: QMatroid, a: Subspace) -> bool:
-    return matroid.independent(a)
 
 
 def matroid_from_table(

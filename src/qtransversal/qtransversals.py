@@ -2,16 +2,29 @@
 
 A family (X_1, ..., X_n) of subspaces presents the q-matroid obtained as
 the union of the rank-1 q-matroids with loop spaces X_i; its independent
-subspaces are exactly the partial q-transversals of the family.  This
-module offers three routes to the same verdict and treats any
-disagreement between them as an InvariantViolation, because the routes
-are tied together by proved theorems and a divergence is either a bug or
-a counterexample worth reporting:
+subspaces are exactly the partial q-transversals of the family.
+Unfolding the union gives the closed formula this module builds the
+presentation matroid by:
+
+    r(A) = min over J of  n - |J| + dim A - dim(A meet X(J)),
+
+with X(J) the meet of the members in J and X(empty) = V.  The module
+offers three routes to the same verdict and treats any disagreement
+between them as an InvariantViolation, because the routes are tied
+together by proved theorems and a divergence is either a bug or a
+counterexample worth reporting:
 
   * independence in the presentation matroid,
   * the fast 2^n test  dim(T meet X(J)) + |J| <= n  over index sets J,
   * the definitional oracle walking every vector basis of T and running
     the classical avoiding-transversal check on its membership pattern.
+
+The first two read the same meets X(J): r(T) = dim T holds exactly when
+the fast test's inequality holds at every J.  So only the oracle is
+independent of the fast test here; the union of rank-1 matroids
+(qmatroids.union of qmatroids.rank_one), which induces its ranks from a
+submodular sum without any X(J), is the reference the tests hold the
+formula to.
 
 Partial q-transversals are accepted at every dimension m <= n; a T with
 dim T > n fails the fast test at J = empty and the certificate records
@@ -31,7 +44,7 @@ from .classical import (
     maximum_matching,
 )
 from .errors import InfeasibleScale, InvariantViolation
-from .qmatroids import QMatroid, rank_one, union, zero_matroid
+from .qmatroids import QMatroid
 from .subspaces import (
     BASIS_CAP,
     Subspace,
@@ -75,11 +88,20 @@ def family_meet(fam: SubspaceFamily, indices) -> Subspace:
 def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     """The q-matroid whose independent subspaces are the partial
     q-transversals of the family: the union of rank-1 matroids with loop
-    spaces X_i.  The empty family presents the rank-0 matroid."""
-    if not fam.members:
-        m = zero_matroid(fam.spec)
-        return QMatroid(m.lattice, m.ranks, "presentation")
-    return union([rank_one(x) for x in fam.members], "presentation")
+    spaces X_i, built by the closed formula of the module docstring.
+    The empty family presents the rank-0 matroid."""
+    lattice, member_idx = _member_indices(fam)
+    # n - |J| per distinct X(J): for a given meet only the largest J can
+    # reach the minimum.  With no members the one entry is V at cost 0.
+    cost = {}
+    for mask, xj in enumerate(_meets_by_mask(lattice, member_idx)):
+        cost[xj] = min(cost.get(xj, len(fam)), len(fam) - mask.bit_count())
+    dims = lattice.dims
+    ranks = [
+        dims[a] + min(c - dims[row[xj]] for xj, c in cost.items())
+        for a, row in enumerate(lattice.meet_table)
+    ]
+    return QMatroid(lattice, ranks, "presentation")
 
 
 def q_hall(fam: SubspaceFamily) -> QHallVerdict:
@@ -208,6 +230,7 @@ def recheck_certificate(
     if cert.basis_witnesses is None:
         return is_partial_q_transversal(t, fam, with_witness=False).verdict
     lattice, member_idx = _member_indices(fam)
+    member_masks = [lattice.masks[mi] for mi in member_idx]
     bases = set(enumerate_bases(t))
     expected = count_bases(t)
     if len(bases) != expected:
@@ -230,7 +253,7 @@ def recheck_certificate(
         ):
             return False
         for v, i in zip(basis, assignment):
-            if lattice.contains_idx(member_idx[i - 1], v):
+            if member_masks[i - 1] >> lattice.codes[v] & 1:
                 return False
         seen.add(basis)
     return seen == bases
@@ -278,14 +301,14 @@ def reduce_presentation(fam: SubspaceFamily) -> SubspaceFamily:
     """Greedy left-to-right reduction to a presentation with exactly
     rank-many members.
 
-    A member whose rank-1 matroid does not raise the union's rank is
+    A member that does not raise the rank of the members kept so far is
     discarded; the union-same-rank proposition guarantees the matroid is
     unchanged, and the result is re-verified against the full family.
     """
     kept: list[Subspace] = []
-    current = zero_matroid(fam.spec)
+    current = presentation_matroid(SubspaceFamily(fam.spec, ()))
     for x in fam.members:
-        candidate = union([rank_one(y) for y in kept + [x]], "presentation")
+        candidate = presentation_matroid(SubspaceFamily(fam.spec, (*kept, x)))
         if candidate.space_rank > current.space_rank:
             kept.append(x)
             current = candidate
@@ -325,15 +348,9 @@ def is_minimal_presentation(fam: SubspaceFamily) -> MinimalityReport:
     """
     matroid = presentation_matroid(fam)
     lattice = matroid.lattice
-    circuit_idx = matroid.circuits_idx()
     for pos, x in enumerate(fam.members):
-        xi = lattice.idx(x)
-        cur = lattice.bottom_index
-        for c in circuit_idx:
-            if lattice.leq_idx(c, xi):
-                cur = lattice.join_idx(cur, c)
-        if cur != xi:
-            shrunken = lattice.subspaces[cur]
+        shrunken = lattice.subspaces[matroid.circuit_join_idx(lattice.idx(x))]
+        if shrunken != x:
             replacement = SubspaceFamily(
                 fam.spec,
                 fam.members[:pos] + (shrunken,) + fam.members[pos + 1 :],

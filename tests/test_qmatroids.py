@@ -17,7 +17,6 @@ from qtransversal import (
     free_matroid,
     get_lattice,
     induce,
-    is_independent,
     matroid_from_table,
     rank_one,
     top,
@@ -145,10 +144,10 @@ def test_union_single_member_is_identity():
 
 def test_is_independent_examples():
     m = rank_one(L10)
-    assert is_independent(m, bottom(GF2_2))
-    assert all(is_independent(free_matroid(GF2_2), s) for s in LAT2.subspaces)
-    assert not is_independent(m, L10)
-    assert is_independent(m, L01)
+    assert m.independent(bottom(GF2_2))
+    assert all(free_matroid(GF2_2).independent(s) for s in LAT2.subspaces)
+    assert not m.independent(L10)
+    assert m.independent(L01)
 
 
 def test_circuits_examples():

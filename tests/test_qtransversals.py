@@ -22,6 +22,7 @@ from qtransversal import (
     is_q_transversal,
     partial_equiv_check,
     presentation_matroid,
+    prime_power,
     q_hall,
     q_transversal_by_definition,
     rank_one,
@@ -29,6 +30,7 @@ from qtransversal import (
     reduce_presentation,
     top,
     union,
+    zero_matroid,
 )
 from qtransversal import qtransversals
 
@@ -66,11 +68,30 @@ def test_presentation_matroid_examples():
     assert presentation_matroid(fam2()).ranks == (0,) * 5  # empty family
 
 
-def test_presentation_equals_union_of_rank_ones():
-    for family in families(GF2_2, (1, 2)):
-        assert presentation_matroid(family) == union(
-            [rank_one(x) for x in family.members]
-        )
+def union_route(family):
+    """The presentation matroid as the union of rank-1 matroids: the route
+    the closed formula replaces, and the one independent of X(J)."""
+    if not family.members:
+        return zero_matroid(family.spec)
+    return union([rank_one(x) for x in family.members])
+
+
+# (q, n, largest family size): every family of these sizes is checked.
+FORMULA_SPACES = (
+    (2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 2, 3),
+    (4, 2, 2), (5, 2, 2),
+    (2, 4, 1), (3, 3, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "q,n,size", FORMULA_SPACES, ids=[f"{q}-{n}-{k}" for q, n, k in FORMULA_SPACES]
+)
+def test_presentation_equals_union_of_rank_ones(q, n, size):
+    p, e = prime_power(q)
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    for family in families(spec, range(size + 1)):
+        assert presentation_matroid(family).ranks == union_route(family).ranks
 
 
 def test_q_hall_examples():
@@ -188,10 +209,10 @@ def test_oracle_examples():
 
 
 def test_three_way_agreement_exhaustive_gf2_2():
-    # Union-matroid independence == fast J-test == basis-walking oracle,
+    # Union-of-rank-ones independence == fast J-test == basis-walking oracle,
     # over every family with at most 3 members and every subspace.
     for family in families(GF2_2, (1, 2, 3)):
-        matroid = presentation_matroid(family)
+        matroid = union_route(family)
         for t in LAT2.subspaces:
             fast = is_partial_q_transversal(t, family, with_witness=False).verdict
             assert fast == matroid.independent(t)
@@ -208,7 +229,7 @@ def test_three_way_agreement_sampled_gf2_3():
         for i in range(16)
     ]
     for family in sampled:
-        matroid = presentation_matroid(family)
+        matroid = union_route(family)
         for t in subs:
             fast = is_partial_q_transversal(t, family, with_witness=False).verdict
             assert fast == matroid.independent(t)
@@ -220,7 +241,7 @@ def test_three_way_agreement_spot_gf4_1():
     spec = VectorSpaceSpec(field_make(2, 2), 2)
     lattice = get_lattice(spec)
     for family in families(spec, (1,)):
-        matroid = presentation_matroid(family)
+        matroid = union_route(family)
         for t in lattice.subspaces:
             fast = is_partial_q_transversal(t, family, with_witness=False).verdict
             assert fast == matroid.independent(t)
@@ -230,7 +251,7 @@ def test_three_way_agreement_spot_gf4_1():
 def test_three_way_agreement_spot_gf3_2():
     lattice = get_lattice(GF3_2)
     for family in families(GF3_2, (1, 2)):
-        matroid = presentation_matroid(family)
+        matroid = union_route(family)
         for t in lattice.subspaces:
             fast = is_partial_q_transversal(t, family, with_witness=False).verdict
             assert fast == matroid.independent(t)
