@@ -28,12 +28,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InfeasibleScale, OutOfRange
 from .fields import field_make, modulus_from_string, prime_power
 from .qmatroids import QMatroid, free_matroid, matroid_from_table, rank_one, union
 from .qtransversals import (
     _meets_by_mask,
+    _member_indices,
     is_minimal_presentation,
     is_partial_q_transversal,
     presentation_matroid,
@@ -203,23 +205,59 @@ def default_matroid_source(lattice) -> list[QMatroid]:
     return out
 
 
-def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
-    """Evaluate both sides of the q-Rado equivalence with witnesses."""
+class _FamilyContext(NamedTuple):
+    """What the q-Rado sides read of a family, whatever the matroid:
+    (mask of J, |J|, lattice index of X(J)) for every J in mask order,
+    and the fast test's verdict per lattice index of T, filled on demand."""
+
+    meets: tuple[tuple[int, int, int], ...]
+    verdicts: dict[int, bool]
+
+
+def _family_context(fam: SubspaceFamily) -> _FamilyContext:
+    lattice, member_idx = _member_indices(fam)
+    meets = _meets_by_mask(lattice, member_idx)
+    return _FamilyContext(
+        tuple((mask, mask.bit_count(), xj) for mask, xj in enumerate(meets)), {}
+    )
+
+
+def _q_rado_sides(
+    matroid: QMatroid, fam: SubspaceFamily, context: _FamilyContext | None = None
+):
+    """Evaluate both sides of the q-Rado equivalence with witnesses.
+
+    The left side is the first independent T of dimension |fam| (lattice
+    order) that is a partial q-transversal; the right side's witness is
+    the first J (masks ascending) with barnu(X(J)) + |J| > barnu(V).
+    Neither the meets X(J) nor the fast test's verdict on a T depends on
+    the matroid, so both come from the family's _FamilyContext; a scan
+    builds it once per family and passes it for every matroid, and it is
+    built here when none is given.
+    """
+    if context is None:
+        context = _family_context(fam)
     lattice = matroid.lattice
     n = len(fam)
+    ranks = matroid.ranks
+    verdicts = context.verdicts
     lhs_witness = None
     for ti in lattice.by_dim.get(n, ()):
-        t = lattice.subspaces[ti]
-        if not matroid.independent_idx(ti):
+        if ranks[ti] != n:  # T has dimension n, so independent means rank n
             continue
-        if is_partial_q_transversal(t, fam, with_witness=False).verdict:
-            lhs_witness = t
+        verdict = verdicts.get(ti)
+        if verdict is None:
+            verdict = verdicts[ti] = is_partial_q_transversal(
+                lattice.subspaces[ti], fam, with_witness=False
+            ).verdict
+        if verdict:
+            lhs_witness = lattice.subspaces[ti]
             break
-    meets = _meets_by_mask(lattice, [lattice.idx(m) for m in fam.members])
     barn_v = matroid.bar_nullity_idx(lattice.top_index)
+    barn = matroid.bar_nullity_table()
     rhs_witness = None
-    for mask, xj in enumerate(meets):
-        if matroid.bar_nullity_idx(xj) + mask.bit_count() > barn_v:
+    for mask, size, xj in context.meets:
+        if barn[xj] + size > barn_v:
             rhs_witness = mask
             break
     return lhs_witness, rhs_witness
@@ -249,13 +287,14 @@ def scan_q_rado(
             dim = fam.spec.dim
             if dim not in matroids_by_dim:
                 matroids_by_dim[dim] = list(source(get_lattice(fam.spec)))
+            context = _family_context(fam)
             for matroid in matroids_by_dim[dim]:
                 this = pair_idx
                 pair_idx += 1
                 if this % cfg.shards != shard:
                     continue
                 checked += 1
-                lhs_t, rhs_j = _q_rado_sides(matroid, fam)
+                lhs_t, rhs_j = _q_rado_sides(matroid, fam, context)
                 lhs = lhs_t is not None
                 rhs = rhs_j is None
                 if lhs != rhs:

@@ -5,14 +5,17 @@ rank axioms: 0 <= r(A) <= dim A, monotonicity, and submodularity.
 Construction routes are rank-1 from a loop space, induction from a
 submodular function, union (induction from the sum of rank functions),
 and explicit tables.  Derived notions (circuits, closure, flats,
-nullity, bar nullity, fundamental circuits, cyclicity) are computed by
-full lattice scans; at desk scale this is the point, since exhaustive
-theorem checks need totality.
+nullity, fundamental circuits, cyclicity) are computed by full lattice
+scans; at desk scale this is the point, since exhaustive theorem checks
+need totality.  Bar nullity is a per-matroid table, built once on first
+use as the elementwise min over bases B of dim(B meet X), so each
+bar_nullity_idx call is a lookup rather than a scan over the bases.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,7 +35,7 @@ AxiomReport = namedtuple("AxiomReport", "ok failure witness")
 class QMatroid:
     """A rank oracle on the full subspace lattice, materialized as a table."""
 
-    __slots__ = ("lattice", "ranks", "provenance", "_bases", "_circuits")
+    __slots__ = ("lattice", "ranks", "provenance", "_bases", "_circuits", "_bar_nullity")
 
     def __init__(self, lattice: Lattice, ranks: Iterable[int], provenance: str = "table"):
         ranks = tuple(int(r) for r in ranks)
@@ -45,6 +48,7 @@ class QMatroid:
         self.provenance = provenance
         self._bases = None
         self._circuits = None
+        self._bar_nullity = None
 
     @property
     def spec(self) -> VectorSpaceSpec:
@@ -85,8 +89,20 @@ class QMatroid:
         return self.bar_nullity_idx(self.lattice.idx(x))
 
     def bar_nullity_idx(self, xi: int) -> int:
-        lat = self.lattice
-        return min(lat.dims[lat.meet_idx(b, xi)] for b in self.bases_idx())
+        return self.bar_nullity_table()[xi]
+
+    def bar_nullity_table(self) -> tuple[int, ...]:
+        """Bar nullity of every subspace, indexed like the lattice: the
+        elementwise min over bases B of dim(B meet X), built on first use."""
+        if self._bar_nullity is None:
+            lat = self.lattice
+            bases = self.bases_idx()
+            # Lattice indices ascend with dimension, so the least index
+            # among the meets B meet X is one of least dimension.  The
+            # repeated first basis keeps the picked meets a tuple.
+            pick = itemgetter(*bases, bases[0])
+            self._bar_nullity = tuple(lat.dims[min(pick(row))] for row in lat.meet_table)
+        return self._bar_nullity
 
     def circuits(self) -> tuple[Subspace, ...]:
         """All minimal dependent subspaces, in enumeration order."""
@@ -215,24 +231,19 @@ def check_submodular(lattice: Lattice, values) -> SubmodularReport:
     subspace (or pair).
     """
     f = _dense_values(lattice, values)
+    subspaces = lattice.subspaces
     if f[lattice.bottom_index] != 0:
-        return SubmodularReport(False, "bottom", (lattice.subspaces[lattice.bottom_index],))
+        return SubmodularReport(False, "bottom", (subspaces[lattice.bottom_index],))
+    for i, row in enumerate(lattice.below):
+        fi = f[i]
+        for j in row:
+            if f[j] > fi:
+                return SubmodularReport(False, "monotone", (subspaces[j], subspaces[i]))
     size = len(lattice)
-    for i in range(size):
-        for j in lattice.below[i]:
-            if f[j] > f[i]:
-                return SubmodularReport(
-                    False, "monotone", (lattice.subspaces[j], lattice.subspaces[i])
-                )
-    for i in range(size):
+    for i, (fi, meets, joins) in enumerate(zip(f, lattice.meet_table, lattice.join_table)):
         for j in range(i + 1, size):
-            if (
-                f[lattice.meet_idx(i, j)] + f[lattice.join_idx(i, j)]
-                > f[i] + f[j]
-            ):
-                return SubmodularReport(
-                    False, "submodular", (lattice.subspaces[i], lattice.subspaces[j])
-                )
+            if f[meets[j]] + f[joins[j]] > fi + f[j]:
+                return SubmodularReport(False, "submodular", (subspaces[i], subspaces[j]))
     return SubmodularReport(True, None, None)
 
 
@@ -256,11 +267,10 @@ def induce(lattice: Lattice, values, provenance: str = "induced") -> QMatroid:
     report = check_submodular(lattice, values)
     if not report.ok:
         raise NotSubmodular(f"{report.failure} axiom fails at {report.witness}")
-    f = _dense_values(lattice, values)
     dims = lattice.dims
+    excess = [v - d for v, d in zip(_dense_values(lattice, values), dims)]
     ranks = [
-        min(f[b] + dims[i] - dims[b] for b in lattice.below[i])
-        for i in range(len(lattice))
+        d + min(map(excess.__getitem__, row)) for d, row in zip(dims, lattice.below)
     ]
     return QMatroid(lattice, ranks, provenance)
 
@@ -298,7 +308,7 @@ def union(members: Sequence[QMatroid], provenance: str = "union") -> QMatroid:
     for m in members[1:]:
         if m.spec != lattice.spec:
             raise SpecMismatch("union members live on different spaces")
-    summed = [sum(m.ranks[i] for m in members) for i in range(len(lattice))]
+    summed = [sum(col) for col in zip(*(m.ranks for m in members))]
     return induce(lattice, summed, provenance)
 
 

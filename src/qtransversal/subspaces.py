@@ -476,8 +476,9 @@ def _orthogonal_complement(s: Subspace) -> Subspace:
 class Lattice:
     """Fully materialized subspace lattice with order and meet/join tables.
 
-    Subspaces are indexed in enumeration order, so index 0 is the bottom
-    element and the last index is the ambient space.  Each subspace's
+    Subspaces are indexed in enumeration order (ascending dimension), so
+    index 0 is the bottom element, the last index is the ambient space,
+    and a smaller index never has a larger dimension.  Each subspace's
     point set is held one way: an int bitmask ``masks[i]`` whose bit
     ``codes[v]`` is set exactly when the vector v lies in subspace i
     (``codes`` numbers the q^n vectors of V in lexicographic order).

@@ -61,6 +61,59 @@ def test_q_rado_free_matroid_reduces_to_q_hall():
             assert (lhs_t is not None) == (rhs_j is None) == q_hall(fam).ok
 
 
+def test_q_rado_sides_match_per_pair_oracle():
+    # The scan shares one family context (meets and fast-test verdicts)
+    # across the matroid pool; the oracle recomputes everything per pair.
+    from qtransversal import SubspaceFamily, is_partial_q_transversal
+    from qtransversal.conjectures import _family_context, _q_rado_sides
+    from qtransversal.qtransversals import family_meet
+    import itertools
+
+    def oracle(matroid, fam):
+        lattice = matroid.lattice
+        n = len(fam)
+        lhs = next(
+            (
+                lattice.subspaces[ti]
+                for ti in lattice.by_dim.get(n, ())
+                if matroid.independent_idx(ti)
+                and is_partial_q_transversal(
+                    lattice.subspaces[ti], fam, with_witness=False
+                ).verdict
+            ),
+            None,
+        )
+
+        def barn(xi):
+            return min(lattice.dims[lattice.meet_idx(b, xi)] for b in matroid.bases_idx())
+
+        barn_v = barn(lattice.top_index)
+        rhs = next(
+            (
+                mask
+                for mask in range(1 << n)
+                if barn(lattice.idx(family_meet(fam, [i + 1 for i in range(n) if mask >> i & 1])))
+                + mask.bit_count()
+                > barn_v
+            ),
+            None,
+        )
+        return lhs, rhs
+
+    pairs = 0
+    for p, e, dim in ((2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2)):
+        lattice = get_lattice(VectorSpaceSpec(field_make(p, e), dim))
+        pool = default_matroid_source(lattice)
+        for size in range(3):
+            for members in itertools.product(lattice.subspaces, repeat=size):
+                fam = SubspaceFamily(lattice.spec, members)
+                context = _family_context(fam)
+                for matroid in pool:
+                    assert _q_rado_sides(matroid, fam, context) == oracle(matroid, fam)
+                    pairs += 1
+    assert pairs == 2 * 7 + 6 * 31 + 32 * 273 + 7 * 43
+
+
 def test_scan_determinism():
     a = scan_q_rado(CFG)
     b = scan_q_rado(CFG)

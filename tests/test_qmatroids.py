@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransversal import (
     IncompleteTable,
@@ -23,6 +25,7 @@ from qtransversal import (
     union,
     zero_matroid,
 )
+from qtransversal.qmatroids import SubmodularReport
 from qtransversal.subspaces import bottom, leq
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
@@ -127,6 +130,58 @@ def test_induce_rejects_non_submodular():
         induce(LAT2, [0, 0, 0, 0, 1])
 
 
+def pairwise_check_submodular(lattice, f):
+    # Reference: every axiom checked pair by pair through meet_idx and join_idx.
+    subspaces = lattice.subspaces
+    if f[lattice.bottom_index] != 0:
+        return SubmodularReport(False, "bottom", (subspaces[lattice.bottom_index],))
+    size = len(lattice)
+    for i in range(size):
+        for j in lattice.below[i]:
+            if f[j] > f[i]:
+                return SubmodularReport(False, "monotone", (subspaces[j], subspaces[i]))
+    for i in range(size):
+        for j in range(i + 1, size):
+            if f[lattice.meet_idx(i, j)] + f[lattice.join_idx(i, j)] > f[i] + f[j]:
+                return SubmodularReport(False, "submodular", (subspaces[i], subspaces[j]))
+    return SubmodularReport(True, None, None)
+
+
+@st.composite
+def integer_tables(draw):
+    """A lattice and an integer table on it: k * dim plus a sum of rank-1
+    tables (submodular), then up to two entries nudged, which breaks the
+    bottom, monotone or submodular axiom or none of them."""
+    p, e, n = draw(st.sampled_from(((2, 1, 2), (2, 1, 3), (3, 1, 2))))
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    size = len(lattice)
+    k = draw(st.integers(0, 2))
+    loops = draw(st.lists(st.integers(0, size - 1), max_size=3))
+    f = [k * d for d in lattice.dims]
+    for li in loops:
+        f = [a + b for a, b in zip(f, rank_one(lattice.subspaces[li]).ranks)]
+    for i, delta in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(-2, 2)), max_size=2)):
+        f[i] += delta
+    return lattice, f
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(integer_tables())
+def test_check_submodular_and_induce_match_pairwise_loops(table):
+    lattice, f = table
+    report = check_submodular(lattice, f)
+    assert report == pairwise_check_submodular(lattice, f)
+    if report.ok:
+        dims = lattice.dims
+        expected = tuple(
+            min(f[b] + dims[i] - dims[b] for b in lattice.below[i]) for i in range(len(lattice))
+        )
+        assert induce(lattice, f).ranks == expected
+    else:
+        with pytest.raises(NotSubmodular):
+            induce(lattice, f)
+
+
 def test_union_examples():
     m = rank_one(L10)
     assert union([m, rank_one(top(GF2_2))]) == m  # adding the zero function
@@ -219,12 +274,16 @@ def test_nullity_and_bar_nullity_examples():
 
 
 def test_bar_nullity_matches_direct_minimum():
+    from qtransversal.conjectures import default_matroid_source
     from qtransversal.subspaces import meet
 
-    for m in sample_matroids_gf2_2():
+    matroids = sample_matroids_gf2_2()
+    for p, e, n in ((2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)):
+        matroids += default_matroid_source(get_lattice(VectorSpaceSpec(field_make(p, e), n)))
+    for m in matroids:
         bases = m.bases()
         assert bases  # every matroid has at least one basis
-        for s in LAT2.subspaces:
+        for s in m.lattice.subspaces:
             assert m.bar_nullity(s) == min(meet(b, s).dim for b in bases)
 
 
