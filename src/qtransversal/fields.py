@@ -15,13 +15,25 @@ monic polynomial of degree e in counting order of the coefficient
 vector (constant term varies fastest), which is also the
 lexicographically least polynomial written in descending-degree form.
 This yields x^2+x+1 for GF(4), x^3+x+1 for GF(8), x^4+x+1 for GF(16).
+Irreducibility is Rabin's test (x^(p^e) = x mod f, and
+gcd(x^(p^(e/r)) - x, f) = 1 for every prime r dividing e), a few dozen
+polynomial operations per candidate, so construction does not grow with
+p^(e/2) as trial division did.
+
+Arithmetic takes one route per kind of field.  Prime fields GF(p) work
+on the code itself: +, -, * modulo p, and the inverse a^(p-2) mod p by
+the built-in pow.  For p = 2 a code is the polynomial's bit pattern:
+addition is XOR, multiplication shift-and-add, and the inverse runs the
+binary extended Euclidean algorithm against the modulus bits.  Odd-p
+extensions work on digit vectors and invert by extended Euclid on them.
+No route keeps a table that grows with the field order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 from .errors import (
     DivisionByZero,
@@ -60,31 +72,98 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     """Remainder of a modulo a monic polynomial m, coefficients mod p."""
     work = list(a)
     dm = len(m) - 1
+    low = m[:dm]
     while len(work) > dm:
-        lead = work[-1]
+        lead = work.pop() % p
         if lead:
-            shift = len(work) - 1 - dm
-            for i in range(dm):
-                work[shift + i] = (work[shift + i] - lead * m[i]) % p
-        work.pop()
-    return _trim(tuple(work))
+            shift = len(work) - dm
+            for i, mi in enumerate(low):
+                if mi:
+                    work[shift + i] -= lead * mi
+    return _trim(tuple(c % p for c in work))
 
 
-def _monic_polys(p: int, degree: int):
-    for lower in itertools.product(range(p), repeat=degree):
-        yield tuple(lower) + (1,)
+def _poly_sub(a, b, p: int) -> tuple[int, ...]:
+    return _trim(tuple((x - y) % p for x, y in zip_longest(a, b, fillvalue=0)))
+
+
+def _poly_mulmod(a, b, m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a*b modulo a monic polynomial m, coefficients mod p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _poly_mod(prod, m, p)
+
+
+def _poly_powmod(a, n: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a**n modulo a monic polynomial m of degree >= 1."""
+    result = (1,)
+    while n:
+        if n & 1:
+            result = _poly_mulmod(result, a, m, p)
+        n >>= 1
+        if n:
+            a = _poly_mulmod(a, a, m, p)
+    return result
+
+
+def _poly_gcd(a, b, p: int) -> tuple[int, ...]:
+    """gcd of trimmed a and b over GF(p), monic once a division step has run."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = tuple(c * inv % p for c in b)
+        a, b = b, _poly_mod(a, b, p)
+    return a
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Rabin's test for a monic polynomial f of degree e over GF(p).
+
+    f is irreducible iff x^(p^e) = x mod f and gcd(x^(p^(e/r)) - x, f) = 1
+    for every prime r dividing e (M. O. Rabin, "Probabilistic algorithms
+    in finite fields", SIAM J. Comput. 1980).  The Frobenius chain
+    x, x^p, x^(p^2), ... costs e modular p-th powers; each gcd runs as
+    soon as the chain reaches its power, so a factor of degree dividing
+    e/r ends the walk early.
+    """
     deg = len(poly) - 1
     if deg < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for div in _monic_polys(p, d):
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
+    gcd_steps = {deg // r for r in range(2, deg + 1) if deg % r == 0 and _is_prime(r)}
+    x = _poly_mod((0, 1), poly, p)
+    h = x
+    for k in range(1, deg + 1):
+        h = _poly_powmod(h, p, poly, p)
+        if k in gcd_steps and _poly_gcd(poly, _poly_sub(h, x, p), p) != (1,):
+            return False
+    return h == x
+
+
+def _poly_inverse(a, m: tuple[int, ...], p: int) -> list[int]:
+    """Inverse of a nonzero a modulo an irreducible monic m over GF(p).
+
+    Extended Euclid one leading term at a time, keeping g1*a = u and
+    g2*a = v modulo m; it stops when u is a nonzero constant.
+    """
+    u, v = list(_trim(a)), list(m)
+    g1, g2 = [1], []
+    while len(u) > 1:
+        j = len(u) - len(v)
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        c = u[-1] * pow(v[-1], p - 2, p) % p
+        for i, vi in enumerate(v):
+            u[i + j] = (u[i + j] - c * vi) % p
+        if len(g1) < len(g2) + j:
+            g1.extend([0] * (len(g2) + j - len(g1)))
+        for i, gi in enumerate(g2):
+            g1[i + j] = (g1[i + j] - c * gi) % p
+        while u[-1] == 0:
+            u.pop()
+    c = pow(u[0], p - 2, p)
+    return [g * c % p for g in g1]
 
 
 def _codes_to_digits(code: int, p: int, width: int) -> tuple[int, ...]:
@@ -167,18 +246,24 @@ class FieldSpec:
     def add_codes(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.e == 1:
+            return (a + b) % self.p
         da, db = self.decode(a), self.decode(b)
         return self.encode((x + y) % self.p for x, y in zip(da, db))
 
     def sub_codes(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.e == 1:
+            return (a - b) % self.p
         da, db = self.decode(a), self.decode(b)
         return self.encode((x - y) % self.p for x, y in zip(da, db))
 
     def neg_code(self, a: int) -> int:
         if self.p == 2:
             return a
+        if self.e == 1:
+            return -a % self.p
         return self.encode((-x) % self.p for x in self.decode(a))
 
     def mul_codes(self, a: int, b: int) -> int:
@@ -195,6 +280,8 @@ class FieldSpec:
                 if a & top:
                     a ^= mask
             return r
+        if e == 1:
+            return a * b % p
         da, db = self.decode(a), self.decode(b)
         prod = [0] * (2 * e - 1)
         for i, ai in enumerate(da):
@@ -223,10 +310,23 @@ class FieldSpec:
         return result
 
     def inv_code(self, a: int) -> int:
-        # Lagrange: a^(q-2) inverts every nonzero a.
         if a == 0:
             raise DivisionByZero(f"division by zero in GF({self.order})")
-        return self.pow_code(a, self.order - 2)
+        p = self.p
+        if self.e == 1:
+            return pow(a, p - 2, p)
+        if p == 2:
+            # Binary extended Euclid on bit-packed polynomials:
+            # g1*a = u and g2*a = v modulo the modulus throughout.
+            u, v, g1, g2 = a, self._mod_mask, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g1, g2, j = v, u, g2, g1, -j
+                u ^= v << j
+                g1 ^= g2 << j
+            return g1
+        return self.encode(_poly_inverse(self.decode(a), self.modulus, p))
 
     def div_codes(self, a: int, b: int) -> int:
         return self.mul_codes(a, self.inv_code(b))
@@ -256,6 +356,8 @@ class FieldSpec:
     def format_code(self, code: int) -> str:
         if self.p > len(_DIGIT_CHARS):
             raise OutOfRange(f"digit serialization supports p <= {len(_DIGIT_CHARS)}")
+        if self.e == 1:
+            return _DIGIT_CHARS[code]
         return "".join(_DIGIT_CHARS[d] for d in self.decode(code))
 
     def parse_code(self, text: str) -> int:

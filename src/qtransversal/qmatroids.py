@@ -33,12 +33,16 @@ AxiomReport = namedtuple("AxiomReport", "ok failure witness")
 
 
 class QMatroid:
-    """A rank oracle on the full subspace lattice, materialized as a table."""
+    """A rank oracle on the full subspace lattice, materialized as a table.
+
+    ranks is stored as given, one int per lattice index; user tables go
+    through matroid_from_table, which coerces them to int.
+    """
 
     __slots__ = ("lattice", "ranks", "provenance", "_bases", "_circuits", "_bar_nullity")
 
     def __init__(self, lattice: Lattice, ranks: Iterable[int], provenance: str = "table"):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
         if len(ranks) != len(lattice):
             raise IncompleteTable(
                 f"rank table has {len(ranks)} entries for a lattice of size {len(lattice)}"

@@ -1,6 +1,7 @@
 """Field construction, arithmetic axioms, and serialization."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from qtransversal import (
     field_pow,
     prime_power,
 )
+from qtransversal.fields import _is_irreducible
 
 PRIME_POWERS_LE_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -61,7 +63,9 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic():
     assert field_make(2, 2).modulus == (1, 1, 1)
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize(
+    "p,e", [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 4), (5, 2)]
+)
 def test_canonical_modulus_is_least_irreducible(p, e):
     reducible = reducible_products(p, e)
     chosen = field_make(p, e).modulus
@@ -209,3 +213,118 @@ def test_element_validation():
         f4.element((2, 0))  # digit out of range
     with pytest.raises(OutOfRange):
         f4.from_code(4)
+
+
+def trial_division_irreducible(poly, p):
+    """Oracle: no monic polynomial of degree 1..deg/2 divides poly."""
+
+    def divides(m, a):
+        work = list(a)
+        while len(work) >= len(m):
+            lead = work[-1]
+            shift = len(work) - len(m)
+            for i, mi in enumerate(m):
+                work[shift + i] = (work[shift + i] - lead * mi) % p
+            work.pop()
+        return not any(work)
+
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for lower in itertools.product(range(p), repeat=d):
+            if divides(lower + (1,), poly):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_rabin_matches_trial_division(p, max_degree):
+    for degree in range(1, max_degree + 1):
+        for lower in itertools.product(range(p), repeat=degree):
+            poly = lower + (1,)
+            assert _is_irreducible(poly, p) == trial_division_irreducible(poly, p), poly
+
+
+def digit_route(f, op, a, b):
+    """Oracle: arithmetic on coefficient vectors, reduced by long division
+    modulo f.modulus, as codes.  Works for every p and e."""
+    p, e, mod = f.p, f.e, f.modulus
+    da, db = f.decode(a), f.decode(b)
+    if op == "add":
+        return f.encode((x + y) % p for x, y in zip(da, db))
+    if op == "sub":
+        return f.encode((x - y) % p for x, y in zip(da, db))
+    if op == "neg":
+        return f.encode((-x) % p for x in da)
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for t in range(2 * e - 2, e - 1, -1):
+        lead = prod[t]
+        for i in range(e):
+            prod[t - e + i] = (prod[t - e + i] - lead * mod[i]) % p
+    return f.encode(prod[:e])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_prime_field_arithmetic_matches_digit_route(p):
+    f = field_make(p, 1)
+    for a, b in itertools.product(range(p), repeat=2):
+        assert f.add_codes(a, b) == digit_route(f, "add", a, b)
+        assert f.sub_codes(a, b) == digit_route(f, "sub", a, b)
+        assert f.mul_codes(a, b) == digit_route(f, "mul", a, b)
+        assert f.neg_code(a) == digit_route(f, "neg", a, b)
+        assert f.format_code(a) == "0123456789abc"[a]
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (5, 2)])
+def test_extension_multiplication_matches_digit_route(p, e):
+    f = field_make(p, e)
+    for a, b in itertools.product(range(f.order), repeat=2):
+        assert f.mul_codes(a, b) == digit_route(f, "mul", a, b)
+
+
+INVERSE_FIELDS = (
+    [(2, e) for e in range(1, 9)]
+    + [(3, e) for e in range(1, 6)]
+    + [(5, e) for e in range(1, 4)]
+    + [(7, 1), (11, 1), (13, 1)]
+)
+
+
+@pytest.mark.parametrize("p,e", INVERSE_FIELDS)
+def test_inverse_matches_fermat_on_every_element(p, e):
+    f = field_make(p, e)
+    for a in range(1, f.order):
+        inv = f.inv_code(a)
+        assert inv == f.pow_code(a, f.order - 2)
+        assert f.mul_codes(a, inv) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (2, 30), (3, 16)])
+def test_inverse_on_random_elements_of_large_fields(p, e):
+    # a * inv(a) = 1 pins the inverse down on all 2,000 samples; the
+    # Fermat power, slow in GF(3^16), is compared on the first 200.
+    f = field_make(p, e)
+    rng = random.Random(8)
+    for k in range(2000):
+        a = rng.randrange(1, f.order)
+        inv = f.inv_code(a)
+        assert 0 < inv < f.order
+        assert f.mul_codes(a, inv) == 1
+        if k < 200:
+            assert inv == f.pow_code(a, f.order - 2)
+
+
+@pytest.mark.parametrize(
+    "p,e,modulus",
+    [
+        (2, 9, "1100000001"),
+        (2, 16, "11010100000000001"),
+        (2, 24, "1101100000000000000000001"),
+        (3, 9, "1012000001"),
+        (3, 16, "10110000000000001"),
+    ],
+)
+def test_canonical_modulus_is_pinned(p, e, modulus):
+    assert field_make(p, e).to_jsonable()["modulus"] == modulus
