@@ -231,7 +231,7 @@ def recheck_certificate(
         return is_partial_q_transversal(t, fam, with_witness=False).verdict
     lattice, member_idx = _member_indices(fam)
     member_masks = [lattice.masks[mi] for mi in member_idx]
-    bases = set(enumerate_bases(t))
+    bases = list(enumerate_bases(t))
     expected = count_bases(t)
     if len(bases) != expected:
         raise InvariantViolation(
@@ -243,11 +243,14 @@ def recheck_certificate(
                 "expected": expected,
             },
         )
-    seen = set()
+    # Certificates list the bases in enumeration order; any other order,
+    # repeats included, is accepted when it covers the same set.
+    certified = [basis for basis, _ in cert.basis_witnesses]
+    if certified != bases and set(certified) != set(bases):
+        return False
     for basis, assignment in cert.basis_witnesses:
         if (
-            basis not in bases
-            or len(assignment) != t.dim
+            len(assignment) != t.dim
             or len(set(assignment)) != t.dim
             or not all(1 <= i <= n for i in assignment)
         ):
@@ -255,8 +258,7 @@ def recheck_certificate(
         for v, i in zip(basis, assignment):
             if member_masks[i - 1] >> lattice.codes[v] & 1:
                 return False
-        seen.add(basis)
-    return seen == bases
+    return True
 
 
 def q_transversal_by_definition(

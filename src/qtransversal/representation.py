@@ -8,6 +8,14 @@ base field codes are lifted through the canonical subfield embedding
 a proper base extension the base generator is sent to the least root of
 the base modulus in K, in code order).
 
+The rank is read from an echelon form of the column images G v of the
+canonical basis rows v of X.  Dropping the last row of an RREF basis
+leaves the RREF basis of a subspace one dimension lower, its parent, so
+a subspace's echelon form is its parent's plus one reduced image: one
+image and one reduction step per subspace.  A walk over many subspaces
+(verify_representation, represent) shares one memo of echelon forms,
+keyed by basis rows, for the length of that walk only.
+
 For a family of coordinate subspaces X_i = <b_j : j in L_i> the
 construction uses a k x n matrix over GF(q^(n^k)) with
 
@@ -46,7 +54,6 @@ from .subspaces import (
     VectorSpaceSpec,
     canonicalize,
     get_lattice,
-    rref,
 )
 
 #: Largest extension field (element count) the embeddings will scan.
@@ -121,6 +128,11 @@ class QRepresentation:
     def embedding(self) -> tuple[int, ...]:
         return subfield_embedding(self.base_spec.field, self.ext)
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The n columns of G, each as a tuple of its k entries."""
+        return tuple(zip(*self.matrix))
+
     def to_jsonable(self) -> dict:
         return {
             "base": self.base_spec.to_jsonable(),
@@ -129,32 +141,79 @@ class QRepresentation:
         }
 
 
-def represented_rank(rep: QRepresentation, x: Subspace) -> int:
-    """Rank of G X^T over the extension field, X the canonical basis of x."""
+def _image(rep: QRepresentation, row: tuple[int, ...]) -> list[int]:
+    """G v for a nonzero base vector v: the sum of emb(v_j) col_j over v_j != 0."""
+    ext = rep.ext
+    emb = rep.embedding
+    image = None
+    for v, col in zip(row, rep.columns):
+        if not v:
+            continue
+        c = emb[v]
+        if c != 1:
+            col = [ext.mul_codes(c, g) if g else 0 for g in col]
+        if image is None:
+            image = list(col)
+        else:
+            image = [ext.add_codes(a, g) if g else a for a, g in zip(image, col)]
+    return image
+
+
+def _echelon(rep: QRepresentation, rows: tuple, echelons: dict) -> tuple:
+    """Echelon form of the images of a nonempty RREF basis, as (pivot, row) pairs.
+
+    Each row is 1 at its pivot and 0 at the pivots of the rows before
+    it.  The form of rows[:-1] comes from the memo or by recursion; the
+    last row's image is reduced against it and kept when nonzero.
+    """
+    form = echelons.get(rows)
+    if form is not None:
+        return form
+    form = _echelon(rep, rows[:-1], echelons) if len(rows) > 1 else ()
+    if len(form) < len(rep.matrix):
+        ext = rep.ext
+        image = _image(rep, rows[-1])
+        for pivot, e in form:
+            f = image[pivot]
+            if f:
+                image = [
+                    ext.sub_codes(a, ext.mul_codes(f, b)) if b else a
+                    for a, b in zip(image, e)
+                ]
+        pivot = next((c for c, a in enumerate(image) if a), None)
+        if pivot is not None:
+            f = image[pivot]
+            if f != 1:
+                inv = ext.inv_code(f)
+                image = [ext.mul_codes(inv, a) if a else 0 for a in image]
+            form = form + ((pivot, tuple(image)),)
+    echelons[rows] = form
+    return form
+
+
+def represented_rank(
+    rep: QRepresentation, x: Subspace, echelons: dict | None = None
+) -> int:
+    """Rank of G X^T over the extension field, X the canonical basis of x.
+
+    The rank is the length of the echelon form of the images G v of
+    x's basis rows, grown from the form of x's parent (its basis less
+    the last row).  Pass one echelons dict to every call of a walk to
+    share those forms; without one a fresh dict is used, with the same
+    result.
+    """
     if x.spec != rep.base_spec:
         raise SpecMismatch("subspace does not live on the representation's base space")
     if not rep.matrix or x.dim == 0:
         return 0
-    ext = rep.ext
-    emb = rep.embedding
-    lifted = [tuple(emb[v] for v in row) for row in x.rows]
-    product = []
-    for g_row in rep.matrix:
-        out_row = []
-        for x_row in lifted:
-            acc = 0
-            for g, xv in zip(g_row, x_row):
-                if g and xv:
-                    acc = ext.add_codes(acc, ext.mul_codes(g, xv))
-            out_row.append(acc)
-        product.append(tuple(out_row))
-    return len(rref(ext, product, x.dim)[0])
+    return len(_echelon(rep, x.rows, {} if echelons is None else echelons))
 
 
 def represent(rep: QRepresentation, provenance: str = "represented") -> QMatroid:
     """Materialize the represented q-matroid's full rank table."""
     lattice = get_lattice(rep.base_spec)
-    ranks = [represented_rank(rep, s) for s in lattice.subspaces]
+    echelons = {}
+    ranks = [represented_rank(rep, s, echelons) for s in lattice.subspaces]
     return QMatroid(lattice, ranks, provenance)
 
 
@@ -164,12 +223,13 @@ def verify_representation(
     """Compare represented ranks with a matroid's table on every subspace.
 
     Returns (True, None) or (False, first disagreeing subspace) in
-    enumeration order.
+    enumeration order.  One memo of echelon forms serves the whole walk.
     """
     if matroid.spec != rep.base_spec:
         raise SpecMismatch("matroid and representation live on different spaces")
+    echelons = {}
     for s, r in zip(matroid.lattice.subspaces, matroid.ranks):
-        if represented_rank(rep, s) != r:
+        if represented_rank(rep, s, echelons) != r:
             return False, s
     return True, None
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from qtransversal import (
     VectorSpaceSpec,
     bottom,
     canonicalize,
+    enumerate_bases,
     family_meet,
     field_make,
     free_matroid,
@@ -163,6 +165,68 @@ def test_recheck_rejects_forged_certificates(forge):
     cert = is_partial_q_transversal(V2, family)
     assert cert.verdict and recheck_certificate(cert, V2, family)
     assert recheck_certificate(forge(cert), V2, family) is False
+
+
+def _recheck_by_basis_set(cert, t, fam):
+    """The set-based re-check: every listed basis of T, with a valid
+    avoiding assignment, and together all bases of T."""
+    lattice = get_lattice(fam.spec)
+    bases = set(enumerate_bases(t))
+    n = len(fam)
+    seen = set()
+    for basis, assignment in cert.basis_witnesses:
+        if (
+            basis not in bases
+            or len(assignment) != t.dim
+            or len(set(assignment)) != t.dim
+            or not all(1 <= i <= n for i in assignment)
+        ):
+            return False
+        for v, i in zip(basis, assignment):
+            if lattice.contains_idx(lattice.idx(fam.members[i - 1]), v):
+                return False
+        seen.add(basis)
+    return seen == bases
+
+
+def _rotated(entry):
+    basis, assignment = entry
+    return basis, assignment[1:] + assignment[:1]
+
+
+REORDERINGS = {
+    "as-is": lambda w, rng: w,
+    "reversed": lambda w, rng: w[::-1],
+    "shuffled": lambda w, rng: rng.sample(w, len(w)),
+    "first-repeated": lambda w, rng: w + w[:1],
+    "all-repeated": lambda w, rng: w + w[::-1],
+    "last-dropped": lambda w, rng: w[:-1],
+    "last-replaced-by-first": lambda w, rng: w[:-1] + w[:1],
+    "repeat-rotated": lambda w, rng: w + (_rotated(w[0]),),
+    "rotated-at-front": lambda w, rng: (_rotated(w[0]),) + w[1:],
+    "vector-repeated": lambda w, rng: ((w[0][0][:1] * len(w[0][0]), w[0][1]),) + w[1:],
+}
+
+
+@pytest.mark.parametrize("how", list(REORDERINGS))
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)], ids=["2-3", "3-2", "4-2"])
+def test_recheck_accepts_orderings_as_the_basis_set_route(p, e, n, how):
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    v = top(spec)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    family = SubspaceFamily(spec, tuple(canonicalize(spec, [u]) for u in unit))
+    cert = is_partial_q_transversal(v, family, with_witness=True)
+    assert cert.verdict
+    rng = random.Random(f"recheck:{p}-{e}-{n}")
+    forged = dataclasses.replace(
+        cert, basis_witnesses=tuple(REORDERINGS[how](cert.basis_witnesses, rng))
+    )
+    expected = _recheck_by_basis_set(forged, v, family)
+    assert recheck_certificate(forged, v, family) is expected
+    # Reorderings and repeats of valid entries pass; a missing basis, a
+    # non-basis or the first witness with its assignment rotated (which
+    # sends a vector into its member) fails.
+    assert expected is (how in ("as-is", "reversed", "shuffled", "first-repeated", "all-repeated"))
 
 
 def test_recheck_counts_bases_independently(monkeypatch):

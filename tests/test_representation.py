@@ -1,11 +1,13 @@
 """Represented q-matroids and the aligned construction."""
 
 import itertools
+import random
 
 import pytest
 
 from qtransversal import (
     AlignedFamily,
+    QMatroid,
     QRepresentation,
     SpecMismatch,
     SubspaceFamily,
@@ -94,22 +96,9 @@ def test_rank_is_basis_independent():
     ]
     lat = get_lattice(GF2_3)
     for rep in reps:
-        emb = rep.embedding
         for s in lat.subspaces:
-            alt = alternate_basis(s)
-            if not alt:
-                continue
             # Recompute the product rank from the non-canonical basis.
-            ext = rep.ext
-            lifted = [tuple(emb[v] for v in row) for row in alt]
-            product = [
-                tuple(
-                    _dot(ext, g_row, x_row) for x_row in lifted
-                )
-                for g_row in rep.matrix
-            ]
-            direct = matrix_rank(ext, product, len(alt)) if rep.matrix else 0
-            assert direct == represented_rank(rep, s)
+            assert _product_rank(rep, alternate_basis(s)) == represented_rank(rep, s)
 
 
 def _dot(ext, a, b):
@@ -118,6 +107,70 @@ def _dot(ext, a, b):
         if x and y:
             acc = ext.add_codes(acc, ext.mul_codes(x, y))
     return acc
+
+
+def _product_rank(rep, rows):
+    """Oracle: the rank of G X^T, X the given rows, by one elimination."""
+    if not rep.matrix or not rows:
+        return 0
+    emb = rep.embedding
+    lifted = [tuple(emb[v] for v in row) for row in rows]
+    product = [
+        tuple(_dot(rep.ext, g_row, x_row) for x_row in lifted) for g_row in rep.matrix
+    ]
+    return matrix_rank(rep.ext, product, len(rows))
+
+
+RANK_SPACES = (
+    [(2, 1, n) for n in range(1, 5)]
+    + [(3, 1, n) for n in range(1, 4)]
+    + [(2, 2, n) for n in range(1, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "p,e,n", RANK_SPACES, ids=[f"{p**e}-{n}" for p, e, n in RANK_SPACES]
+)
+def test_represented_rank_matches_product_rank(p, e, n):
+    # Echelon forms grown from parents, against one elimination of
+    # G X^T per subspace, on every subspace in a shuffled order: with a
+    # memo shared across the walk and with none.
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    lattice = get_lattice(spec)
+    rng = random.Random(f"represented-rank:{p}-{e}-{n}")
+    for degree in (1, 2, 3):
+        ext = field_make(p, e * degree)
+        for _ in range(3):
+            k = rng.randint(1, n)
+            matrix = tuple(
+                tuple(rng.randrange(ext.order) if rng.random() < 0.7 else 0 for _ in range(n))
+                for _ in range(k)
+            )
+            rep = QRepresentation(spec, ext, matrix)
+            expected = [_product_rank(rep, s.rows) for s in lattice.subspaces]
+            order = list(range(len(lattice)))
+            rng.shuffle(order)
+            echelons = {}
+            for i in order:
+                s = lattice.subspaces[i]
+                assert represented_rank(rep, s, echelons) == expected[i]
+                assert represented_rank(rep, s) == expected[i]
+            # The first disagreement in enumeration order, on the exact
+            # table, on a table with one entry nudged, and on the free
+            # and zero matroids.
+            nudged = list(expected)
+            at = rng.randrange(1, len(nudged))
+            nudged[at] += 1
+            for ranks in (expected, nudged, free_matroid(spec).ranks, zero_matroid(spec).ranks):
+                target = QMatroid(lattice, ranks)
+                bad = next(
+                    (s for s, r in zip(lattice.subspaces, ranks) if _product_rank(rep, s.rows) != r),
+                    None,
+                )
+                assert verify_representation(rep, target) == (bad is None, bad)
+            assert verify_representation(rep, QMatroid(lattice, nudged)) == (
+                False, lattice.subspaces[at]
+            )
 
 
 def test_represented_matroids_satisfy_axioms():
