@@ -10,12 +10,30 @@ scans; at desk scale this is the point, since exhaustive theorem checks
 need totality.  Bar nullity is a per-matroid table, built once on first
 use as the elementwise min over bases B of dim(B meet X), so each
 bar_nullity_idx call is a lookup rather than a scan over the bases.
+
+The axioms are checked on the lattice's covers and diamonds, not on all
+pairs (see Lattice.covers and Lattice.diamonds).  The subspace lattice
+is graded and modular, and:
+
+- f is monotone iff f(B) <= f(A) on every cover pair B < A, since a
+  chain of covers runs from any B <= A up to A;
+- f is submodular iff f(Y) + f(Z) >= f(X) + f(Y join Z) whenever Y and
+  Z are distinct upper covers of X (a diamond).  For A and B, take
+  maximal chains A meet B = a_0 < ... < a_s = A and A meet B = b_0 <
+  ... < b_t = B.  By Birkhoff's theorem two chains of a modular lattice
+  generate a distributive sublattice; in it x_ij = a_i join b_j has
+  dimension dim(A meet B) + i + j and x_(i+1)j meet x_i(j+1) = x_ij, so
+  every unit square of the grid is a diamond, and the s*t diamond
+  inequalities sum (telescope) to f(A) + f(B) >= f(A meet B) + f(A join B).
+
+Induction walks the covers too: every B < A lies below a lower cover
+of A.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -212,7 +230,19 @@ class QMatroid:
         }
 
 
+class _IntTable:
+    """A table already converted to a list of one int per lattice index:
+    _dense_values unwraps it instead of converting it again."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: list[int]):
+        self.ints = ints
+
+
 def _dense_values(lattice: Lattice, values) -> list[int]:
+    if type(values) is _IntTable:
+        return values.ints
     if isinstance(values, Mapping):
         out = []
         for s in lattice.subspaces:
@@ -220,7 +250,7 @@ def _dense_values(lattice: Lattice, values) -> list[int]:
                 raise IncompleteTable(f"no value for subspace {s.to_rows()}")
             out.append(int(values[s]))
         return out
-    values = [int(v) for v in values]
+    values = list(map(int, values))
     if len(values) != len(lattice):
         raise IncompleteTable(
             f"value table has {len(values)} entries for a lattice of size {len(lattice)}"
@@ -228,13 +258,23 @@ def _dense_values(lattice: Lattice, values) -> list[int]:
     return values
 
 
-def check_submodular(lattice: Lattice, values) -> SubmodularReport:
-    """Check the three submodular-function axioms over the whole lattice.
+def _locally_submodular(lattice: Lattice, f: Sequence[int]) -> bool:
+    """The verdict of check_submodular, from the bottom, the covers and
+    the diamonds alone (see the module docstring)."""
+    if f[lattice.bottom_index] != 0:
+        return False
+    for lo, hi in zip(*lattice.covers):
+        if f[lo] > f[hi]:
+            return False
+    for x, y, z, w in zip(*lattice.diamonds):
+        if f[x] + f[w] > f[y] + f[z]:
+            return False
+    return True
 
-    On failure the report carries which axiom broke and the witnessing
-    subspace (or pair).
-    """
-    f = _dense_values(lattice, values)
+
+def _first_failure(lattice: Lattice, f: Sequence[int]) -> SubmodularReport:
+    # The ordered scan that names the failure: the bottom, then every
+    # pair j <= i in index order, then every pair i < j.
     subspaces = lattice.subspaces
     if f[lattice.bottom_index] != 0:
         return SubmodularReport(False, "bottom", (subspaces[lattice.bottom_index],))
@@ -251,32 +291,61 @@ def check_submodular(lattice: Lattice, values) -> SubmodularReport:
     return SubmodularReport(True, None, None)
 
 
+def check_submodular(lattice: Lattice, values) -> SubmodularReport:
+    """Check the three submodular-function axioms over the whole lattice.
+
+    The verdict comes from the local theorem: f(0) = 0, f(B) <= f(A) on
+    every cover pair, and f(Y) + f(Z) >= f(X) + f(Y join Z) on every
+    diamond.  For any A and B, maximal chains from A meet B up to A and
+    up to B generate a distributive sublattice whose unit squares are
+    diamonds, and their inequalities telescope to the one for A and B
+    (module docstring).  Only a failing table pays for the ordered pair
+    scan, which names the first failure in index order: which axiom
+    broke and the witnessing subspace (or pair).  A local failure the
+    scan cannot find raises InvariantViolation.
+    """
+    f = _dense_values(lattice, values)
+    if _locally_submodular(lattice, f):
+        return SubmodularReport(True, None, None)
+    report = _first_failure(lattice, f)
+    if report.ok:
+        raise InvariantViolation(
+            "local submodularity check and ordered pair scan disagree",
+            payload={"spec": lattice.spec.to_jsonable(), "values": list(f)},
+        )
+    return report
+
+
 def check_rank_axioms(lattice: Lattice, ranks: Sequence[int]) -> AxiomReport:
     """Check boundedness, monotonicity and submodularity of a rank table."""
     r = _dense_values(lattice, ranks)
     for i in range(len(lattice)):
         if not 0 <= r[i] <= lattice.dims[i]:
             return AxiomReport(False, "bounded", (lattice.subspaces[i],))
-    sub = check_submodular(lattice, r)
-    if not sub.ok:
-        return AxiomReport(False, sub.failure, sub.witness)
+    report = check_submodular(lattice, _IntTable(r))
+    if not report.ok:
+        return AxiomReport(False, report.failure, report.witness)
     return AxiomReport(True, None, None)
 
 
 def induce(lattice: Lattice, values, provenance: str = "induced") -> QMatroid:
     """The q-matroid induced by a submodular function.
 
-    r(A) = min over B <= A of f(B) + dim A - dim B.
+    r(A) = min over B <= A of f(B) + dim A - dim B, computed along the
+    covers: with h(A) = min over B <= A of f(B) - dim B, every B < A lies
+    below a lower cover of A, so h(A) = min(f(A) - dim A, h(C) for the
+    lower covers C of A), and r(A) = dim A + h(A).
     """
-    report = check_submodular(lattice, values)
+    f = _dense_values(lattice, values)
+    report = check_submodular(lattice, _IntTable(f))
     if not report.ok:
         raise NotSubmodular(f"{report.failure} axiom fails at {report.witness}")
     dims = lattice.dims
-    excess = [v - d for v, d in zip(_dense_values(lattice, values), dims)]
-    ranks = [
-        d + min(map(excess.__getitem__, row)) for d, row in zip(dims, lattice.below)
-    ]
-    return QMatroid(lattice, ranks, provenance)
+    h = list(map(sub, f, dims))
+    for lo, hi in zip(*lattice.covers):
+        if h[lo] < h[hi]:
+            h[hi] = h[lo]
+    return QMatroid(lattice, map(add, dims, h), provenance)
 
 
 def rank_one(loop_space: Subspace) -> QMatroid:
@@ -312,8 +381,10 @@ def union(members: Sequence[QMatroid], provenance: str = "union") -> QMatroid:
     for m in members[1:]:
         if m.spec != lattice.spec:
             raise SpecMismatch("union members live on different spaces")
-    summed = [sum(col) for col in zip(*(m.ranks for m in members))]
-    return induce(lattice, summed, provenance)
+    summed = members[0].ranks
+    for m in members[1:]:
+        summed = map(add, summed, m.ranks)
+    return induce(lattice, _IntTable(list(summed)), provenance)
 
 
 def matroid_from_table(
@@ -321,7 +392,7 @@ def matroid_from_table(
 ) -> QMatroid:
     ranks = _dense_values(lattice, values)
     if validate:
-        report = check_rank_axioms(lattice, ranks)
+        report = check_rank_axioms(lattice, _IntTable(ranks))
         if not report.ok:
             raise InvalidRankTable(
                 f"rank table violates the {report.failure} axiom at {report.witness}"

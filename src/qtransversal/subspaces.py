@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -473,6 +473,33 @@ def _orthogonal_complement(s: Subspace) -> Subspace:
     return canonicalize(s.spec, basis)
 
 
+def _spread_adder(p: int, digits: int):
+    """Vector addition for GF(p^e)^n on spread codes.
+
+    A vector code written in base p has n*e digits, one per GF(p)
+    coordinate, and vector addition adds them digit by digit mod p.  The
+    spread code puts each digit in its own slot of ``width`` bits, wide
+    enough that the sum of two slots and a bias cannot carry into the
+    next slot: adding the bias 2^(width-1) - p sets a slot's top bit
+    exactly when the slot's sum is at least p, and those slots lose p.
+    Returns (spreads, add): the spread code of every vector code, in
+    code order, and the addition.
+    """
+    width = (2 * p - 2).bit_length() + 1
+    shift = width - 1
+    bias = sum(((1 << shift) - p) << (width * i) for i in range(digits))
+    high = sum(1 << (width * i + shift) for i in range(digits))
+    spreads = [0]
+    for _ in range(digits):
+        spreads = [s << width | d for s in spreads for d in range(p)]
+
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - ((s + bias & high) >> shift) * p
+
+    return spreads, add
+
+
 class Lattice:
     """Fully materialized subspace lattice with order and meet/join tables.
 
@@ -483,17 +510,27 @@ class Lattice:
     ``codes[v]`` is set exactly when the vector v lies in subspace i
     (``codes`` numbers the q^n vectors of V in lexicographic order).
 
-    Every table is derived from the masks.  The meet is the intersection
-    of point sets, ``masks[i] & masks[j]``, looked up among the masks;
-    j lies below i exactly when their meet is j.  The join comes by
-    duality under the standard dot product, which is nondegenerate over
-    every GF(q): U + W = (U-perp meet W-perp)-perp, with the orthogonal
-    complement of each subspace read off its RREF once.  All tables are
-    precomputed; every query afterwards is a lookup.
+    Every table is derived from the masks.  A subspace's parent is the
+    span of its RREF rows less the last, and its points are the parent's
+    points plus the multiples of that last row, which are the points of
+    the atom the row spans; so each mask grows from two smaller ones.
+    The meet is the intersection of point sets, ``masks[i] & masks[j]``,
+    looked up among the masks; j lies below i exactly when their meet is
+    j.  The join comes by duality under the standard dot product, which
+    is nondegenerate over every GF(q): U + W = (U-perp meet W-perp)-perp.
+    ``perp[i]`` indexes the complement of subspace i.  Only the atoms'
+    complements are read off their RREF; every other subspace's is the
+    meet of its parent's and its last row's.
+
+    The masks, ``perp``, ``below``, and the meet and join tables are
+    built eagerly.  The cover columns (``covers``) and the diamonds
+    (``diamonds``), which the submodularity check and the induction
+    walk, are built on first use.  Every query afterwards is a lookup.
     """
 
     def __init__(self, spec: VectorSpaceSpec, *, max_size: int = LATTICE_CAP):
-        q = spec.field.order
+        field = spec.field
+        q = field.order
         n = spec.dim
         total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
         if total > max_size:
@@ -516,22 +553,72 @@ class Lattice:
         self.codes: dict[tuple[int, ...], int] = {
             v: c for c, v in enumerate(itertools.product(range(q), repeat=n))
         }
+        # (parent, atom of the last row) for every subspace but the bottom.
+        by_rows = {s.rows: i for i, s in enumerate(self.subspaces)}
+        grown = [(by_rows[s.rows[:-1]], by_rows[s.rows[-1:]]) for s in self.subspaces[1:]]
+        spreads, add = _spread_adder(field.p, n * field.e)
+        code_of = {s: c for c, s in enumerate(spreads)}
+        points = [[0]]  # spread codes; the bottom holds the zero vector
+        for i, (parent, atom) in enumerate(grown, 1):
+            if parent == self.bottom_index:
+                row = self.subspaces[i].rows[0]
+                points.append([
+                    spreads[self.codes[tuple(field.mul_codes(c, x) for x in row)]]
+                    for c in range(q)
+                ])
+            else:
+                points.append([add(u, w) for w in points[atom] for u in points[parent]])
         self.masks: tuple[int, ...] = tuple(
-            sum(1 << self.codes[v] for v in subspace_vectors(s))
-            for s in self.subspaces
+            sum(1 << code_of[s] for s in pts) for pts in points
         )
         by_mask = {m: i for i, m in enumerate(self.masks)}
         self.meet_table = [
             [by_mask[mi & mj] for mj in self.masks] for mi in self.masks
         ]
+        # Below i lie i itself and subspaces of smaller dimension, so of
+        # smaller index.
         self.below: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j, m in enumerate(row) if m == j) for row in self.meet_table
+            tuple(j for j in range(i + 1) if row[j] == j)
+            for i, row in enumerate(self.meet_table)
         )
-        perp = [self.index[_orthogonal_complement(s)] for s in self.subspaces]
+        perp = [self.top_index]
+        for i, (parent, atom) in enumerate(grown, 1):
+            if parent == self.bottom_index:
+                perp.append(self.index[_orthogonal_complement(self.subspaces[i])])
+            else:
+                perp.append(self.meet_table[perp[parent]][perp[atom]])
+        self.perp: tuple[int, ...] = tuple(perp)
         self.join_table = [
             [perp[row[pj]] for pj in perp]
             for row in (self.meet_table[pi] for pi in perp)
         ]
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Every cover pair as two index columns (lower, upper), the upper
+        one dimension above the lower, ordered by upper and then lower: a
+        walk down the columns meets all lower covers of a subspace before
+        it meets that subspace as a lower one."""
+        dims = self.dims
+        lower, upper = zip(*(
+            (j, i) for i, row in enumerate(self.below) for j in row if dims[j] == dims[i] - 1
+        ))
+        return lower, upper
+
+    @cached_property
+    def diamonds(self) -> tuple[tuple[int, ...], ...]:
+        """Every diamond as four index columns (x, y, z, w): y < z are two
+        distinct upper covers of x and w = y join z, so y meet z = x and
+        the dimensions are d, d+1, d+1, d+2.  Ordered by x, y, then z."""
+        upper_covers = [[] for _ in self.subspaces]
+        for lo, hi in zip(*self.covers):
+            upper_covers[lo].append(hi)
+        quads = [
+            (x, y, z, self.join_table[y][z])
+            for x, ups in enumerate(upper_covers)
+            for y, z in itertools.combinations(ups, 2)
+        ]
+        return tuple(zip(*quads)) if quads else ((), (), (), ())
 
     def __len__(self):
         return len(self.subspaces)

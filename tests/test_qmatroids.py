@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qtransversal import (
     IncompleteTable,
     InvalidRankTable,
+    InvariantViolation,
     NotSubmodular,
     VectorSpaceSpec,
     WrongNullity,
@@ -25,6 +26,7 @@ from qtransversal import (
     union,
     zero_matroid,
 )
+from qtransversal import qmatroids
 from qtransversal.qmatroids import SubmodularReport
 from qtransversal.subspaces import bottom, leq
 
@@ -147,12 +149,20 @@ def pairwise_check_submodular(lattice, f):
     return SubmodularReport(True, None, None)
 
 
+def induced_by_below_lists(lattice, f):
+    # The all-pairs induction: min over every B <= A, not along covers.
+    dims = lattice.dims
+    return tuple(
+        min(f[b] + dims[i] - dims[b] for b in lattice.below[i]) for i in range(len(lattice))
+    )
+
+
 @st.composite
 def integer_tables(draw):
     """A lattice and an integer table on it: k * dim plus a sum of rank-1
     tables (submodular), then up to two entries nudged, which breaks the
     bottom, monotone or submodular axiom or none of them."""
-    p, e, n = draw(st.sampled_from(((2, 1, 2), (2, 1, 3), (3, 1, 2))))
+    p, e, n = draw(st.sampled_from(((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 2))))
     lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
     size = len(lattice)
     k = draw(st.integers(0, 2))
@@ -172,14 +182,36 @@ def test_check_submodular_and_induce_match_pairwise_loops(table):
     report = check_submodular(lattice, f)
     assert report == pairwise_check_submodular(lattice, f)
     if report.ok:
-        dims = lattice.dims
-        expected = tuple(
-            min(f[b] + dims[i] - dims[b] for b in lattice.below[i]) for i in range(len(lattice))
-        )
-        assert induce(lattice, f).ranks == expected
+        assert induce(lattice, f).ranks == induced_by_below_lists(lattice, f)
     else:
         with pytest.raises(NotSubmodular):
             induce(lattice, f)
+
+
+POOL_SPACES = ((2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "p,e,n", POOL_SPACES, ids=[f"{p**e}-{n}" for p, e, n in POOL_SPACES]
+)
+def test_pool_unions_match_pairwise_routes(p, e, n):
+    # Every union default_matroid_source builds: each pair of rank-1 matroids.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    singles = [rank_one(s) for s in lattice.subspaces]
+    for i, a in enumerate(singles):
+        for b in singles[i:]:
+            f = [x + y for x, y in zip(a.ranks, b.ranks)]
+            assert check_submodular(lattice, f) == pairwise_check_submodular(lattice, f)
+            assert union([a, b]).ranks == induced_by_below_lists(lattice, f)
+
+
+def test_local_verdict_disagreeing_with_pair_scan_raises(monkeypatch):
+    monkeypatch.setattr(qmatroids, "_locally_submodular", lambda lattice, f: False)
+    with pytest.raises(InvariantViolation) as info:
+        check_submodular(LAT2, LAT2.dims)
+    assert info.value.payload["values"] == list(LAT2.dims)
+    with pytest.raises(InvariantViolation):
+        union([rank_one(L10), rank_one(L01)])
 
 
 def test_union_examples():

@@ -25,6 +25,7 @@ from qtransversal import (
     top,
 )
 from qtransversal.subspaces import (
+    _orthogonal_complement,
     contains_vector,
     count_bases,
     matrix_rank,
@@ -327,6 +328,46 @@ def test_lattice_tables_agree_with_direct_ops(p, e, n):
         assert lat.below[i] == tuple(j for j in range(len(lat)) if lat.leq_idx(j, i))
         for v in vectors:
             assert lat.contains_idx(i, v) == contains_vector(a, v)
+
+
+@pytest.mark.parametrize(
+    "p,e,n", LATTICE_SPACES, ids=[f"{p**e}-{n}" for p, e, n in LATTICE_SPACES]
+)
+def test_lattice_covers_and_diamonds(p, e, n):
+    q = p**e
+    lat = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    subs, dims = lat.subspaces, lat.dims
+    # A k-dim subspace has [n-k 1]_q upper covers: one per line of V/X.
+    ups = {k: gaussian_binomial(n - k, 1, q) for k in range(n)}
+    lower, upper = lat.covers
+    assert len(lower) == sum(gaussian_binomial(n, k, q) * ups[k] for k in range(n))
+    assert list(zip(upper, lower)) == sorted(zip(upper, lower))
+    for j, i in zip(lower, upper):
+        assert dims[i] == dims[j] + 1 and lat.leq_idx(j, i)
+    xs, ys, zs, ws = lat.diamonds
+    assert len(xs) == sum(gaussian_binomial(n, k, q) * math.comb(ups[k], 2) for k in range(n))
+    assert len(set(zip(xs, ys, zs))) == len(xs)
+    for x, y, z, w in zip(xs, ys, zs, ws):
+        assert y < z
+        assert meet(subs[y], subs[z]) == subs[x]
+        assert join(subs[y], subs[z]) == subs[w]
+        assert (dims[y], dims[z], dims[w]) == (dims[x] + 1, dims[x] + 1, dims[x] + 2)
+
+
+# The tested spaces plus GF(2)^5 and GF(3)^4, which the CLI benchmark builds.
+BUILD_SPACES = LATTICE_SPACES + [(2, 1, 5), (3, 1, 4)]
+
+
+@pytest.mark.parametrize(
+    "p,e,n", BUILD_SPACES, ids=[f"{p**e}-{n}" for p, e, n in BUILD_SPACES]
+)
+def test_lattice_build_matches_per_subspace_routes(p, e, n):
+    # The routes the parent-grown build replaced: every vector of each
+    # subspace, and each complement read off its own RREF.
+    lat = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    for i, s in enumerate(lat.subspaces):
+        assert lat.masks[i] == sum(1 << lat.codes[v] for v in subspace_vectors(s))
+        assert lat.perp[i] == lat.idx(_orthogonal_complement(s))
 
 
 def test_serialization_round_trip():
