@@ -30,8 +30,8 @@ from .classical import (
     rado_check,
 )
 from .errors import INPUT_ERRORS, InfeasibleScale, InvariantViolation
-from .fields import field_make, modulus_from_string, prime_power
-from .qmatroids import matroid_from_table
+from .fields import field_make, prime_power
+from .qmatroids import QMatroid
 from .qtransversals import (
     is_minimal_presentation,
     is_partial_q_transversal,
@@ -70,11 +70,6 @@ def _load(path: str) -> dict:
     if doc.get("schema", SCHEMA) != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA}")
     return doc
-
-
-def _space(doc: dict) -> VectorSpaceSpec:
-    p, e = prime_power(int(doc["q"]))
-    return VectorSpaceSpec(field_make(p, e), int(doc["dim"]))
 
 
 def _set_family(doc: dict) -> SetFamily:
@@ -165,7 +160,7 @@ def _cmd_check_transversal(doc, args):
 
 
 def _cmd_q_hall(doc, args):
-    spec = _space(doc)
+    spec = VectorSpaceSpec.from_jsonable(doc)
     fam = family_from_rows(spec, doc["family"])
     verdict = q_hall(fam)
     payload = {"verdict": verdict.ok}
@@ -175,7 +170,7 @@ def _cmd_q_hall(doc, args):
 
 
 def _cmd_check_q_transversal(doc, args):
-    spec = _space(doc)
+    spec = VectorSpaceSpec.from_jsonable(doc)
     fam = family_from_rows(spec, doc["family"])
     t = subspace_from_rows(spec, doc["subspace"])
     cert = is_partial_q_transversal(t, fam)
@@ -197,14 +192,14 @@ def _cmd_check_q_transversal(doc, args):
 
 
 def _cmd_build_matroid(doc, args):
-    spec = _space(doc)
+    spec = VectorSpaceSpec.from_jsonable(doc)
     fam = family_from_rows(spec, doc["family"])
     matroid = presentation_matroid(fam)
     _emit({"matroid": matroid.to_jsonable()}, doc, "build-matroid")
 
 
 def _cmd_reduce_presentation(doc, args):
-    spec = _space(doc)
+    spec = VectorSpaceSpec.from_jsonable(doc)
     fam = family_from_rows(spec, doc["family"])
     reduced = reduce_presentation(fam)
     _emit(
@@ -219,7 +214,7 @@ def _cmd_reduce_presentation(doc, args):
 
 
 def _cmd_check_minimal(doc, args):
-    spec = _space(doc)
+    spec = VectorSpaceSpec.from_jsonable(doc)
     fam = family_from_rows(spec, doc["family"])
     report = is_minimal_presentation(fam)
     payload = {"verdict": report.minimal}
@@ -233,7 +228,7 @@ def _cmd_check_minimal(doc, args):
 
 
 def _cmd_represent_aligned(doc, args):
-    spec = _space(doc)
+    spec = VectorSpaceSpec.from_jsonable(doc)
     if "index_sets" in doc:
         aligned = AlignedFamily(
             spec, tuple(frozenset(s) for s in doc["index_sets"])
@@ -255,35 +250,13 @@ def _cmd_represent_aligned(doc, args):
     )
 
 
-def _parse_representation(doc: dict, spec: VectorSpaceSpec) -> QRepresentation:
-    block = doc["representation"]
-    ext_info = block["ext"]
-    ext = field_make(
-        int(ext_info["p"]), int(ext_info["e"]), modulus_from_string(ext_info["modulus"])
-    )
-    matrix = tuple(
-        tuple(ext.parse_code(digit) for digit in _chunks(row, ext.e))
-        for row in block["matrix"]
-    )
-    return QRepresentation(spec, ext, matrix)
-
-
 def _cmd_verify_representation(doc, args):
-    spec = _space(doc)
-    rep = _parse_representation(doc, spec)
+    spec = VectorSpaceSpec.from_jsonable(doc)
+    rep = QRepresentation.from_jsonable(spec, doc["representation"])
     if "family" in doc:
         matroid = presentation_matroid(family_from_rows(spec, doc["family"]))
     else:
-        lattice = get_lattice(spec)
-        table = {
-            tuple(entry["subspace"]): int(entry["rank"])
-            for entry in doc["matroid"]["rank_table"]
-        }
-        try:
-            ranks = [table[tuple(s.to_rows())] for s in lattice.subspaces]
-        except KeyError as missing:
-            raise ValueError(f"rank table misses subspace {missing}") from None
-        matroid = matroid_from_table(lattice, ranks)
+        matroid = QMatroid.from_jsonable(get_lattice(spec), doc["matroid"])
     ok, bad = verify_representation(rep, matroid)
     payload = {"verdict": ok}
     if not ok:
@@ -304,7 +277,6 @@ def _cmd_scan(doc, args):
         mode=block.get("mode", "exhaustive"),
         seed=block.get("seed"),
         count=block.get("count"),
-        shards=int(block.get("shards", 1)),
     )
     kind = block["kind"]
     if kind == "q-rado":

@@ -4,9 +4,9 @@ Each scanner walks a deterministic instance stream (exhaustive in the
 fixed enumeration order, or seeded-random), evaluates both sides of the
 conjectured equivalence with the library's independent routes, and
 emits machine-checkable counterexample certificates.  Reports are
-deterministic: equal configurations produce identical reports, shards
-merge to the unsharded result, and wall-clock time is kept out of the
-canonical serialization.
+deterministic: equal configurations produce identical reports, and
+wall-clock time is kept out of the canonical serialization.  The
+reverify_* replays decode a record with the decoders the CLI uses.
 
 Readings pinned here (also echoed in the report notes):
 
@@ -31,11 +31,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InfeasibleScale, OutOfRange
-from .fields import field_make, modulus_from_string, prime_power
-from .qmatroids import QMatroid, free_matroid, matroid_from_table, rank_one, union
+from .fields import prime_power
+from .qmatroids import QMatroid, free_matroid, rank_one, union
 from .qtransversals import (
-    _meets_by_mask,
-    _member_indices,
     is_minimal_presentation,
     is_partial_q_transversal,
     presentation_matroid,
@@ -79,7 +77,6 @@ class ScanConfig:
     mode: str = "exhaustive"
     seed: int | None = None
     count: int | None = None
-    shards: int = 1
 
     def __post_init__(self):
         prime_power(self.q)
@@ -91,12 +88,9 @@ class ScanConfig:
             raise OutOfRange(f"unknown scan mode {self.mode!r}")
         if self.mode == "random" and (self.seed is None or not self.count):
             raise OutOfRange("random mode requires an explicit seed and count")
-        if self.shards < 1:
-            raise OutOfRange("shards must be at least 1")
 
     def space(self, dim: int) -> VectorSpaceSpec:
-        p, e = prime_power(self.q)
-        return VectorSpaceSpec(field_make(p, e), dim)
+        return VectorSpaceSpec.from_jsonable({"q": self.q, "dim": dim})
 
     def to_jsonable(self) -> dict:
         out = {
@@ -104,7 +98,6 @@ class ScanConfig:
             "max_dim": self.max_dim,
             "max_family": self.max_family,
             "mode": self.mode,
-            "shards": self.shards,
         }
         if self.mode == "random":
             out["seed"] = self.seed
@@ -215,10 +208,8 @@ class _FamilyContext(NamedTuple):
 
 
 def _family_context(fam: SubspaceFamily) -> _FamilyContext:
-    lattice, member_idx = _member_indices(fam)
-    meets = _meets_by_mask(lattice, member_idx)
     return _FamilyContext(
-        tuple((mask, mask.bit_count(), xj) for mask, xj in enumerate(meets)), {}
+        tuple((mask, mask.bit_count(), xj) for mask, xj in enumerate(fam.meet_indices)), {}
     )
 
 
@@ -281,40 +272,34 @@ def scan_q_rado(
     counterexamples = []
     checked = 0
     matroids_by_dim: dict[int, list[QMatroid]] = {}
-    for shard in range(cfg.shards):
-        pair_idx = 0
-        for _, fam in _family_stream(cfg):
-            dim = fam.spec.dim
-            if dim not in matroids_by_dim:
-                matroids_by_dim[dim] = list(source(get_lattice(fam.spec)))
-            context = _family_context(fam)
-            for matroid in matroids_by_dim[dim]:
-                this = pair_idx
-                pair_idx += 1
-                if this % cfg.shards != shard:
-                    continue
-                checked += 1
-                lhs_t, rhs_j = _q_rado_sides(matroid, fam, context)
-                lhs = lhs_t is not None
-                rhs = rhs_j is None
-                if lhs != rhs:
-                    record = {
-                        "instance_index": this,
-                        "q": cfg.q,
-                        "dim": dim,
-                        "family": fam.to_rows(),
-                        "matroid": matroid.to_jsonable(),
-                        "lhs_has_independent_transversal": lhs,
-                        "rhs_condition_holds": rhs,
-                    }
-                    if lhs_t is not None:
-                        record["lhs_witness_T"] = lhs_t.to_rows()
-                    if rhs_j is not None:
-                        record["rhs_witness_J"] = [
-                            i + 1 for i in range(len(fam)) if rhs_j >> i & 1
-                        ]
-                    counterexamples.append(record)
-    counterexamples.sort(key=lambda r: r["instance_index"])
+    for _, fam in _family_stream(cfg):
+        dim = fam.spec.dim
+        if dim not in matroids_by_dim:
+            matroids_by_dim[dim] = list(source(fam.lattice))
+        context = _family_context(fam)
+        for matroid in matroids_by_dim[dim]:
+            this = checked
+            checked += 1
+            lhs_t, rhs_j = _q_rado_sides(matroid, fam, context)
+            lhs = lhs_t is not None
+            rhs = rhs_j is None
+            if lhs != rhs:
+                record = {
+                    "instance_index": this,
+                    "q": cfg.q,
+                    "dim": dim,
+                    "family": fam.to_rows(),
+                    "matroid": matroid.to_jsonable(),
+                    "lhs_has_independent_transversal": lhs,
+                    "rhs_condition_holds": rhs,
+                }
+                if lhs_t is not None:
+                    record["lhs_witness_T"] = lhs_t.to_rows()
+                if rhs_j is not None:
+                    record["rhs_witness_J"] = [
+                        i + 1 for i in range(len(fam)) if rhs_j >> i & 1
+                    ]
+                counterexamples.append(record)
     return ScanReport(
         kind="q-rado",
         config=cfg.to_jsonable(),
@@ -328,16 +313,9 @@ def scan_q_rado(
 
 def reverify_q_rado(record: dict) -> bool:
     """Recompute both sides of a q-Rado counterexample from its serialization."""
-    p, e = prime_power(record["q"])
-    spec = VectorSpaceSpec(field_make(p, e), record["dim"])
+    spec = VectorSpaceSpec.from_jsonable(record)
     fam = family_from_rows(spec, record["family"])
-    lattice = get_lattice(spec)
-    table = {
-        tuple(entry["subspace"]): entry["rank"]
-        for entry in record["matroid"]["rank_table"]
-    }
-    ranks = [table[tuple(s.to_rows())] for s in lattice.subspaces]
-    matroid = matroid_from_table(lattice, ranks, record["matroid"]["provenance"])
+    matroid = QMatroid.from_jsonable(fam.lattice, record["matroid"])
     lhs_t, rhs_j = _q_rado_sides(matroid, fam)
     lhs = lhs_t is not None
     rhs = rhs_j is None
@@ -358,36 +336,29 @@ def scan_minimal_uniqueness(
     checked = 0
     groups: dict[tuple, dict] = {}
     cross_size: dict[tuple, set] = {}
-    for shard in range(cfg.shards):
-        for idx, fam in _family_stream(cfg):
-            if idx % cfg.shards != shard:
-                continue
-            checked += 1
-            if not is_minimal_presentation(fam).minimal:
-                continue
-            matroid = presentation_matroid(fam)
-            multiset = tuple(sorted(tuple(m.to_rows()) for m in fam.members))
-            key = (fam.spec.dim, matroid.ranks, len(fam))
-            entry = groups.setdefault(key, {})
-            prev = entry.get(multiset)
-            if prev is None or idx < prev:
-                entry[multiset] = idx
-            cross_size.setdefault((fam.spec.dim, matroid.ranks), set()).add(len(fam))
+    # One walk in stream order: groups and the multisets within a group
+    # are first met, and kept, at ascending instance indices.
+    for idx, fam in _family_stream(cfg):
+        checked += 1
+        if not is_minimal_presentation(fam).minimal:
+            continue
+        matroid = presentation_matroid(fam)
+        multiset = tuple(sorted(tuple(m.to_rows()) for m in fam.members))
+        key = (fam.spec.dim, matroid.ranks, len(fam))
+        groups.setdefault(key, {}).setdefault(multiset, idx)
+        cross_size.setdefault((fam.spec.dim, matroid.ranks), set()).add(len(fam))
     counterexamples = []
-    for (dim, ranks, size), entry in sorted(
-        groups.items(), key=lambda kv: min(kv[1].values())
-    ):
+    for (dim, ranks, size), entry in groups.items():
         if len(entry) > 1:
-            presentations = sorted(entry.items(), key=lambda kv: kv[1])
             counterexamples.append(
                 {
-                    "instance_index": presentations[0][1],
+                    "instance_index": next(iter(entry.values())),
                     "q": cfg.q,
                     "dim": dim,
                     "family_size": size,
                     "presentations": [
                         {"members": [list(rows) for rows in multiset], "instance_index": i}
-                        for multiset, i in presentations
+                        for multiset, i in entry.items()
                     ],
                 }
             )
@@ -410,8 +381,7 @@ def scan_minimal_uniqueness(
 def reverify_minimal_uniqueness(record: dict) -> bool:
     """Both presentations must be minimal, present the same matroid, and
     differ as multisets."""
-    p, e = prime_power(record["q"])
-    spec = VectorSpaceSpec(field_make(p, e), record["dim"])
+    spec = VectorSpaceSpec.from_jsonable(record)
     fams = [
         family_from_rows(spec, entry["members"])
         for entry in record["presentations"]
@@ -445,40 +415,36 @@ def scan_representability(
     checked = 0
     instances = []
     seed_base = cfg.seed if cfg.seed is not None else 0
-    for shard in range(cfg.shards):
-        for idx, fam in _family_stream(cfg):
-            if idx % cfg.shards != shard:
-                continue
-            checked += 1
-            matroid = presentation_matroid(fam)
-            aligned = aligned_from_family(fam)
-            entry = {
-                "instance_index": idx,
-                "q": cfg.q,
-                "dim": fam.spec.dim,
-                "family": fam.to_rows(),
-                "aligned": aligned is not None,
-            }
-            rep: QRepresentation | None
-            if aligned is not None:
-                rep = build_aligned_representation(aligned)
-                entry["method"] = "aligned-construction"
-            else:
-                rep = find_representation(
-                    matroid,
-                    max_ext_degree=max_ext_degree,
-                    attempts_per_degree=attempts_per_degree,
-                    seed=seed_base * 1_000_003 + idx,
-                )
-                entry["method"] = "random-search"
-            if rep is None:
-                entry["status"] = "not-found"
-            else:
-                entry["status"] = "found"
-                entry["representation"] = rep.to_jsonable()
-                entry["ext_degree_over_base"] = rep.ext.e // fam.spec.field.e
-            instances.append(entry)
-    instances.sort(key=lambda r: r["instance_index"])
+    for idx, fam in _family_stream(cfg):
+        checked += 1
+        matroid = presentation_matroid(fam)
+        aligned = aligned_from_family(fam)
+        entry = {
+            "instance_index": idx,
+            "q": cfg.q,
+            "dim": fam.spec.dim,
+            "family": fam.to_rows(),
+            "aligned": aligned is not None,
+        }
+        rep: QRepresentation | None
+        if aligned is not None:
+            rep = build_aligned_representation(aligned)
+            entry["method"] = "aligned-construction"
+        else:
+            rep = find_representation(
+                matroid,
+                max_ext_degree=max_ext_degree,
+                attempts_per_degree=attempts_per_degree,
+                seed=seed_base * 1_000_003 + idx,
+            )
+            entry["method"] = "random-search"
+        if rep is None:
+            entry["status"] = "not-found"
+        else:
+            entry["status"] = "found"
+            entry["representation"] = rep.to_jsonable()
+            entry["ext_degree_over_base"] = rep.ext.e // fam.spec.field.e
+        instances.append(entry)
     found = sum(1 for r in instances if r["status"] == "found")
     return ScanReport(
         kind="representability",
@@ -504,18 +470,8 @@ def reverify_representation_entry(entry: dict) -> bool:
     the presentation matroid of the recorded family."""
     if entry["status"] != "found":
         return True
-    p, e = prime_power(entry["q"])
-    spec = VectorSpaceSpec(field_make(p, e), entry["dim"])
+    spec = VectorSpaceSpec.from_jsonable(entry)
     fam = family_from_rows(spec, entry["family"])
-    ext_info = entry["representation"]["ext"]
-    ext = field_make(ext_info["p"], ext_info["e"], modulus_from_string(ext_info["modulus"]))
-    matrix = tuple(
-        tuple(
-            ext.parse_code(row[i * ext.e : (i + 1) * ext.e])
-            for i in range(spec.dim)
-        )
-        for row in entry["representation"]["matrix"]
-    )
-    rep = QRepresentation(spec, ext, matrix)
+    rep = QRepresentation.from_jsonable(spec, entry["representation"])
     ok, _ = verify_representation(rep, presentation_matroid(fam))
     return ok

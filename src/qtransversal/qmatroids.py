@@ -229,6 +229,19 @@ class QMatroid:
             ],
         }
 
+    @classmethod
+    def from_jsonable(cls, lattice: Lattice, block: Mapping) -> QMatroid:
+        """The validated q-matroid of a serialized rank table, which must
+        cover every subspace of the lattice (else IncompleteTable)."""
+        table = {tuple(entry["subspace"]): entry["rank"] for entry in block["rank_table"]}
+        ranks = []
+        for s in lattice.subspaces:
+            rows = tuple(s.to_rows())
+            if rows not in table:
+                raise IncompleteTable(f"rank table misses subspace {list(rows)}")
+            ranks.append(table[rows])
+        return matroid_from_table(lattice, ranks, block.get("provenance", "table"))
+
 
 class _IntTable:
     """A table already converted to a list of one int per lattice index:

@@ -8,11 +8,14 @@ presentation matroid by:
 
     r(A) = min over J of  n - |J| + dim A - dim(A meet X(J)),
 
-with X(J) the meet of the members in J and X(empty) = V.  The module
-offers three routes to the same verdict and treats any disagreement
-between them as an InvariantViolation, because the routes are tied
-together by proved theorems and a divergence is either a bug or a
-counterexample worth reporting:
+with X(J) the meet of the members in J and X(empty) = V.  X(J) lives on
+the family: SubspaceFamily.meet_indices holds its lattice index for every
+J, built once on first use, and the routes below read it there.
+
+The module offers three routes to the same verdict and treats any
+disagreement between them as an InvariantViolation, because the routes
+are tied together by proved theorems and a divergence is either a bug
+or a counterexample worth reporting:
 
   * independence in the presentation matroid,
   * the fast 2^n test  dim(T meet X(J)) + |J| <= n  over index sets J,
@@ -43,7 +46,7 @@ from .classical import (
     avoiding_transversal_check,
     maximum_matching,
 )
-from .errors import InfeasibleScale, InvariantViolation
+from .errors import InfeasibleScale, InvariantViolation, OutOfRange
 from .qmatroids import QMatroid
 from .subspaces import (
     BASIS_CAP,
@@ -51,7 +54,6 @@ from .subspaces import (
     SubspaceFamily,
     count_bases,
     enumerate_bases,
-    get_lattice,
     vector_to_string,
 )
 
@@ -61,28 +63,14 @@ MinimalityReport = namedtuple(
 )
 
 
-def _member_indices(fam: SubspaceFamily):
-    lattice = get_lattice(fam.spec)
-    return lattice, [lattice.idx(m) for m in fam.members]
-
-
-def _meets_by_mask(lattice, member_idx: list[int]) -> list[int]:
-    # X(J) for every J as lattice indices; X(empty) = V.
-    n = len(member_idx)
-    meets = [lattice.top_index] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        meets[mask] = lattice.meet_idx(meets[mask & (mask - 1)], member_idx[low])
-    return meets
-
-
 def family_meet(fam: SubspaceFamily, indices) -> Subspace:
     """X(J): the meet of the selected members; X(empty) = V (1-based J)."""
-    lattice, member_idx = _member_indices(fam)
-    cur = lattice.top_index
+    mask = 0
     for i in indices:
-        cur = lattice.meet_idx(cur, member_idx[i - 1])
-    return lattice.subspaces[cur]
+        if not 1 <= i <= len(fam):
+            raise OutOfRange(f"index {i} outside 1..{len(fam)}")
+        mask |= 1 << (i - 1)
+    return fam.lattice.subspaces[fam.meet_indices[mask]]
 
 
 def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
@@ -90,11 +78,11 @@ def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     q-transversals of the family: the union of rank-1 matroids with loop
     spaces X_i, built by the closed formula of the module docstring.
     The empty family presents the rank-0 matroid."""
-    lattice, member_idx = _member_indices(fam)
+    lattice = fam.lattice
     # n - |J| per distinct X(J): for a given meet only the largest J can
     # reach the minimum.  With no members the one entry is V at cost 0.
     cost = {}
-    for mask, xj in enumerate(_meets_by_mask(lattice, member_idx)):
+    for mask, xj in enumerate(fam.meet_indices):
         cost[xj] = min(cost.get(xj, len(fam)), len(fam) - mask.bit_count())
     dims = lattice.dims
     ranks = [
@@ -110,12 +98,10 @@ def q_hall(fam: SubspaceFamily) -> QHallVerdict:
     Condition: dim X(J) + |J| <= dim V for every nonempty J; the first
     violating J (masks ascending) is the witness.
     """
-    lattice, member_idx = _member_indices(fam)
-    meets = _meets_by_mask(lattice, member_idx)
-    n = len(member_idx)
+    dims = fam.lattice.dims
     dim_v = fam.spec.dim
-    for mask in range(1, 1 << n):
-        if lattice.dims[meets[mask]] + mask.bit_count() > dim_v:
+    for mask, xj in enumerate(fam.meet_indices):
+        if mask and dims[xj] + mask.bit_count() > dim_v:
             return QHallVerdict(False, _mask_to_indices(mask))
     return QHallVerdict(True, None)
 
@@ -163,12 +149,11 @@ def is_partial_q_transversal(
     avoiding injection per vector basis of T, found by matching; the
     theorem guarantees they exist, and a missing one raises.
     """
-    lattice, member_idx = _member_indices(fam)
-    meets = _meets_by_mask(lattice, member_idx)
-    ti = lattice.idx(t)
-    n = len(member_idx)
-    for mask in range(1 << n):
-        md = lattice.dims[lattice.meet_idx(ti, meets[mask])]
+    lattice = fam.lattice
+    t_meets = lattice.meet_table[lattice.idx(t)]
+    n = len(fam)
+    for mask, xj in enumerate(fam.meet_indices):
+        md = lattice.dims[t_meets[xj]]
         if md + mask.bit_count() > n:
             return QTransversalCertificate(
                 False,
@@ -177,7 +162,7 @@ def is_partial_q_transversal(
             )
     if not with_witness:
         return QTransversalCertificate(True)
-    member_masks = [lattice.masks[mi] for mi in member_idx]
+    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
     # Bases share their vectors and, often, their adjacency patterns; the
     # matching is a deterministic function of the pattern, so each
     # vector's avoid mask and each pattern's match are computed once.
@@ -223,14 +208,14 @@ def recheck_certificate(
         j = cert.violating_J
         if j is None or list(j) != sorted(set(j)) or not all(1 <= i <= n for i in j):
             return False
-        lattice = get_lattice(fam.spec)
+        lattice = fam.lattice
         xj = family_meet(fam, j)
         md = lattice.dims[lattice.meet_idx(lattice.idx(t), lattice.idx(xj))]
         return md == cert.violation_meet_dim and md + len(j) > n
     if cert.basis_witnesses is None:
         return is_partial_q_transversal(t, fam, with_witness=False).verdict
-    lattice, member_idx = _member_indices(fam)
-    member_masks = [lattice.masks[mi] for mi in member_idx]
+    lattice = fam.lattice
+    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
     bases = list(enumerate_bases(t))
     expected = count_bases(t)
     if len(bases) != expected:
@@ -271,7 +256,7 @@ def q_transversal_by_definition(
     and handed to the classical avoiding-transversal check.  Exponential
     in dim T; desk scale only.
     """
-    lattice, member_idx = _member_indices(fam)
+    lattice = fam.lattice
     spec = fam.spec
     for basis in enumerate_bases(t, basis_cap=basis_cap):
         labels = tuple(vector_to_string(spec, v) for v in basis)
@@ -283,7 +268,7 @@ def q_transversal_by_definition(
                     for lbl, v in zip(labels, basis)
                     if lattice.contains_idx(mi, v)
                 )
-                for mi in member_idx
+                for mi in fam.member_indices
             ),
         )
         if not avoiding_transversal_check(labels, pattern):

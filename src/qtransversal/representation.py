@@ -45,7 +45,7 @@ from .errors import (
     OutOfRange,
     SpecMismatch,
 )
-from .fields import FieldSpec, field_make
+from .fields import FieldSpec, field_make, modulus_from_string
 from .qmatroids import QMatroid
 from .qtransversals import presentation_matroid
 from .subspaces import (
@@ -139,6 +139,20 @@ class QRepresentation:
             "ext": self.ext.to_jsonable(),
             "matrix": ["".join(self.ext.format_code(v) for v in row) for row in self.matrix],
         }
+
+    @classmethod
+    def from_jsonable(cls, base_spec: VectorSpaceSpec, block: dict) -> QRepresentation:
+        """The representation a serialized block holds over base_spec; a
+        matrix row of other than dim * e digits raises SpecMismatch."""
+        info = block["ext"]
+        ext = field_make(int(info["p"]), int(info["e"]), modulus_from_string(info["modulus"]))
+        width = base_spec.dim * ext.e
+        matrix = []
+        for row in block["matrix"]:
+            if len(row) != width:
+                raise SpecMismatch(f"matrix row {row!r} has {len(row)} digits, not {width}")
+            matrix.append(tuple(ext.parse_code(row[i : i + ext.e]) for i in range(0, width, ext.e)))
+        return cls(base_spec, ext, tuple(matrix))
 
 
 def _image(rep: QRepresentation, row: tuple[int, ...]) -> list[int]:

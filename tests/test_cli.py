@@ -240,3 +240,33 @@ def test_exit_code_invariant_violation(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out["error"] == "invariant-violation"
     assert "counterexample" in out["meaning"]
+
+
+def test_verify_representation_rejects_extra_digits(tmp_path, capsys):
+    # The matrix a found GF(2)^1 representation holds is ["1"]; a row with
+    # extra digits is malformed, as it is for reverify_representation_entry.
+    representation = {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": ["1"]}
+    doc = {"q": 2, "dim": 1, "family": [[]], "representation": representation}
+    code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
+    assert code == 0 and out["verdict"] is True
+    representation["matrix"] = ["11111"]
+    code, out = run_cli(capsys, "verify-representation", write(tmp_path, "t.json", doc))
+    assert code == 2 and out["message"].startswith("SpecMismatch: ")
+
+
+def test_verify_representation_names_a_missing_subspace(tmp_path, capsys):
+    code, built = run_cli(
+        capsys, "build-matroid", write(tmp_path, "b.json", {"q": 2, "dim": 2, "family": [["10"]]})
+    )
+    assert code == 0
+    matroid = built["matroid"]
+    dropped = matroid["rank_table"].pop(2)["subspace"]
+    doc = {
+        "q": 2,
+        "dim": 2,
+        "matroid": matroid,
+        "representation": {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": ["01"]},
+    }
+    code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
+    assert code == 2
+    assert out["message"] == f"IncompleteTable: rank table misses subspace {dropped}"

@@ -1,12 +1,15 @@
-"""Conjecture scanners: determinism, sharding, certificate soundness."""
+"""Conjecture scanners: determinism, golden reports, certificate soundness."""
 
+import hashlib
 import json
 
 import pytest
 
 from qtransversal import (
+    IncompleteTable,
     InfeasibleScale,
     OutOfRange,
+    SpecMismatch,
     ScanConfig,
     scan_minimal_uniqueness,
     scan_q_rado,
@@ -123,15 +126,31 @@ def test_scan_determinism():
     assert canonical(c) == canonical(d)
 
 
-def test_shard_invariance():
-    for shards in (2, 3):
-        sharded_cfg = ScanConfig(q=2, max_dim=2, max_family=2, shards=shards)
-        for scan in (scan_q_rado, scan_minimal_uniqueness):
-            plain = scan(CFG).to_jsonable()
-            sharded = scan(sharded_cfg).to_jsonable()
-            plain.pop("config")
-            sharded.pop("config")
-            assert json.dumps(plain, sort_keys=True) == json.dumps(sharded, sort_keys=True)
+# sha256 of canonical(report), pinned so that a refactor of the scan
+# engine cannot change a report unnoticed; each was taken from a release
+# that still echoed a "shards" key in the config, with that key removed.
+GOLDEN_REPORT_SHA256 = {
+    "q-rado": "2ff5575fdaf1a7f6e90075943b3911d8fc1c50b498a02aac2803fd2bf464dab1",
+    "minimal-uniqueness": "b834bef1656f5d8df70cfb435278df1f7b754923311a5b405896a5ee21a3668c",
+    "representability": "a4035746cca54aee7f17e654568bb473a6cd011c0d82e3ac5f338625c22afd77",
+}
+
+
+def test_reports_match_golden_digests():
+    reports = {
+        "q-rado": scan_q_rado(CFG),
+        "minimal-uniqueness": scan_minimal_uniqueness(CFG),
+        "representability": scan_representability(
+            ScanConfig(q=2, max_dim=1, max_family=2, seed=5),
+            max_ext_degree=2,
+            attempts_per_degree=30,
+        ),
+    }
+    digests = {
+        kind: hashlib.sha256(canonical(report).encode()).hexdigest()
+        for kind, report in reports.items()
+    }
+    assert digests == GOLDEN_REPORT_SHA256
 
 
 def test_minimal_uniqueness_scan():
@@ -184,6 +203,43 @@ def test_reverify_rejects_tampered_q_rado_record():
         "rhs_condition_holds": False,
     }
     assert not reverify_q_rado(record)  # both sides are actually true
+
+
+def found_gf2_1_entry():
+    """The found entry of the family (0) on GF(2)^1: one matrix row "1"."""
+    report = scan_representability(
+        ScanConfig(q=2, max_dim=1, max_family=1), max_ext_degree=1, attempts_per_degree=5
+    )
+    entry = report.details["instances"][1]
+    assert entry["family"] == [[]] and entry["representation"]["matrix"] == ["1"]
+    return entry
+
+
+def test_reverify_representation_rejects_extra_digits():
+    entry = found_gf2_1_entry()
+    assert reverify_representation_entry(entry)
+    entry["representation"]["matrix"] = ["11111"]
+    with pytest.raises(SpecMismatch):
+        reverify_representation_entry(entry)
+
+
+def test_reverify_q_rado_names_a_missing_subspace():
+    from qtransversal import free_matroid
+
+    spec = VectorSpaceSpec(field_make(2, 1), 2)
+    matroid = free_matroid(spec).to_jsonable()
+    dropped = matroid["rank_table"].pop(2)["subspace"]
+    record = {
+        "q": 2,
+        "dim": 2,
+        "family": [["10"]],
+        "matroid": matroid,
+        "lhs_has_independent_transversal": True,
+        "rhs_condition_holds": False,
+    }
+    with pytest.raises(IncompleteTable) as raised:
+        reverify_q_rado(record)
+    assert str(raised.value) == f"rank table misses subspace {dropped}"
 
 
 def test_reverify_minimal_uniqueness_on_synthetic_pair():

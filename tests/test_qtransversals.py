@@ -9,6 +9,7 @@ import pytest
 
 from qtransversal import (
     InvariantViolation,
+    OutOfRange,
     QTransversalCertificate,
     SubspaceFamily,
     VectorSpaceSpec,
@@ -22,6 +23,7 @@ from qtransversal import (
     is_minimal_presentation,
     is_partial_q_transversal,
     is_q_transversal,
+    meet,
     partial_equiv_check,
     presentation_matroid,
     prime_power,
@@ -417,6 +419,44 @@ def test_family_meet_convention():
     assert family_meet(family, ()) == V2
     assert family_meet(family, (1,)) == L10
     assert family_meet(family, (1, 2)) == bottom(GF2_2)
+
+
+# (q, n, largest family size) for the exhaustive X(J) check.
+MEET_SPACES = ((2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 2, 2), (4, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "q,n,size", MEET_SPACES, ids=[f"{q}-{n}-{k}" for q, n, k in MEET_SPACES]
+)
+def test_family_meets_match_zassenhaus_fold(q, n, size):
+    # X(J) as a fold of the Zassenhaus meet, which uses no lattice table;
+    # the memo only saves repeating a meet of the same two subspaces.
+    p, e = prime_power(q)
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    lattice = get_lattice(spec)
+    memo = {}
+
+    def zassenhaus(a, b):
+        if (a, b) not in memo:
+            memo[a, b] = meet(a, b)
+        return memo[a, b]
+
+    for family in families(spec, range(size + 1)):
+        assert family.member_indices == tuple(map(lattice.idx, family.members))
+        assert len(family.meet_indices) == 1 << len(family)
+        for mask, xj in enumerate(family.meet_indices):
+            js = [i + 1 for i in range(len(family)) if mask >> i & 1]
+            expected = top(spec)
+            for i in js:
+                expected = zassenhaus(expected, family.members[i - 1])
+            assert lattice.subspaces[xj] == expected
+            assert family_meet(family, js) == expected
+
+
+def test_family_meet_rejects_indices_outside_the_family():
+    for bad in ((0,), (3,), (1, 3)):
+        with pytest.raises(OutOfRange):
+            family_meet(fam2(L10, L11), bad)
 
 
 def test_infeasible_subsystem_guard():
