@@ -17,7 +17,10 @@ Readings pinned here (also echoed in the report notes):
     presentations of different sizes are trivially distinct (any
     minimal presentation can be padded, e.g. (V) and (V, V) both
     present the rank-0 matroid minimally), so cross-size variety is
-    reported as information, not as a counterexample.
+    reported as information, not as a counterexample.  The scan
+    decides each multiset of members once per call: union is
+    commutative, so every ordering presents the same matroid and has
+    the same cyclic members, and later orderings reuse the outcome.
   * A representation search that comes up empty is inconclusive, never
     a counterexample; the search is bounded.
 """
@@ -131,49 +134,76 @@ class ScanReport:
         return out
 
 
+def _subspace_count(cfg: ScanConfig, dim: int) -> int:
+    return sum(gaussian_binomial(dim, k, cfg.q) for k in range(dim + 1))
+
+
+def _families_per_dim(cfg: ScanConfig) -> dict[int, int]:
+    """Families the stream yields at each dimension it visits, exactly;
+    a random stream's draws are replayed without building a lattice."""
+    if cfg.mode == "random":
+        counts: dict[int, int] = {}
+        for dim, _ in _random_draws(cfg):
+            counts[dim] = counts.get(dim, 0) + 1
+        return counts
+    return {
+        dim: sum(_subspace_count(cfg, dim) ** s for s in range(cfg.max_family + 1))
+        for dim in range(1, cfg.max_dim + 1)
+    }
+
+
 def _family_count(cfg: ScanConfig) -> int:
     """Exact number of instances the family stream will yield."""
     if cfg.mode == "random":
         return cfg.count
-    total = 0
-    for dim in range(1, cfg.max_dim + 1):
-        size = sum(gaussian_binomial(dim, k, cfg.q) for k in range(dim + 1))
-        total += sum(size**s for s in range(cfg.max_family + 1))
-    return total
+    return sum(_families_per_dim(cfg).values())
 
 
 def _guard_scale(cfg: ScanConfig, weight_per_family: int, cap: int) -> None:
-    total = _family_count(cfg) * max(1, weight_per_family)
+    _refuse_beyond(cap, _family_count(cfg) * max(1, weight_per_family))
+
+
+def _refuse_beyond(cap: int, total: int) -> None:
     if total > cap:
         raise InfeasibleScale(
             f"scan would walk about {total} instances, beyond the cap {cap}"
         )
 
 
+def _random_draws(cfg: ScanConfig):
+    """A random stream's (dimension, member indices) draws in order;
+    indices count subspaces in lattice order."""
+    rng = random.Random(cfg.seed)
+    sizes = {dim: _subspace_count(cfg, dim) for dim in range(1, cfg.max_dim + 1)}
+    for _ in range(cfg.count):
+        dim = rng.randint(1, cfg.max_dim)
+        size = rng.randint(0, cfg.max_family)
+        yield dim, tuple(rng.randrange(sizes[dim]) for _ in range(size))
+
+
 def _family_stream(cfg: ScanConfig):
-    """Deterministic (index, family) pairs covering the configured ranges."""
+    """Deterministic (index, lattice, members) triples covering the
+    configured ranges; members holds the lattice indices of a family's
+    members in family order, and _family builds the family itself."""
     idx = 0
     if cfg.mode == "exhaustive":
         for dim in range(1, cfg.max_dim + 1):
             lattice = get_lattice(cfg.space(dim))
             for size in range(cfg.max_family + 1):
-                for members in itertools.product(lattice.subspaces, repeat=size):
-                    yield idx, SubspaceFamily(lattice.spec, members)
+                for members in itertools.product(range(len(lattice)), repeat=size):
+                    yield idx, lattice, members
                     idx += 1
     else:
-        rng = random.Random(cfg.seed)
-        lattices = {
-            dim: get_lattice(cfg.space(dim)) for dim in range(1, cfg.max_dim + 1)
-        }
-        for _ in range(cfg.count):
-            lattice = lattices[rng.randint(1, cfg.max_dim)]
-            size = rng.randint(0, cfg.max_family)
-            members = tuple(
-                lattice.subspaces[rng.randrange(len(lattice.subspaces))]
-                for _ in range(size)
-            )
-            yield idx, SubspaceFamily(lattice.spec, members)
+        lattices = {}
+        for dim, members in _random_draws(cfg):
+            if dim not in lattices:
+                lattices[dim] = get_lattice(cfg.space(dim))
+            yield idx, lattices[dim], members
             idx += 1
+
+
+def _family(lattice, members: tuple[int, ...]) -> SubspaceFamily:
+    return SubspaceFamily(lattice.spec, tuple(lattice.subspaces[i] for i in members))
 
 
 def default_matroid_source(lattice) -> list[QMatroid]:
@@ -254,30 +284,73 @@ def _q_rado_sides(
     return lhs_witness, rhs_witness
 
 
+def _default_pool_build(cfg: ScanConfig, dim: int) -> int:
+    """Matroids default_matroid_source builds before deduplicating: the
+    free one, S rank-1 ones and S(S+1)/2 unions (S subspaces)."""
+    s = _subspace_count(cfg, dim)
+    return 1 + s + s * (s + 1) // 2
+
+
+def _default_pool_floor(cfg: ScanConfig, dim: int) -> int:
+    """A lower bound on the default pool's size, in closed form.
+
+    It counts distinct rank tables (S subspaces, H hyperplanes, n = dim):
+    rank_one(X) for all S spaces X; the union of rank_one(X) with itself
+    for the S - H - 1 spaces X of codimension at least 2; and the union
+    of rank_one(X) and rank_one(Y) for each pair {X, Y} whose dimensions
+    a and b exceed c = dim(X & Y) by at least 2 each.  Such a union has
+    rank 2, its rank-0 spaces are those below X & Y, and X and Y are its
+    only maximal rank-<=1 spaces of dimension c + 2 or more, so the pair
+    can be read back from the table; a self-union has no such space.
+    For a fixed X, [a, c] [n - a, b - c] q^((a - c)(b - c)) spaces Y
+    meet it in dimension c.
+    """
+    q = cfg.q
+    gb = gaussian_binomial
+    ordered_pairs = sum(
+        gb(dim, a, q) * gb(a, c, q) * gb(dim - a, b - c, q) * q ** ((a - c) * (b - c))
+        for a in range(2, dim + 1)
+        for c in range(a - 1)
+        for b in range(c + 2, dim - a + c + 1)
+    )
+    s = _subspace_count(cfg, dim)
+    return 2 * s - gb(dim, 1, q) - 1 + ordered_pairs // 2
+
+
+def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[QMatroid]]:
+    """The matroid pool of every dimension the stream visits, guarded on
+    the (matroid, family) pairs the scan will walk plus, for the default
+    source, the matroids its build makes.
+
+    A default pool is only built once its build and a closed-form lower
+    bound on the pairs keep the scan under the cap: GF(2)^5's build makes
+    70,500 matroids in about a minute, GF(2)^6's some 4M.  Each matroid
+    built is charged as one instance.
+    """
+    families = _families_per_dim(cfg)
+    built = 0
+    if matroid_source is None:
+        built = sum(_default_pool_build(cfg, dim) for dim in families)
+        floor = sum(families[dim] * _default_pool_floor(cfg, dim) for dim in families)
+        _refuse_beyond(cap, built + floor)
+    source = matroid_source or default_matroid_source
+    pools = {dim: list(source(get_lattice(cfg.space(dim)))) for dim in sorted(families)}
+    _refuse_beyond(cap, built + sum(families[dim] * len(pools[dim]) for dim in pools))
+    return pools
+
+
 def scan_q_rado(
     cfg: ScanConfig, matroid_source=None, *, instance_cap: int = SCAN_INSTANCE_CAP
 ) -> ScanReport:
     """Scan (matroid, family) pairs for q-Rado mismatches."""
-    source = matroid_source or default_matroid_source
-    # The default pool is bounded by 1 + S + S^2 matroids per dimension.
-    pool_bound = max(
-        1 + s + s * s
-        for s in (
-            sum(gaussian_binomial(d, k, cfg.q) for k in range(d + 1))
-            for d in range(1, cfg.max_dim + 1)
-        )
-    )
-    _guard_scale(cfg, pool_bound if matroid_source is None else 1, instance_cap)
     start = time.monotonic()
+    pools = _q_rado_pools(cfg, matroid_source, instance_cap)
     counterexamples = []
     checked = 0
-    matroids_by_dim: dict[int, list[QMatroid]] = {}
-    for _, fam in _family_stream(cfg):
-        dim = fam.spec.dim
-        if dim not in matroids_by_dim:
-            matroids_by_dim[dim] = list(source(fam.lattice))
+    for _, lattice, members in _family_stream(cfg):
+        fam = _family(lattice, members)
         context = _family_context(fam)
-        for matroid in matroids_by_dim[dim]:
+        for matroid in pools[lattice.spec.dim]:
             this = checked
             checked += 1
             lhs_t, rhs_j = _q_rado_sides(matroid, fam, context)
@@ -305,7 +378,7 @@ def scan_q_rado(
         config=cfg.to_jsonable(),
         instances_checked=checked,
         counterexamples=counterexamples,
-        details={"matroids_per_dim": {str(d): len(v) for d, v in sorted(matroids_by_dim.items())}},
+        details={"matroids_per_dim": {str(d): len(pool) for d, pool in pools.items()}},
         notes=("J ranges over all index subsets including the empty one",),
         elapsed_seconds=time.monotonic() - start,
     )
@@ -326,6 +399,15 @@ def reverify_q_rado(record: dict) -> bool:
     )
 
 
+def _uniqueness_outcome(fam: SubspaceFamily) -> tuple | None:
+    """None if fam is not a minimal presentation, else its presentation
+    matroid's rank table and its members as a sorted multiset of rows."""
+    matroid = presentation_matroid(fam)
+    if not is_minimal_presentation(fam, matroid=matroid).minimal:
+        return None
+    return matroid.ranks, tuple(sorted(tuple(m.to_rows()) for m in fam.members))
+
+
 def scan_minimal_uniqueness(
     cfg: ScanConfig, *, instance_cap: int = SCAN_INSTANCE_CAP
 ) -> ScanReport:
@@ -336,17 +418,25 @@ def scan_minimal_uniqueness(
     checked = 0
     groups: dict[tuple, dict] = {}
     cross_size: dict[tuple, set] = {}
+    # _uniqueness_outcome per (dimension, sorted member indices): every
+    # ordering of a multiset has the same matroid and cyclic members, so
+    # the first ordering met decides it for this call.
+    outcomes: dict[tuple, tuple | None] = {}
     # One walk in stream order: groups and the multisets within a group
     # are first met, and kept, at ascending instance indices.
-    for idx, fam in _family_stream(cfg):
+    for idx, lattice, members in _family_stream(cfg):
         checked += 1
-        if not is_minimal_presentation(fam).minimal:
+        dim = lattice.spec.dim
+        key = (dim, tuple(sorted(members)))
+        if key in outcomes:
+            outcome = outcomes[key]
+        else:
+            outcome = outcomes[key] = _uniqueness_outcome(_family(lattice, members))
+        if outcome is None:
             continue
-        matroid = presentation_matroid(fam)
-        multiset = tuple(sorted(tuple(m.to_rows()) for m in fam.members))
-        key = (fam.spec.dim, matroid.ranks, len(fam))
-        groups.setdefault(key, {}).setdefault(multiset, idx)
-        cross_size.setdefault((fam.spec.dim, matroid.ranks), set()).add(len(fam))
+        ranks, multiset = outcome
+        groups.setdefault((dim, ranks, len(members)), {}).setdefault(multiset, idx)
+        cross_size.setdefault((dim, ranks), set()).add(len(members))
     counterexamples = []
     for (dim, ranks, size), entry in groups.items():
         if len(entry) > 1:
@@ -415,8 +505,9 @@ def scan_representability(
     checked = 0
     instances = []
     seed_base = cfg.seed if cfg.seed is not None else 0
-    for idx, fam in _family_stream(cfg):
+    for idx, lattice, members in _family_stream(cfg):
         checked += 1
+        fam = _family(lattice, members)
         matroid = presentation_matroid(fam)
         aligned = aligned_from_family(fam)
         entry = {

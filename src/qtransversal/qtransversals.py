@@ -325,15 +325,20 @@ def partial_equiv_check(t: Subspace, fam: SubspaceFamily) -> bool:
     return False
 
 
-def is_minimal_presentation(fam: SubspaceFamily) -> MinimalityReport:
+def is_minimal_presentation(
+    fam: SubspaceFamily, *, matroid: QMatroid | None = None
+) -> MinimalityReport:
     """Minimality via cyclicity: the presentation is minimal iff every
     member equals the join of the circuits below it.
 
     For a non-minimal family the witness shrinks the first non-cyclic
     member to that join; the replacement family is verified to present
-    the same matroid before it is emitted.
+    the same matroid before it is emitted.  A caller that already holds
+    presentation_matroid(fam) passes it as matroid, and it is not built
+    again.
     """
-    matroid = presentation_matroid(fam)
+    if matroid is None:
+        matroid = presentation_matroid(fam)
     lattice = matroid.lattice
     for pos, x in enumerate(fam.members):
         shrunken = lattice.subspaces[matroid.circuit_join_idx(lattice.idx(x))]

@@ -140,6 +140,11 @@ class Subspace:
                 if j != pivots[i] and row[j]:
                     raise ValueError("rows are not in reduced row-echelon form")
 
+    def __hash__(self):
+        # Equal subspaces have equal rows, so the rows alone make a valid
+        # hash, and hashing them skips the spec.
+        return hash(self.rows)
+
     @property
     def dim(self) -> int:
         return len(self.rows)

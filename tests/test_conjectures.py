@@ -11,11 +11,14 @@ from qtransversal import (
     OutOfRange,
     SpecMismatch,
     ScanConfig,
+    ScanReport,
     scan_minimal_uniqueness,
     scan_q_rado,
     scan_representability,
 )
 from qtransversal.conjectures import (
+    SCAN_INSTANCE_CAP,
+    UNIQUENESS_NOTE,
     default_matroid_source,
     reverify_minimal_uniqueness,
     reverify_q_rado,
@@ -283,3 +286,252 @@ def test_default_matroid_source_is_deduplicated():
     assert len(tables) == len(set(tables)) == 6
     kinds = {m.provenance.split(" ")[0].split(":")[0] for m in pool}
     assert "free" in kinds
+
+
+# -- the minimal-uniqueness scan against its per-family loop ---------------
+
+
+def ordered_uniqueness_oracle(cfg):
+    """The scan as one per-family loop: every ordered family is built from
+    subspaces and decided on its own, with no memo.  It reads
+    presentation_matroid and is_minimal_presentation off the conjectures
+    module at call time, so a test's patch reaches it as it reaches the scan."""
+    import itertools
+    import random
+
+    from qtransversal import SubspaceFamily, conjectures
+
+    def stream():
+        if cfg.mode == "exhaustive":
+            for dim in range(1, cfg.max_dim + 1):
+                lattice = get_lattice(cfg.space(dim))
+                for size in range(cfg.max_family + 1):
+                    for members in itertools.product(lattice.subspaces, repeat=size):
+                        yield SubspaceFamily(lattice.spec, members)
+        else:
+            rng = random.Random(cfg.seed)
+            lattices = {d: get_lattice(cfg.space(d)) for d in range(1, cfg.max_dim + 1)}
+            for _ in range(cfg.count):
+                lattice = lattices[rng.randint(1, cfg.max_dim)]
+                size = rng.randint(0, cfg.max_family)
+                members = tuple(
+                    lattice.subspaces[rng.randrange(len(lattice.subspaces))]
+                    for _ in range(size)
+                )
+                yield SubspaceFamily(lattice.spec, members)
+
+    checked = 0
+    groups, cross_size = {}, {}
+    for idx, fam in enumerate(stream()):
+        checked += 1
+        if not conjectures.is_minimal_presentation(fam).minimal:
+            continue
+        matroid = conjectures.presentation_matroid(fam)
+        multiset = tuple(sorted(tuple(m.to_rows()) for m in fam.members))
+        key = (fam.spec.dim, matroid.ranks, len(fam))
+        groups.setdefault(key, {}).setdefault(multiset, idx)
+        cross_size.setdefault((fam.spec.dim, matroid.ranks), set()).add(len(fam))
+    counterexamples = [
+        {
+            "instance_index": next(iter(entry.values())),
+            "q": cfg.q,
+            "dim": dim,
+            "family_size": size,
+            "presentations": [
+                {"members": [list(rows) for rows in multiset], "instance_index": i}
+                for multiset, i in entry.items()
+            ],
+        }
+        for (dim, _, size), entry in groups.items()
+        if len(entry) > 1
+    ]
+    return ScanReport(
+        kind="minimal-uniqueness",
+        config=cfg.to_jsonable(),
+        instances_checked=checked,
+        counterexamples=counterexamples,
+        details={
+            "matroid_groups": len(cross_size),
+            "minimal_presentations_found": sum(len(e) for e in groups.values()),
+            "matroids_with_minimal_presentations_at_several_sizes": sum(
+                1 for sizes in cross_size.values() if len(sizes) > 1
+            ),
+        },
+        notes=(UNIQUENESS_NOTE,),
+    )
+
+
+UNIQUENESS_ORACLE_CONFIGS = (
+    ScanConfig(q=2, max_dim=3, max_family=3),
+    ScanConfig(q=3, max_dim=2, max_family=3),
+    ScanConfig(q=4, max_dim=2, max_family=2),
+    ScanConfig(q=2, max_dim=4, max_family=3, mode="random", seed=4, count=600),
+    ScanConfig(q=3, max_dim=3, max_family=3, mode="random", seed=13, count=400),
+)
+
+
+@pytest.mark.parametrize("cfg", UNIQUENESS_ORACLE_CONFIGS, ids=str)
+def test_minimal_uniqueness_matches_ordered_oracle(cfg):
+    report = scan_minimal_uniqueness(cfg)
+    assert canonical(report) == canonical(ordered_uniqueness_oracle(cfg))
+
+
+class CoarseMatroid:
+    """A presentation matroid whose rank table reads as its space rank
+    alone, so distinct multisets collide in one group; everything else,
+    equality included, is the real matroid's."""
+
+    def __init__(self, real):
+        self.real = real
+        self.ranks = (real.space_rank,)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def __eq__(self, other):
+        return self.real == other
+
+    __hash__ = None
+
+
+def test_minimal_uniqueness_counterexamples_match_oracle_under_collisions(monkeypatch):
+    from qtransversal import conjectures
+
+    real = conjectures.presentation_matroid
+    monkeypatch.setattr(conjectures, "presentation_matroid", lambda fam: CoarseMatroid(real(fam)))
+    for cfg in (
+        ScanConfig(q=2, max_dim=3, max_family=3),
+        ScanConfig(q=3, max_dim=3, max_family=3, mode="random", seed=13, count=400),
+    ):
+        report = scan_minimal_uniqueness(cfg)
+        oracle = ordered_uniqueness_oracle(cfg)
+        assert len(report.counterexamples) > 1
+        assert report.counterexamples == oracle.counterexamples
+        assert canonical(report) == canonical(oracle)
+
+
+def test_minimal_uniqueness_decides_each_multiset_once(monkeypatch):
+    from qtransversal import conjectures
+
+    calls = {"is_minimal_presentation": 0, "presentation_matroid": 0}
+
+    def counted(name):
+        fn = getattr(conjectures, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(conjectures, name, counted(name))
+    report = scan_minimal_uniqueness(ScanConfig(q=2, max_dim=3, max_family=3))
+    assert report.instances_checked == 4_540
+    # Multisets of at most 3 of S subspaces: sum of C(S + k - 1, k) for
+    # k <= 3, over S = 2, 5, 16; the scan builds each matroid once.
+    assert calls == {"is_minimal_presentation": 1_035, "presentation_matroid": 1_035}
+
+
+# -- the q-Rado guard --------------------------------------------------------
+
+
+def test_q_rado_guard_counts_true_pairs():
+    # The pool bound 1 + S + S^2 put this at 428,358; it is 38,258 pairs.
+    report = scan_q_rado(ScanConfig(q=2, max_dim=4, max_family=1))
+    assert report.instances_checked == 38_258
+    assert report.details["matroids_per_dim"] == {"1": 2, "2": 6, "3": 32, "4": 554}
+    # The default pools' builds make 6 + 21 + 153 + 2,346 matroids on top.
+    with pytest.raises(InfeasibleScale):
+        scan_q_rado(ScanConfig(q=2, max_dim=4, max_family=1), instance_cap=38_258 + 2_525)
+
+
+def test_q_rado_guard_charges_a_custom_source_its_size():
+    from qtransversal import free_matroid, rank_one
+
+    def source(lattice):
+        return [free_matroid(lattice.spec), rank_one(lattice.subspaces[0]), rank_one(lattice.subspaces[-1])]
+
+    # CFG walks 7 + 31 families, so 114 pairs with three matroids each.
+    with pytest.raises(InfeasibleScale):
+        scan_q_rado(CFG, source, instance_cap=113)
+    assert scan_q_rado(CFG, source, instance_cap=114).instances_checked == 114
+
+
+@pytest.mark.parametrize(
+    "cfg, cap",
+    [
+        # 375 families on GF(2)^5 times at least 27,996 matroids.
+        (ScanConfig(q=2, max_dim=5, max_family=1), SCAN_INSTANCE_CAP),
+        # The GF(2)^6 pool alone builds about 4M matroids.
+        (ScanConfig(q=2, max_dim=6, max_family=0), SCAN_INSTANCE_CAP),
+        (ScanConfig(q=2, max_dim=6, max_family=3, mode="random", seed=1, count=10), SCAN_INSTANCE_CAP),
+        # 19 of the 100 draws land on GF(2)^5.
+        (ScanConfig(q=2, max_dim=5, max_family=1, mode="random", seed=1, count=100), SCAN_INSTANCE_CAP),
+        # At least 28,426 pairs, but 73,026 matroids built.
+        (ScanConfig(q=2, max_dim=5, max_family=0), 100_000),
+    ],
+    ids=["2-5-1", "2-6-0", "random-2-6-3", "random-2-5-1", "2-5-0"],
+)
+def test_q_rado_guard_refuses_before_building_a_large_pool(monkeypatch, cfg, cap):
+    from qtransversal import conjectures
+
+    def no_pool(lattice):
+        raise AssertionError(f"pool of {lattice.spec} built")
+
+    monkeypatch.setattr(conjectures, "default_matroid_source", no_pool)
+    with pytest.raises(InfeasibleScale):
+        scan_q_rado(cfg, instance_cap=cap)
+
+
+@pytest.mark.parametrize("p, e, dim", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3)])
+def test_default_pool_holds_its_guard_floor(monkeypatch, p, e, dim):
+    from qtransversal import conjectures, free_matroid, rank_one, union
+
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), dim))
+    cfg = ScanConfig(q=p**e, max_dim=dim, max_family=0)
+    singles = {x: rank_one(x) for x in lattice.subspaces}
+    named = [free_matroid(lattice.spec), *singles.values()]
+    named += [union([singles[x]] * 2) for x in lattice.subspaces if x.dim <= dim - 2]
+    pairs = [
+        union([singles[x], singles[y]])
+        for i, x in enumerate(lattice.subspaces)
+        for y in lattice.subspaces[i + 1:]
+        if min(x.dim, y.dim) - lattice.dims[lattice.meet_idx(lattice.idx(x), lattice.idx(y))] >= 2
+    ]
+    made = []
+    for name in ("free_matroid", "rank_one", "union"):
+        monkeypatch.setattr(conjectures, name, lambda *a, f=getattr(conjectures, name): made.append(1) or f(*a))
+    pool = default_matroid_source(lattice)
+    assert {m.ranks for m in named + pairs} <= {m.ranks for m in pool}
+    assert len({m.ranks for m in pairs}) == len(pairs)
+    assert len({m.ranks for m in named + pairs}) >= conjectures._default_pool_floor(cfg, dim)
+    assert len(made) == conjectures._default_pool_build(cfg, dim)
+
+
+def test_q_rado_guard_charges_random_draws_exactly():
+    from qtransversal import free_matroid
+
+    def source(lattice):
+        # dim copies of the free matroid: a draw's pairs depend on its dimension.
+        return [free_matroid(lattice.spec)] * lattice.spec.dim
+
+    cfg = ScanConfig(q=2, max_dim=3, max_family=2, mode="random", seed=7, count=40)
+    walked = scan_q_rado(cfg, source).instances_checked
+    with pytest.raises(InfeasibleScale):
+        scan_q_rado(cfg, source, instance_cap=walked - 1)
+    assert scan_q_rado(cfg, source, instance_cap=walked).instances_checked == walked
+
+
+def test_q_rado_random_builds_and_lists_only_visited_dimensions():
+    built = []
+
+    def source(lattice):
+        built.append(lattice.spec.dim)
+        return default_matroid_source(lattice)
+
+    cfg = ScanConfig(q=2, max_dim=3, max_family=1, mode="random", seed=1, count=1)
+    report = scan_q_rado(cfg, source)
+    assert report.instances_checked == sum(report.details["matroids_per_dim"].values())
+    assert [int(d) for d in report.details["matroids_per_dim"]] == built
+    assert len(built) == 1

@@ -405,6 +405,13 @@ def test_minimal_iff_cyclic_both_directions():
             assert report.shrunken_member.dim < family.members[report.witness_index - 1].dim
 
 
+def test_minimality_reads_a_given_matroid_as_its_own():
+    for spec in (GF2_2, GF3_2):
+        for family in families(spec, (0, 1, 2)):
+            given = is_minimal_presentation(family, matroid=presentation_matroid(family))
+            assert given == is_minimal_presentation(family)
+
+
 def test_union_of_rank_ones_is_presentation_and_back():
     # Tautological by construction, asserted as a consistency check: the
     # presentation matroid of the loop-space family of a union of rank-1

@@ -271,6 +271,21 @@ def test_subspace_validation_rejects_non_rref():
         Subspace(GF2_2, ((0, 0),))  # zero row
 
 
+def test_subspace_hash_and_equality():
+    # The hash reads the rows alone; equality still compares the space,
+    # so subspaces of GF(2)^2 and GF(3)^2 with the same rows stay apart.
+    gf3_2 = VectorSpaceSpec(field_make(3, 1), 2)
+    a, b = canonicalize(GF2_2, [(1, 0)]), canonicalize(gf3_2, [(1, 0)])
+    assert a == canonicalize(GF2_2, [(1, 0)]) and hash(a) == hash(canonicalize(GF2_2, [(1, 0)]))
+    assert a != b and hash(a) == hash(b)
+    assert {a: 1, b: 2} == {b: 2, a: 1} and len({a, b}) == 2
+    for spec in (GF2_2, gf3_2, VectorSpaceSpec(field_make(2, 1), 3)):
+        lattice = get_lattice(spec)
+        assert [lattice.idx(s) for s in lattice.subspaces] == list(range(len(lattice)))
+    with pytest.raises(SpecMismatch):
+        get_lattice(GF2_2).idx(b)
+
+
 def test_contains_vector():
     l11 = canonicalize(GF2_2, [(1, 1)])
     assert contains_vector(l11, (1, 1))
