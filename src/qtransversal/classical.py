@@ -147,13 +147,14 @@ def find_transversal(fam: SetFamily) -> dict[int, str] | None:
 
 
 class ClassicalMatroid:
-    """A matroid on a labeled ground set, given by a rank oracle."""
+    """A matroid on a labeled ground set, given by a rank oracle; the rank
+    axioms are checked on every ground of at most 6 labels."""
 
-    def __init__(self, ground: tuple[str, ...], rank_fn, provenance: str, *, spot_check: bool = True):
+    def __init__(self, ground: tuple[str, ...], rank_fn, provenance: str):
         self.ground = tuple(ground)
         self._rank_fn = rank_fn
         self.provenance = provenance
-        if spot_check and len(self.ground) <= 6:
+        if len(self.ground) <= 6:
             self._verify_axioms()
 
     @classmethod

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import conjectures
 from .classical import (
@@ -50,6 +51,7 @@ from .representation import (
     verify_representation,
 )
 from .subspaces import (
+    SubspaceFamily,
     VectorSpaceSpec,
     family_from_rows,
     get_lattice,
@@ -100,10 +102,13 @@ def _chunks(text: str, width: int) -> list[str]:
     return [text[i : i + width] for i in range(0, len(text), width)]
 
 
-def _emit(payload: dict, instance: dict, command: str) -> None:
-    body = {"schema": SCHEMA, "command": command, "instance": instance}
-    body.update(payload)
-    print(json.dumps(body, sort_keys=True, indent=2))
+def _q_family(doc: dict) -> SubspaceFamily:
+    """The family of subspaces a q-side instance names by "q", "dim" and "family"."""
+    return family_from_rows(VectorSpaceSpec.from_jsonable(doc), doc["family"])
+
+
+# Each command returns (payload, instance): main prints them with the
+# schema and the command name, or the error body when one raises.
 
 
 def _cmd_hall(doc, args):
@@ -120,27 +125,18 @@ def _cmd_hall(doc, args):
         payload["transversal"] = [transversal[i + 1] for i in range(len(fam))]
     else:
         payload["witness_J"] = list(verdict.witness_J)
-    _emit(payload, fam.to_jsonable(), "hall")
+    return payload, fam.to_jsonable()
 
 
-def _cmd_rado(doc, args):
+def _cmd_rado(check, doc, args):
+    """rado and avoid-rado, which differ only in the check they call."""
     fam = _set_family(doc)
     matroid = _classical_matroid(doc, fam.ground)
-    verdict = rado_check(matroid, fam)
+    verdict = check(matroid, fam)
     payload = {"verdict": verdict.ok, "matroid": matroid.provenance}
     if not verdict.ok:
         payload["witness_J"] = list(verdict.witness_J)
-    _emit(payload, doc, "rado")
-
-
-def _cmd_avoid_rado(doc, args):
-    fam = _set_family(doc)
-    matroid = _classical_matroid(doc, fam.ground)
-    verdict = avoid_rado_check(matroid, fam)
-    payload = {"verdict": verdict.ok, "matroid": matroid.provenance}
-    if not verdict.ok:
-        payload["witness_J"] = list(verdict.witness_J)
-    _emit(payload, doc, "avoid-rado")
+    return payload, doc
 
 
 def _cmd_check_transversal(doc, args):
@@ -156,30 +152,27 @@ def _cmd_check_transversal(doc, args):
                 "avoidance J-test and injection search disagree",
                 payload={"T": sorted(t), "family": fam.to_jsonable()},
             )
-    _emit(payload, doc, "check-transversal")
+    return payload, doc
 
 
 def _cmd_q_hall(doc, args):
-    spec = VectorSpaceSpec.from_jsonable(doc)
-    fam = family_from_rows(spec, doc["family"])
-    verdict = q_hall(fam)
+    verdict = q_hall(_q_family(doc))
     payload = {"verdict": verdict.ok}
     if not verdict.ok:
         payload["witness_J"] = list(verdict.witness_J)
-    _emit(payload, doc, "q-hall")
+    return payload, doc
 
 
 def _cmd_check_q_transversal(doc, args):
-    spec = VectorSpaceSpec.from_jsonable(doc)
-    fam = family_from_rows(spec, doc["family"])
-    t = subspace_from_rows(spec, doc["subspace"])
+    fam = _q_family(doc)
+    t = subspace_from_rows(fam.spec, doc["subspace"])
     cert = is_partial_q_transversal(t, fam)
     if not recheck_certificate(cert, t, fam):
         raise InvariantViolation(
             "certificate failed its own re-check",
             payload={"T": t.to_rows(), "family": fam.to_rows()},
         )
-    payload = {"verdict": cert.verdict, "certificate": cert.to_jsonable(spec)}
+    payload = {"verdict": cert.verdict, "certificate": cert.to_jsonable(fam.spec)}
     if args.oracle:
         oracle = q_transversal_by_definition(t, fam)
         payload["oracle_verdict"] = oracle
@@ -188,35 +181,26 @@ def _cmd_check_q_transversal(doc, args):
                 "fast q-transversal test and definitional oracle disagree",
                 payload={"T": t.to_rows(), "family": fam.to_rows()},
             )
-    _emit(payload, doc, "check-q-transversal")
+    return payload, doc
 
 
 def _cmd_build_matroid(doc, args):
-    spec = VectorSpaceSpec.from_jsonable(doc)
-    fam = family_from_rows(spec, doc["family"])
-    matroid = presentation_matroid(fam)
-    _emit({"matroid": matroid.to_jsonable()}, doc, "build-matroid")
+    return {"matroid": presentation_matroid(_q_family(doc)).to_jsonable()}, doc
 
 
 def _cmd_reduce_presentation(doc, args):
-    spec = VectorSpaceSpec.from_jsonable(doc)
-    fam = family_from_rows(spec, doc["family"])
+    fam = _q_family(doc)
     reduced = reduce_presentation(fam)
-    _emit(
-        {
-            "family": reduced.to_rows(),
-            "members": len(reduced),
-            "rank": presentation_matroid(fam).space_rank,
-        },
-        doc,
-        "reduce-presentation",
-    )
+    payload = {
+        "family": reduced.to_rows(),
+        "members": len(reduced),
+        "rank": presentation_matroid(fam).space_rank,
+    }
+    return payload, doc
 
 
 def _cmd_check_minimal(doc, args):
-    spec = VectorSpaceSpec.from_jsonable(doc)
-    fam = family_from_rows(spec, doc["family"])
-    report = is_minimal_presentation(fam)
+    report = is_minimal_presentation(_q_family(doc))
     payload = {"verdict": report.minimal}
     if not report.minimal:
         payload["witness"] = {
@@ -224,7 +208,7 @@ def _cmd_check_minimal(doc, args):
             "shrunken_member": report.shrunken_member.to_rows(),
             "replacement_family": report.replacement.to_rows(),
         }
-    _emit(payload, doc, "check-minimal")
+    return payload, doc
 
 
 def _cmd_represent_aligned(doc, args):
@@ -234,20 +218,16 @@ def _cmd_represent_aligned(doc, args):
             spec, tuple(frozenset(s) for s in doc["index_sets"])
         )
     else:
-        fam = family_from_rows(spec, doc["family"])
-        aligned = aligned_from_family(fam)
+        aligned = aligned_from_family(_q_family(doc))
         if aligned is None:
             raise ValueError("family members are not coordinate subspaces")
     rep = build_aligned_representation(aligned, minimize_degree=args.minimize_degree)
-    _emit(
-        {
-            "representation": rep.to_jsonable(),
-            "verified": True,
-            "ext_degree_over_base": rep.ext.e // spec.field.e,
-        },
-        doc,
-        "represent-aligned",
-    )
+    payload = {
+        "representation": rep.to_jsonable(),
+        "verified": True,
+        "ext_degree_over_base": rep.ext.e // spec.field.e,
+    }
+    return payload, doc
 
 
 def _cmd_verify_representation(doc, args):
@@ -265,19 +245,12 @@ def _cmd_verify_representation(doc, args):
             "represented_rank": represented_rank(rep, bad),
             "expected_rank": matroid.rank(bad),
         }
-    _emit(payload, doc, "verify-representation")
+    return payload, doc
 
 
 def _cmd_scan(doc, args):
     block = doc["scan"]
-    cfg = conjectures.ScanConfig(
-        q=int(block["q"]),
-        max_dim=int(block["max_dim"]),
-        max_family=int(block["max_family"]),
-        mode=block.get("mode", "exhaustive"),
-        seed=block.get("seed"),
-        count=block.get("count"),
-    )
+    cfg = conjectures.ScanConfig.from_jsonable(block)
     kind = block["kind"]
     if kind == "q-rado":
         report = conjectures.scan_q_rado(cfg)
@@ -291,13 +264,13 @@ def _cmd_scan(doc, args):
         )
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
-    _emit({"report": report.to_jsonable(include_timing=args.timing)}, doc, "scan")
+    return {"report": report.to_jsonable(include_timing=args.timing)}, doc
 
 
 _COMMANDS = {
     "hall": _cmd_hall,
-    "rado": _cmd_rado,
-    "avoid-rado": _cmd_avoid_rado,
+    "rado": partial(_cmd_rado, rado_check),
+    "avoid-rado": partial(_cmd_rado, avoid_rado_check),
     "check-transversal": _cmd_check_transversal,
     "q-hall": _cmd_q_hall,
     "check-q-transversal": _cmd_check_q_transversal,
@@ -334,46 +307,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        doc = _load(args.input)
-        _COMMANDS[args.command](doc, args)
+        payload, instance = _COMMANDS[args.command](_load(args.input), args)
+        code, body = 0, {"command": args.command, "instance": instance, **payload}
     except InvariantViolation as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "error": "invariant-violation",
-                    "message": str(exc),
-                    "payload": exc.payload,
-                    "meaning": "a bug or a counterexample to a verified theorem",
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 4
+        code, body = 4, {
+            "error": "invariant-violation",
+            "message": str(exc),
+            "payload": exc.payload,
+            "meaning": "a bug or a counterexample to a verified theorem",
+        }
     except InfeasibleScale as exc:
-        print(
-            json.dumps(
-                {"schema": SCHEMA, "error": "infeasible-scale", "message": str(exc)},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 3
+        code, body = 3, {"error": "infeasible-scale", "message": str(exc)}
     except (*INPUT_ERRORS, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "error": "malformed-input",
-                    "message": f"{type(exc).__name__}: {exc}",
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 2
-    return 0
+        code, body = 2, {"error": "malformed-input", "message": f"{type(exc).__name__}: {exc}"}
+    print(json.dumps({"schema": SCHEMA, **body}, sort_keys=True, indent=2))
+    return code
 
 
 def entry() -> None:

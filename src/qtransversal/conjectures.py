@@ -107,6 +107,19 @@ class ScanConfig:
             out["count"] = self.count
         return out
 
+    @classmethod
+    def from_jsonable(cls, block) -> ScanConfig:
+        """The config a CLI scan block or a report's "config" holds; other
+        keys, such as "kind" or a stale "shards", are ignored."""
+        return cls(
+            q=int(block["q"]),
+            max_dim=int(block["max_dim"]),
+            max_family=int(block["max_family"]),
+            mode=block.get("mode", "exhaustive"),
+            seed=block.get("seed"),
+            count=block.get("count"),
+        )
+
 
 @dataclass
 class ScanReport:
@@ -150,17 +163,6 @@ def _families_per_dim(cfg: ScanConfig) -> dict[int, int]:
         dim: sum(_subspace_count(cfg, dim) ** s for s in range(cfg.max_family + 1))
         for dim in range(1, cfg.max_dim + 1)
     }
-
-
-def _family_count(cfg: ScanConfig) -> int:
-    """Exact number of instances the family stream will yield."""
-    if cfg.mode == "random":
-        return cfg.count
-    return sum(_families_per_dim(cfg).values())
-
-
-def _guard_scale(cfg: ScanConfig, weight_per_family: int, cap: int) -> None:
-    _refuse_beyond(cap, _family_count(cfg) * max(1, weight_per_family))
 
 
 def _refuse_beyond(cap: int, total: int) -> None:
@@ -360,7 +362,7 @@ def scan_q_rado(
                 record = {
                     "instance_index": this,
                     "q": cfg.q,
-                    "dim": dim,
+                    "dim": lattice.spec.dim,
                     "family": fam.to_rows(),
                     "matroid": matroid.to_jsonable(),
                     "lhs_has_independent_transversal": lhs,
@@ -413,7 +415,7 @@ def scan_minimal_uniqueness(
 ) -> ScanReport:
     """Group families by presentation matroid and look for two distinct
     minimal presentations of the same size."""
-    _guard_scale(cfg, 1, instance_cap)
+    _refuse_beyond(instance_cap, sum(_families_per_dim(cfg).values()))
     start = time.monotonic()
     checked = 0
     groups: dict[tuple, dict] = {}
@@ -500,7 +502,8 @@ def scan_representability(
     """
     if max_ext_degree < 1:
         raise OutOfRange("max_ext_degree must be at least 1")
-    _guard_scale(cfg, attempts_per_degree, instance_cap)
+    families = sum(_families_per_dim(cfg).values())
+    _refuse_beyond(instance_cap, families * max(1, attempts_per_degree))
     start = time.monotonic()
     checked = 0
     instances = []

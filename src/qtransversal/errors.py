@@ -2,7 +2,8 @@
 
 Three families matter to callers: malformed-input errors (bad field
 parameters, mismatched carriers, broken tables), scale guards
-(InfeasibleScale, ExtensionTooLarge), and InvariantViolation.  The last
+(InfeasibleScale and its subclass ExtensionTooLarge, which the CLI
+reports with exit code 3), and InvariantViolation.  The last
 one is special: it is raised when two procedures that a proved theorem
 says must agree fail to do so, which is either a bug or a genuine
 counterexample, and is never silently reconciled.
@@ -57,11 +58,11 @@ class GroundMismatch(Error):
     pass
 
 
-class ExtensionTooLarge(Error):
+class InfeasibleScale(Error):
     pass
 
 
-class InfeasibleScale(Error):
+class ExtensionTooLarge(InfeasibleScale):
     pass
 
 

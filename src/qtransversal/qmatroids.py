@@ -400,14 +400,11 @@ def union(members: Sequence[QMatroid], provenance: str = "union") -> QMatroid:
     return induce(lattice, _IntTable(list(summed)), provenance)
 
 
-def matroid_from_table(
-    lattice: Lattice, values, provenance: str = "table", validate: bool = True
-) -> QMatroid:
+def matroid_from_table(lattice: Lattice, values, provenance: str = "table") -> QMatroid:
     ranks = _dense_values(lattice, values)
-    if validate:
-        report = check_rank_axioms(lattice, _IntTable(ranks))
-        if not report.ok:
-            raise InvalidRankTable(
-                f"rank table violates the {report.failure} axiom at {report.witness}"
-            )
+    report = check_rank_axioms(lattice, _IntTable(ranks))
+    if not report.ok:
+        raise InvalidRankTable(
+            f"rank table violates the {report.failure} axiom at {report.witness}"
+        )
     return QMatroid(lattice, ranks, provenance)

@@ -287,11 +287,11 @@ def aligned_from_family(fam: SubspaceFamily) -> AlignedFamily | None:
     return AlignedFamily(fam.spec, tuple(sets))
 
 
-def _extension(base: FieldSpec, degree: int, field_bits_cap: int) -> FieldSpec:
+def _extension(base: FieldSpec, degree: int) -> FieldSpec:
     total = base.e * degree
-    if base.p**total >= 1 << (field_bits_cap + 1):
+    if base.p**total >= 1 << (FIELD_BITS_CAP + 1):
         raise ExtensionTooLarge(
-            f"GF({base.p}^{total}) exceeds the {field_bits_cap}-bit field cap"
+            f"GF({base.p}^{total}) exceeds the {FIELD_BITS_CAP}-bit field cap"
         )
     return field_make(base.p, total)
 
@@ -303,10 +303,7 @@ def _degree_generator_code(ext: FieldSpec) -> int:
 
 
 def build_aligned_representation(
-    fam: AlignedFamily,
-    *,
-    minimize_degree: bool = False,
-    field_bits_cap: int = FIELD_BITS_CAP,
+    fam: AlignedFamily, *, minimize_degree: bool = False
 ) -> QRepresentation:
     """Construct and verify a representation of an aligned family.
 
@@ -323,7 +320,7 @@ def build_aligned_representation(
     guaranteed = n**k
     degrees = range(1, guaranteed + 1) if minimize_degree else (guaranteed,)
     for degree in degrees:
-        ext = _extension(base, degree, field_bits_cap)
+        ext = _extension(base, degree)
         alpha = _degree_generator_code(ext)
         rows = []
         for i in range(k):
@@ -356,7 +353,6 @@ def find_representation(
     max_ext_degree: int,
     attempts_per_degree: int = 200,
     seed: int = 0,
-    field_bits_cap: int = FIELD_BITS_CAP,
 ) -> QRepresentation | None:
     """Randomized matrix search, reproducible from the seed.
 
@@ -369,7 +365,7 @@ def find_representation(
     rows = matroid.space_rank
     rng = random.Random(seed)
     for degree in range(1, max_ext_degree + 1):
-        ext = _extension(base, degree, field_bits_cap)
+        ext = _extension(base, degree)
         for _ in range(attempts_per_degree):
             matrix = tuple(
                 tuple(rng.randrange(ext.order) for _ in range(n)) for _ in range(rows)

@@ -9,8 +9,9 @@ entries are field element codes (see fields.py), so everything stays in
 exact integer arithmetic.
 
 Enumeration order is fixed everywhere: ascending dimension, then
-lexicographic on the flattened RREF entries.  Scale guards are explicit
-module constants and can be overridden per call.
+lexicographic on the flattened RREF entries.  Scale guards are module
+constants, read when their guard runs; BASIS_CAP is only the default of
+enumerate_bases' basis_cap, the one cap a caller can pass.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ VECTOR_CAP = 2**20
 SUBSPACE_BLOCK_CAP = 10**6
 #: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
-#: Largest lattice materialized with full meet/join tables.
-LATTICE_CAP = 4096
+#: Largest lattice build, charged as S^2 meet-table entries (S subspaces)
+#: times the q^n-bit width of the masks each entry intersects.  A build
+#: at the cap takes about 4 s (GF(7)^4 charges 3.2e10; 2-vCPU Xeon VM).
+LATTICE_CAP = 2**35
 
 
 @dataclass(frozen=True)
@@ -275,22 +278,15 @@ def _rref_block(field: FieldSpec, n: int, k: int):
             yield tuple(tuple(row) for row in mat)
 
 
-def enumerate_subspaces(
-    spec: VectorSpaceSpec,
-    of: Subspace | None = None,
-    dim: int | None = None,
-    *,
-    vector_cap: int = VECTOR_CAP,
-    block_cap: int = SUBSPACE_BLOCK_CAP,
-):
+def enumerate_subspaces(spec: VectorSpaceSpec, of: Subspace | None = None, dim: int | None = None):
     """Stream the subspaces of V (or of a given subspace), each exactly once.
 
     Order is deterministic: ascending dimension, then lexicographic
     RREF.  Counts per dimension equal the Gaussian binomial.
     """
-    if spec.num_vectors > vector_cap:
+    if spec.num_vectors > VECTOR_CAP:
         raise InfeasibleScale(
-            f"q^n = {spec.num_vectors} exceeds the vector cap {vector_cap}"
+            f"q^n = {spec.num_vectors} exceeds the vector cap {VECTOR_CAP}"
         )
     if of is not None and of.spec != spec:
         raise SpecMismatch("subspace filter lives in a different ambient space")
@@ -306,9 +302,9 @@ def enumerate_subspaces(
     q = spec.field.order
     for k in dims:
         count = gaussian_binomial(limit, k, q)
-        if count > block_cap:
+        if count > SUBSPACE_BLOCK_CAP:
             raise InfeasibleScale(
-                f"{count} subspaces of dimension {k} exceed the block cap {block_cap}"
+                f"{count} subspaces of dimension {k} exceed the block cap {SUBSPACE_BLOCK_CAP}"
             )
         if of is None:
             block = sorted(_rref_block(spec.field, spec.dim, k))
@@ -582,14 +578,16 @@ class Lattice:
     walk, are built on first use.  Every query afterwards is a lookup.
     """
 
-    def __init__(self, spec: VectorSpaceSpec, *, max_size: int = LATTICE_CAP):
+    def __init__(self, spec: VectorSpaceSpec):
         field = spec.field
         q = field.order
         n = spec.dim
         total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-        if total > max_size:
+        work = total * total * spec.num_vectors
+        if work > LATTICE_CAP:
             raise InfeasibleScale(
-                f"lattice with {total} subspaces exceeds the cap {max_size}"
+                f"lattice build of {total}^2 entries on {spec.num_vectors}-bit "
+                f"masks ({work}) exceeds the cap {LATTICE_CAP}"
             )
         self.spec = spec
         self.subspaces: tuple[Subspace, ...] = tuple(enumerate_subspaces(spec))

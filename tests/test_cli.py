@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qtransversal.cli import main
+from qtransversal import ScanConfig
+from qtransversal.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -270,3 +271,34 @@ def test_verify_representation_names_a_missing_subspace(tmp_path, capsys):
     code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
     assert code == 2
     assert out["message"] == f"IncompleteTable: rank table misses subspace {dropped}"
+
+
+def test_represent_aligned_beyond_the_field_cap_is_infeasible(tmp_path, capsys):
+    # Three index sets on GF(2)^4 need GF(2^64), past the 30-bit field cap.
+    doc = {"q": 2, "dim": 4, "index_sets": [[1], [2], [3]]}
+    code, out = run_cli(capsys, "represent-aligned", write(tmp_path, "i.json", doc))
+    assert code == 3 and out["error"] == "infeasible-scale"
+    assert "field cap" in out["message"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_rejects_an_empty_instance(tmp_path, capsys, command):
+    code, out = run_cli(capsys, command, write(tmp_path, "empty.json", {}))
+    assert code == 2
+    assert sorted(out) == ["error", "message", "schema"]
+    assert out["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScanConfig(q=3, max_dim=2, max_family=3),
+        ScanConfig(q=4, max_dim=3, max_family=2, mode="random", seed=7, count=50),
+    ],
+    ids=["exhaustive", "random"],
+)
+def test_scan_config_round_trips(cfg):
+    assert ScanConfig.from_jsonable(cfg.to_jsonable()) == cfg
+    # A CLI scan block carries the kind and may carry a stale "shards".
+    block = {"kind": "q-rado", "shards": 3, **cfg.to_jsonable()}
+    assert ScanConfig.from_jsonable(block) == cfg

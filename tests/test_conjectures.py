@@ -535,3 +535,36 @@ def test_q_rado_random_builds_and_lists_only_visited_dimensions():
     assert report.instances_checked == sum(report.details["matroids_per_dim"].values())
     assert [int(d) for d in report.details["matroids_per_dim"]] == built
     assert len(built) == 1
+
+
+def test_q_rado_counterexample_record_names_its_dimension(monkeypatch):
+    from qtransversal import conjectures
+
+    real = conjectures._q_rado_sides
+
+    def forced(matroid, fam, context=None):
+        # The family (V) on GF(2)^2 has no transversal; dropping the
+        # right side's witness J for the free matroid makes that one pair
+        # a q-Rado mismatch.
+        lhs_t, rhs_j = real(matroid, fam, context)
+        lattice = matroid.lattice
+        if (
+            lattice.spec.dim == 2
+            and fam.member_indices == (lattice.top_index,)
+            and matroid.ranks == lattice.dims
+        ):
+            return lhs_t, None
+        return lhs_t, rhs_j
+
+    monkeypatch.setattr(conjectures, "_q_rado_sides", forced)
+    report = scan_q_rado(ScanConfig(q=2, max_dim=2, max_family=1))
+    [record] = report.counterexamples
+    # GF(2)^1 gives 3 families x 2 matroids; on GF(2)^2, (V) is the sixth
+    # family and the free matroid leads its pool of 6: 6 + 5 * 6 = 36.
+    assert record["instance_index"] == 36
+    assert record["dim"] == 2 and record["family"] == [["10", "01"]]
+    assert record["lhs_has_independent_transversal"] is False
+    assert record["rhs_condition_holds"] is True
+    assert reverify_q_rado(record)
+    monkeypatch.undo()
+    assert not reverify_q_rado(record)

@@ -395,3 +395,38 @@ def test_serialization_round_trip():
     assert v == (gf4.field.parse_code("01"), gf4.field.parse_code("10"))
     with pytest.raises(DimensionMismatch):
         vector_from_string(gf4, "011")
+
+
+class _BuildStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def build_probe(monkeypatch):
+    """Make Lattice raise _BuildStarted the moment it starts enumerating."""
+    from qtransversal import subspaces
+
+    def started(*args, **kwargs):
+        raise _BuildStarted
+
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", started)
+    return subspaces.Lattice
+
+
+@pytest.mark.parametrize("q, n", [(43, 3), (1021, 2)])
+def test_lattice_guard_refuses_before_building(build_probe, q, n):
+    # GF(43)^3 (3,788 subspaces) takes about 90 s; GF(1021)^2 (1,024
+    # subspaces, within VECTOR_CAP) longer: the guard charges S^2 q^n.
+    spec = VectorSpaceSpec.from_jsonable({"q": q, "dim": n})
+    before = get_lattice.cache_info().currsize
+    with pytest.raises(InfeasibleScale, match="lattice"):
+        build_probe(spec)
+    with pytest.raises(InfeasibleScale, match="lattice"):
+        get_lattice(spec)
+    assert get_lattice.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 5), (23, 3), (7, 4), (4, 4), (3, 4), (2, 5)])
+def test_lattice_guard_admits_builds_of_seconds(build_probe, q, n):
+    with pytest.raises(_BuildStarted):
+        build_probe(VectorSpaceSpec.from_jsonable({"q": q, "dim": n}))
