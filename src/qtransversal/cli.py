@@ -194,7 +194,7 @@ def _cmd_reduce_presentation(doc, args):
     payload = {
         "family": reduced.to_rows(),
         "members": len(reduced),
-        "rank": presentation_matroid(fam).space_rank,
+        "rank": len(reduced),
     }
     return payload, doc
 

@@ -31,8 +31,8 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
+from .classical import _mask_to_indices
 from .errors import InfeasibleScale, OutOfRange
 from .fields import prime_power
 from .qmatroids import QMatroid, free_matroid, rank_one, union
@@ -102,8 +102,9 @@ class ScanConfig:
             "max_family": self.max_family,
             "mode": self.mode,
         }
-        if self.mode == "random":
+        if self.seed is not None:
             out["seed"] = self.seed
+        if self.mode == "random":
             out["count"] = self.count
         return out
 
@@ -230,40 +231,21 @@ def default_matroid_source(lattice) -> list[QMatroid]:
     return out
 
 
-class _FamilyContext(NamedTuple):
-    """What the q-Rado sides read of a family, whatever the matroid:
-    (mask of J, |J|, lattice index of X(J)) for every J in mask order,
-    and the fast test's verdict per lattice index of T, filled on demand."""
-
-    meets: tuple[tuple[int, int, int], ...]
-    verdicts: dict[int, bool]
-
-
-def _family_context(fam: SubspaceFamily) -> _FamilyContext:
-    return _FamilyContext(
-        tuple((mask, mask.bit_count(), xj) for mask, xj in enumerate(fam.meet_indices)), {}
-    )
-
-
-def _q_rado_sides(
-    matroid: QMatroid, fam: SubspaceFamily, context: _FamilyContext | None = None
-):
+def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily, verdicts: dict | None = None):
     """Evaluate both sides of the q-Rado equivalence with witnesses.
 
     The left side is the first independent T of dimension |fam| (lattice
     order) that is a partial q-transversal; the right side's witness is
-    the first J (masks ascending) with barnu(X(J)) + |J| > barnu(V).
-    Neither the meets X(J) nor the fast test's verdict on a T depends on
-    the matroid, so both come from the family's _FamilyContext; a scan
-    builds it once per family and passes it for every matroid, and it is
-    built here when none is given.
+    the first J (masks ascending) with barnu(X(J)) + |J| > barnu(V),
+    read from fam.meet_indices.  The fast test's verdict on a T does not
+    depend on the matroid: verdicts maps T's lattice index to it, filled
+    on demand, and a scan passes one dict per family for every matroid.
     """
-    if context is None:
-        context = _family_context(fam)
+    if verdicts is None:
+        verdicts = {}
     lattice = matroid.lattice
     n = len(fam)
     ranks = matroid.ranks
-    verdicts = context.verdicts
     lhs_witness = None
     for ti in lattice.by_dim.get(n, ()):
         if ranks[ti] != n:  # T has dimension n, so independent means rank n
@@ -279,8 +261,8 @@ def _q_rado_sides(
     barn_v = matroid.bar_nullity_idx(lattice.top_index)
     barn = matroid.bar_nullity_table()
     rhs_witness = None
-    for mask, size, xj in context.meets:
-        if barn[xj] + size > barn_v:
+    for mask, xj in enumerate(fam.meet_indices):
+        if barn[xj] + mask.bit_count() > barn_v:
             rhs_witness = mask
             break
     return lhs_witness, rhs_witness
@@ -351,11 +333,11 @@ def scan_q_rado(
     checked = 0
     for _, lattice, members in _family_stream(cfg):
         fam = _family(lattice, members)
-        context = _family_context(fam)
+        verdicts: dict[int, bool] = {}
         for matroid in pools[lattice.spec.dim]:
             this = checked
             checked += 1
-            lhs_t, rhs_j = _q_rado_sides(matroid, fam, context)
+            lhs_t, rhs_j = _q_rado_sides(matroid, fam, verdicts)
             lhs = lhs_t is not None
             rhs = rhs_j is None
             if lhs != rhs:
@@ -371,9 +353,7 @@ def scan_q_rado(
                 if lhs_t is not None:
                     record["lhs_witness_T"] = lhs_t.to_rows()
                 if rhs_j is not None:
-                    record["rhs_witness_J"] = [
-                        i + 1 for i in range(len(fam)) if rhs_j >> i & 1
-                    ]
+                    record["rhs_witness_J"] = list(_mask_to_indices(rhs_j))
                 counterexamples.append(record)
     return ScanReport(
         kind="q-rado",
@@ -401,13 +381,13 @@ def reverify_q_rado(record: dict) -> bool:
     )
 
 
-def _uniqueness_outcome(fam: SubspaceFamily) -> tuple | None:
+def _uniqueness_ranks(fam: SubspaceFamily) -> tuple | None:
     """None if fam is not a minimal presentation, else its presentation
-    matroid's rank table and its members as a sorted multiset of rows."""
+    matroid's rank table."""
     matroid = presentation_matroid(fam)
     if not is_minimal_presentation(fam, matroid=matroid).minimal:
         return None
-    return matroid.ranks, tuple(sorted(tuple(m.to_rows()) for m in fam.members))
+    return matroid.ranks
 
 
 def scan_minimal_uniqueness(
@@ -420,7 +400,7 @@ def scan_minimal_uniqueness(
     checked = 0
     groups: dict[tuple, dict] = {}
     cross_size: dict[tuple, set] = {}
-    # _uniqueness_outcome per (dimension, sorted member indices): every
+    # _uniqueness_ranks per (dimension, sorted member indices): every
     # ordering of a multiset has the same matroid and cyclic members, so
     # the first ordering met decides it for this call.
     outcomes: dict[tuple, tuple | None] = {}
@@ -428,20 +408,20 @@ def scan_minimal_uniqueness(
     # are first met, and kept, at ascending instance indices.
     for idx, lattice, members in _family_stream(cfg):
         checked += 1
-        dim = lattice.spec.dim
-        key = (dim, tuple(sorted(members)))
+        key = (lattice.spec.dim, tuple(sorted(members)))
         if key in outcomes:
-            outcome = outcomes[key]
+            ranks = outcomes[key]
         else:
-            outcome = outcomes[key] = _uniqueness_outcome(_family(lattice, members))
-        if outcome is None:
+            ranks = outcomes[key] = _uniqueness_ranks(_family(lattice, members))
+        if ranks is None:
             continue
-        ranks, multiset = outcome
+        dim, multiset = key
         groups.setdefault((dim, ranks, len(members)), {}).setdefault(multiset, idx)
         cross_size.setdefault((dim, ranks), set()).add(len(members))
     counterexamples = []
     for (dim, ranks, size), entry in groups.items():
         if len(entry) > 1:
+            subspaces = get_lattice(cfg.space(dim)).subspaces
             counterexamples.append(
                 {
                     "instance_index": next(iter(entry.values())),
@@ -449,7 +429,10 @@ def scan_minimal_uniqueness(
                     "dim": dim,
                     "family_size": size,
                     "presentations": [
-                        {"members": [list(rows) for rows in multiset], "instance_index": i}
+                        {
+                            "members": sorted(subspaces[m].to_rows() for m in multiset),
+                            "instance_index": i,
+                        }
                         for multiset, i in entry.items()
                     ],
                 }
@@ -511,7 +494,6 @@ def scan_representability(
     for idx, lattice, members in _family_stream(cfg):
         checked += 1
         fam = _family(lattice, members)
-        matroid = presentation_matroid(fam)
         aligned = aligned_from_family(fam)
         entry = {
             "instance_index": idx,
@@ -526,7 +508,7 @@ def scan_representability(
             entry["method"] = "aligned-construction"
         else:
             rep = find_representation(
-                matroid,
+                presentation_matroid(fam),
                 max_ext_degree=max_ext_degree,
                 attempts_per_degree=attempts_per_degree,
                 seed=seed_base * 1_000_003 + idx,

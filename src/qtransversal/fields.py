@@ -25,8 +25,10 @@ on the code itself: +, -, * modulo p, and the inverse a^(p-2) mod p by
 the built-in pow.  For p = 2 a code is the polynomial's bit pattern:
 addition is XOR, multiplication shift-and-add, and the inverse runs the
 binary extended Euclidean algorithm against the modulus bits.  Odd-p
-extensions work on digit vectors and invert by extended Euclid on them.
-No route keeps a table that grows with the field order.
+extensions work on digit vectors: they multiply with _poly_mulmod, the
+product reduced by long division that Rabin's test also uses, and
+invert by extended Euclid.  No route keeps a table that grows with the
+field order.
 """
 
 from __future__ import annotations
@@ -214,23 +216,6 @@ class FieldSpec:
         # p == 2 only: modulus bits packed as an int, bit e set.
         return sum(c << i for i, c in enumerate(self.modulus))
 
-    @cached_property
-    def _xpow(self) -> tuple[tuple[int, ...], ...]:
-        # x^e .. x^(2e-2) reduced mod modulus, as digit vectors of length e.
-        p, e = self.p, self.e
-        xe = tuple((-c) % p for c in self.modulus[:e])
-        out = [xe]
-        cur = xe
-        for _ in range(e - 2):
-            nxt = [0] + list(cur[:-1])
-            top = cur[-1]
-            if top:
-                for i, xi in enumerate(xe):
-                    nxt[i] = (nxt[i] + top * xi) % p
-            cur = tuple(nxt)
-            out.append(cur)
-        return tuple(out)
-
     # -- code-level arithmetic -------------------------------------------
 
     def decode(self, code: int) -> tuple[int, ...]:
@@ -282,19 +267,7 @@ class FieldSpec:
             return r
         if e == 1:
             return a * b % p
-        da, db = self.decode(a), self.decode(b)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        acc = list(prod[:e])
-        for t in range(e, 2 * e - 1):
-            ct = prod[t]
-            if ct:
-                for i, xi in enumerate(self._xpow[t - e]):
-                    acc[i] = (acc[i] + ct * xi) % p
-        return self.encode(acc)
+        return self.encode(_poly_mulmod(self.decode(a), self.decode(b), self.modulus, p))
 
     def pow_code(self, a: int, m: int) -> int:
         """a**m by square and multiply; 0**0 is defined as 1."""

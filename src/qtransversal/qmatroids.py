@@ -142,7 +142,8 @@ class QMatroid:
         return tuple(self.lattice.subspaces[i] for i in self._circuits)
 
     def circuits_idx(self) -> tuple[int, ...]:
-        self.circuits()
+        if self._circuits is None:
+            self.circuits()
         return self._circuits
 
     def closure(self, a: Subspace) -> Subspace:
@@ -151,7 +152,7 @@ class QMatroid:
         ai = lat.idx(a)
         ra = self.ranks[ai]
         cur = ai
-        for atom in lat.atoms:
+        for atom in lat.by_dim[1]:
             if self.ranks[lat.join_idx(ai, atom)] == ra:
                 cur = lat.join_idx(cur, atom)
         return lat.subspaces[cur]
@@ -383,7 +384,7 @@ def zero_matroid(spec: VectorSpaceSpec) -> QMatroid:
     return QMatroid(lattice, (0,) * len(lattice), "zero")
 
 
-def union(members: Sequence[QMatroid], provenance: str = "union") -> QMatroid:
+def union(members: Sequence[QMatroid]) -> QMatroid:
     """Union of q-matroids: induce from the sum of their rank functions.
 
     Multi-way unions are computed in one induction step.
@@ -397,7 +398,7 @@ def union(members: Sequence[QMatroid], provenance: str = "union") -> QMatroid:
     summed = members[0].ranks
     for m in members[1:]:
         summed = map(add, summed, m.ranks)
-    return induce(lattice, _IntTable(list(summed)), provenance)
+    return induce(lattice, _IntTable(list(summed)), "union")
 
 
 def matroid_from_table(lattice: Lattice, values, provenance: str = "table") -> QMatroid:

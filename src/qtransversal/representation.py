@@ -223,12 +223,12 @@ def represented_rank(
     return len(_echelon(rep, x.rows, {} if echelons is None else echelons))
 
 
-def represent(rep: QRepresentation, provenance: str = "represented") -> QMatroid:
+def represent(rep: QRepresentation) -> QMatroid:
     """Materialize the represented q-matroid's full rank table."""
     lattice = get_lattice(rep.base_spec)
     echelons = {}
     ranks = [represented_rank(rep, s, echelons) for s in lattice.subspaces]
-    return QMatroid(lattice, ranks, provenance)
+    return QMatroid(lattice, ranks, "represented")
 
 
 def verify_representation(

@@ -373,7 +373,7 @@ def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
     # The atom (line) through each nonzero code; bit 0, the zero vector,
     # lies in every atom and is never a candidate.
     atom_of = [0] * len(coords.codes)
-    for a in coords.atoms:
+    for a in coords.by_dim[1]:
         mask = coords.masks[a] & ~1
         while mask:
             low = mask & -mask
@@ -595,9 +595,6 @@ class Lattice:
         self.dims: tuple[int, ...] = tuple(s.dim for s in self.subspaces)
         self.bottom_index = 0
         self.top_index = len(self.subspaces) - 1
-        self.atoms: tuple[int, ...] = tuple(
-            i for i, d in enumerate(self.dims) if d == 1
-        )
         self.by_dim: dict[int, tuple[int, ...]] = {
             k: tuple(i for i, d in enumerate(self.dims) if d == k)
             for k in range(n + 1)
@@ -609,7 +606,12 @@ class Lattice:
         by_rows = {s.rows: i for i, s in enumerate(self.subspaces)}
         grown = [(by_rows[s.rows[:-1]], by_rows[s.rows[-1:]]) for s in self.subspaces[1:]]
         spreads, add = _spread_adder(field.p, n * field.e)
-        code_of = {s: c for c, s in enumerate(spreads)}
+        # A mask is written as binary digits, the last vector code's first,
+        # and parsed once: linear in q^n, where summing 1 << code over the
+        # points copies the growing int at every step.
+        width = len(spreads)
+        digit_of = {s: width - 1 - c for c, s in enumerate(spreads)}
+        zeros = b"0" * width
         points = [[0]]  # spread codes; the bottom holds the zero vector
         for i, (parent, atom) in enumerate(grown, 1):
             if parent == self.bottom_index:
@@ -620,9 +622,13 @@ class Lattice:
                 ])
             else:
                 points.append([add(u, w) for w in points[atom] for u in points[parent]])
-        self.masks: tuple[int, ...] = tuple(
-            sum(1 << code_of[s] for s in pts) for pts in points
-        )
+        masks = []
+        for pts in points:
+            digits = bytearray(zeros)
+            for s in pts:
+                digits[digit_of[s]] = 49  # ord("1")
+            masks.append(int(digits, 2))
+        self.masks: tuple[int, ...] = tuple(masks)
         by_mask = {m: i for i, m in enumerate(self.masks)}
         self.meet_table = [
             [by_mask[mi & mj] for mj in self.masks] for mi in self.masks

@@ -68,10 +68,10 @@ def test_q_rado_free_matroid_reduces_to_q_hall():
 
 
 def test_q_rado_sides_match_per_pair_oracle():
-    # The scan shares one family context (meets and fast-test verdicts)
-    # across the matroid pool; the oracle recomputes everything per pair.
+    # The scan shares one dict of fast-test verdicts per family across the
+    # matroid pool; the oracle recomputes everything per pair.
     from qtransversal import SubspaceFamily, is_partial_q_transversal
-    from qtransversal.conjectures import _family_context, _q_rado_sides
+    from qtransversal.conjectures import _q_rado_sides
     from qtransversal.qtransversals import family_meet
     import itertools
 
@@ -113,9 +113,9 @@ def test_q_rado_sides_match_per_pair_oracle():
         for size in range(3):
             for members in itertools.product(lattice.subspaces, repeat=size):
                 fam = SubspaceFamily(lattice.spec, members)
-                context = _family_context(fam)
+                verdicts = {}
                 for matroid in pool:
-                    assert _q_rado_sides(matroid, fam, context) == oracle(matroid, fam)
+                    assert _q_rado_sides(matroid, fam, verdicts) == oracle(matroid, fam)
                     pairs += 1
     assert pairs == 2 * 7 + 6 * 31 + 32 * 273 + 7 * 43
 
@@ -131,11 +131,12 @@ def test_scan_determinism():
 
 # sha256 of canonical(report), pinned so that a refactor of the scan
 # engine cannot change a report unnoticed; each was taken from a release
-# that still echoed a "shards" key in the config, with that key removed.
+# that still echoed a "shards" key in the config, with that key removed,
+# and the representability one with the "seed" its config now records.
 GOLDEN_REPORT_SHA256 = {
     "q-rado": "2ff5575fdaf1a7f6e90075943b3911d8fc1c50b498a02aac2803fd2bf464dab1",
     "minimal-uniqueness": "b834bef1656f5d8df70cfb435278df1f7b754923311a5b405896a5ee21a3668c",
-    "representability": "a4035746cca54aee7f17e654568bb473a6cd011c0d82e3ac5f338625c22afd77",
+    "representability": "256981caec9012dce18a60de3b91d5d18be4f85777b7d8f34db2e6834b391b77",
 }
 
 
@@ -181,6 +182,26 @@ def test_representability_scan_deterministic_with_seed():
     a = scan_representability(cfg, max_ext_degree=2, attempts_per_degree=30)
     b = scan_representability(cfg, max_ext_degree=2, attempts_per_degree=30)
     assert canonical(a) == canonical(b)
+
+
+def test_representability_report_records_its_seed():
+    # The exhaustive search is seeded too, so the report's config must
+    # name the seed for a replay from it to reproduce the report.
+    def scan(cfg):
+        return scan_representability(cfg, max_ext_degree=2, attempts_per_degree=3)
+
+    seeded = scan(ScanConfig(q=2, max_dim=2, max_family=2, seed=5))
+    unseeded = scan(ScanConfig(q=2, max_dim=2, max_family=2))
+    assert seeded.config["seed"] == 5
+    assert "seed" not in unseeded.config
+    assert canonical(seeded) != canonical(unseeded)
+    block = seeded.to_jsonable()["config"]
+    replay = scan_representability(
+        ScanConfig.from_jsonable(block),
+        max_ext_degree=block["max_ext_degree"],
+        attempts_per_degree=block["attempts_per_degree"],
+    )
+    assert canonical(replay) == canonical(seeded)
 
 
 def test_random_mode_reproducible():

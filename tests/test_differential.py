@@ -1,0 +1,72 @@
+"""Differential tests over random small specs: independent routes to one
+verdict must agree on GF(2)^<=4, GF(3)^<=3 and GF(4)^<=2 with families
+of at most three members."""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtransversal import (
+    SubspaceFamily,
+    VectorSpaceSpec,
+    field_make,
+    get_lattice,
+    is_partial_q_transversal,
+    presentation_matroid,
+    q_transversal_by_definition,
+    rank_one,
+    recheck_certificate,
+    union,
+)
+from qtransversal.conjectures import _q_rado_sides, default_matroid_source
+from qtransversal.subspaces import count_bases
+
+SPACES = (
+    [(2, 1, n) for n in range(1, 5)]
+    + [(3, 1, n) for n in range(1, 4)]
+    + [(2, 2, n) for n in range(1, 3)]
+)
+DEFINITION_BASIS_CAP = 2000
+
+
+@st.composite
+def families(draw):
+    """A lattice and a family of at most three of its subspaces."""
+    p, e, n = draw(st.sampled_from(SPACES))
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    members = draw(st.lists(st.integers(0, len(lattice) - 1), max_size=3))
+    return lattice, SubspaceFamily(lattice.spec, tuple(lattice.subspaces[i] for i in members))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(families(), st.data())
+def test_q_transversal_routes_agree(drawn, data):
+    lattice, fam = drawn
+    t = lattice.subspaces[data.draw(st.integers(0, len(lattice) - 1))]
+    cert = is_partial_q_transversal(t, fam)
+    assert recheck_certificate(cert, t, fam)
+    assert presentation_matroid(fam).independent(t) == cert.verdict
+    if fam.members:
+        reference = union([rank_one(x) for x in fam.members]).independent(t)
+    else:
+        reference = t.dim == 0  # the empty family presents the rank-0 matroid
+    assert reference == cert.verdict
+    if count_bases(t) <= DEFINITION_BASIS_CAP:
+        assert q_transversal_by_definition(t, fam) == cert.verdict
+
+
+@lru_cache(maxsize=None)
+def pool(lattice):
+    return default_matroid_source(lattice)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(families())
+def test_q_rado_sides_share_verdicts_across_the_pool(drawn):
+    # A scan passes one verdicts dict per family to every matroid of the
+    # pool; each pair must come out as it does with a fresh dict.
+    lattice, fam = drawn
+    shared = {}
+    for matroid in pool(lattice):
+        assert _q_rado_sides(matroid, fam, shared) == _q_rado_sides(matroid, fam, {})

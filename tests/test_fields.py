@@ -277,7 +277,7 @@ def test_prime_field_arithmetic_matches_digit_route(p):
         assert f.format_code(a) == "0123456789abc"[a]
 
 
-@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (5, 2), (3, 4), (3, 5), (5, 3)])
 def test_extension_multiplication_matches_digit_route(p, e):
     f = field_make(p, e)
     for a, b in itertools.product(range(f.order), repeat=2):
