@@ -166,6 +166,7 @@ class ClassicalMatroid:
     def linear(cls, ground, field: FieldSpec, columns) -> "ClassicalMatroid":
         """Column matroid: rank of a subset is the field rank of its columns."""
         ground = tuple(ground)
+        columns = tuple(columns)
         cols = {}
         width = None
         for label, col in zip(ground, columns):
@@ -175,7 +176,7 @@ class ClassicalMatroid:
             elif len(col) != width:
                 raise OutOfRange("all columns must have the same length")
             cols[label] = col
-        if len(cols) != len(ground):
+        if not len(cols) == len(columns) == len(ground):
             raise GroundMismatch("one column per ground element is required")
 
         def rank_fn(subset):

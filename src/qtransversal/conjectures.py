@@ -89,8 +89,10 @@ class ScanConfig:
             raise OutOfRange("max_family must be non-negative")
         if self.mode not in ("exhaustive", "random"):
             raise OutOfRange(f"unknown scan mode {self.mode!r}")
-        if self.mode == "random" and (self.seed is None or not self.count):
-            raise OutOfRange("random mode requires an explicit seed and count")
+        if self.mode == "random" and (
+            self.seed is None or type(self.count) is not int or self.count < 1
+        ):
+            raise OutOfRange("random mode requires an explicit seed and a positive count")
 
     def space(self, dim: int) -> VectorSpaceSpec:
         return VectorSpaceSpec.from_jsonable({"q": self.q, "dim": dim})

@@ -85,8 +85,7 @@ class QMatroid:
         return self.ranks[self.lattice.idx(a)]
 
     def independent(self, a: Subspace) -> bool:
-        i = self.lattice.idx(a)
-        return self.ranks[i] == self.lattice.dims[i]
+        return self.independent_idx(self.lattice.idx(a))
 
     def independent_idx(self, i: int) -> bool:
         return self.ranks[i] == self.lattice.dims[i]
@@ -187,15 +186,10 @@ class QMatroid:
         """
         lat = self.lattice
         si = lat.idx(s)
-        if self.lattice.dims[si] - self.ranks[si] != 1:
-            raise WrongNullity(
-                f"fundamental circuit needs nullity 1, got {self.lattice.dims[si] - self.ranks[si]}"
-            )
-        ones = [
-            t
-            for t in lat.below[si]
-            if lat.dims[t] - self.ranks[t] == 1
-        ]
+        nullity = lat.dims[si] - self.ranks[si]
+        if nullity != 1:
+            raise WrongNullity(f"fundamental circuit needs nullity 1, got {nullity}")
+        ones = [t for t in lat.below[si] if lat.dims[t] - self.ranks[t] == 1]
         ci = ones[0]
         for t in ones[1:]:
             ci = lat.meet_idx(ci, t)
@@ -233,14 +227,18 @@ class QMatroid:
     @classmethod
     def from_jsonable(cls, lattice: Lattice, block: Mapping) -> QMatroid:
         """The validated q-matroid of a serialized rank table, which must
-        cover every subspace of the lattice (else IncompleteTable)."""
-        table = {tuple(entry["subspace"]): entry["rank"] for entry in block["rank_table"]}
+        cover every subspace of the lattice (else IncompleteTable) and list
+        each once, with no other entry (else InvalidRankTable)."""
+        entries = block["rank_table"]
+        table = {tuple(entry["subspace"]): entry["rank"] for entry in entries}
         ranks = []
         for s in lattice.subspaces:
             rows = tuple(s.to_rows())
             if rows not in table:
                 raise IncompleteTable(f"rank table misses subspace {list(rows)}")
             ranks.append(table[rows])
+        if len(entries) != len(ranks):
+            raise InvalidRankTable(f"{len(entries)} rank table entries for {len(ranks)} subspaces")
         return matroid_from_table(lattice, ranks, block.get("provenance", "table"))
 
 
@@ -298,9 +296,9 @@ def _first_failure(lattice: Lattice, f: Sequence[int]) -> SubmodularReport:
             if f[j] > fi:
                 return SubmodularReport(False, "monotone", (subspaces[j], subspaces[i]))
     size = len(lattice)
-    for i, (fi, meets, joins) in enumerate(zip(f, lattice.meet_table, lattice.join_table)):
+    for i, (fi, meets) in enumerate(zip(f, lattice.meet_table)):
         for j in range(i + 1, size):
-            if f[meets[j]] + f[joins[j]] > fi + f[j]:
+            if f[meets[j]] + f[lattice.join_idx(i, j)] > fi + f[j]:
                 return SubmodularReport(False, "submodular", (subspaces[i], subspaces[j]))
     return SubmodularReport(True, None, None)
 
@@ -392,11 +390,10 @@ def union(members: Sequence[QMatroid]) -> QMatroid:
     if not members:
         raise SpecMismatch("union needs at least one matroid")
     lattice = members[0].lattice
+    summed = members[0].ranks
     for m in members[1:]:
         if m.spec != lattice.spec:
             raise SpecMismatch("union members live on different spaces")
-    summed = members[0].ranks
-    for m in members[1:]:
         summed = map(add, summed, m.ranks)
     return induce(lattice, _IntTable(list(summed)), "union")
 

@@ -37,7 +37,8 @@ SUBSPACE_BLOCK_CAP = 10**6
 BASIS_CAP = 10**6
 #: Largest lattice build, charged as S^2 meet-table entries (S subspaces)
 #: times the q^n-bit width of the masks each entry intersects.  A build
-#: at the cap takes about 4 s (GF(7)^4 charges 3.2e10; 2-vCPU Xeon VM).
+#: at the cap, GF(7)^4 (3.2e10), takes about 3.8 s and peaks at 135 MiB
+#: RSS in a fresh process (2-vCPU Xeon VM).
 LATTICE_CAP = 2**35
 
 
@@ -355,8 +356,8 @@ def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
     are therefore numbered by the vector codes of the coordinate lattice
     of GF(q)^r.  Each basis grows one code at a time, in ascending
     order: a later code extends a prefix when its bit is clear in the
-    mask of the prefix's span, and the new span is read from the join
-    table.  Dependent prefixes are skipped, not filtered afterwards.
+    mask of the prefix's span; an inner node joins that span with the
+    code's atom.  Dependent prefixes are skipped, not filtered afterwards.
 
     The coordinate lattice is built after the guard.  Only a raised
     basis_cap reaches one above LATTICE_CAP (GF(2)^7 has about 10^11
@@ -380,12 +381,12 @@ def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
             atom_of[low.bit_length() - 1] = a
             mask ^= low
     yield from _extend_bases(
-        subspace_vectors(t), coords.masks, coords.join_table, atom_of,
+        subspace_vectors(t), coords.masks, coords.join_idx, atom_of,
         (), coords.bottom_index, 1, r,
     )
 
 
-def _extend_bases(vectors, masks, join_table, atom_of, prefix, span, start, left):
+def _extend_bases(vectors, masks, join_idx, atom_of, prefix, span, start, left):
     # A module-level generator: a nested one that recursed through its
     # closure would leave a function-cell reference cycle per call.
     inside = masks[span]
@@ -397,8 +398,8 @@ def _extend_bases(vectors, masks, join_table, atom_of, prefix, span, start, left
     for k in range(start, len(vectors)):
         if not inside >> k & 1:
             yield from _extend_bases(
-                vectors, masks, join_table, atom_of, prefix + (vectors[k],),
-                join_table[span][atom_of[k]], k + 1, left - 1,
+                vectors, masks, join_idx, atom_of, prefix + (vectors[k],),
+                join_idx(span, atom_of[k]), k + 1, left - 1,
             )
 
 
@@ -551,7 +552,7 @@ def _spread_adder(p: int, digits: int):
 
 
 class Lattice:
-    """Fully materialized subspace lattice with order and meet/join tables.
+    """Fully materialized subspace lattice with its order in one meet table.
 
     Subspaces are indexed in enumeration order (ascending dimension), so
     index 0 is the bottom element, the last index is the ambient space,
@@ -572,10 +573,10 @@ class Lattice:
     complements are read off their RREF; every other subspace's is the
     meet of its parent's and its last row's.
 
-    The masks, ``perp``, ``below``, and the meet and join tables are
-    built eagerly.  The cover columns (``covers``) and the diamonds
-    (``diamonds``), which the submodularity check and the induction
-    walk, are built on first use.  Every query afterwards is a lookup.
+    The masks, ``perp``, ``below`` and the meet table are built eagerly.
+    The cover columns (``covers``) and the diamonds (``diamonds``), which
+    the submodularity check and the induction walk, are built on first
+    use.  Every query afterwards is a lookup.
     """
 
     def __init__(self, spec: VectorSpaceSpec):
@@ -646,10 +647,6 @@ class Lattice:
             else:
                 perp.append(self.meet_table[perp[parent]][perp[atom]])
         self.perp: tuple[int, ...] = tuple(perp)
-        self.join_table = [
-            [perp[row[pj]] for pj in perp]
-            for row in (self.meet_table[pi] for pi in perp)
-        ]
 
     @cached_property
     def covers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -672,7 +669,7 @@ class Lattice:
         for lo, hi in zip(*self.covers):
             upper_covers[lo].append(hi)
         quads = [
-            (x, y, z, self.join_table[y][z])
+            (x, y, z, self.join_idx(y, z))
             for x, ups in enumerate(upper_covers)
             for y, z in itertools.combinations(ups, 2)
         ]
@@ -694,7 +691,8 @@ class Lattice:
         return self.meet_table[i][j]
 
     def join_idx(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        perp = self.perp
+        return perp[self.meet_table[perp[i]][perp[j]]]
 
     def contains_idx(self, i: int, vector) -> bool:
         return self.masks[i] >> self.codes[tuple(vector)] & 1 == 1

@@ -107,6 +107,14 @@ def test_rado_command(tmp_path, capsys):
     assert code == 0 and out["verdict"] is True
 
 
+def test_rado_rejects_a_column_count_unlike_the_ground(tmp_path, capsys):
+    matroid = {"kind": "linear", "q": 2, "columns": ["10", "01", "11"]}
+    for ground in (["s1", "s2"], ["s1", "s2", "s3", "s4"]):
+        doc = {"ground": ground, "members": [["s1"]], "matroid": matroid}
+        code, out = run_cli(capsys, "rado", write(tmp_path, "i.json", doc))
+        assert code == 2 and out["message"].startswith("GroundMismatch: ")
+
+
 def test_avoid_rado_command(tmp_path, capsys):
     matroid = {"kind": "linear", "q": 2, "columns": ["10", "01", "11"]}
     ground = ["s1", "s2", "s3"]
@@ -271,6 +279,42 @@ def test_verify_representation_names_a_missing_subspace(tmp_path, capsys):
     code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
     assert code == 2
     assert out["message"] == f"IncompleteTable: rank table misses subspace {dropped}"
+
+
+@pytest.mark.parametrize(
+    "extra", [{"subspace": ["10"], "rank": 7}, {"subspace": ["20"], "rank": 1}],
+    ids=["repeated", "foreign"],
+)
+def test_verify_representation_rejects_an_extra_rank_entry(tmp_path, capsys, extra):
+    # A repeated subspace would keep its last rank, and rows that name no
+    # subspace of GF(2)^2 would be ignored, if the table were read as a dict.
+    code, built = run_cli(
+        capsys, "build-matroid", write(tmp_path, "b.json", {"q": 2, "dim": 2, "family": [["10"]]})
+    )
+    assert code == 0
+    matroid = built["matroid"]
+    doc = {
+        "q": 2,
+        "dim": 2,
+        "matroid": matroid,
+        "representation": {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": ["01"]},
+    }
+    code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
+    assert code == 0 and out["verdict"] is True
+    matroid["rank_table"].append(extra)
+    code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
+    assert code == 2
+    assert out["message"] == "InvalidRankTable: 6 rank table entries for 5 subspaces"
+
+
+@pytest.mark.parametrize("count", [-3, 0, True, "3"])
+def test_random_scan_requires_a_positive_count(tmp_path, capsys, count):
+    scan = {"kind": "q-rado", "q": 2, "max_dim": 1, "max_family": 1, "mode": "random", "seed": 1}
+    code, out = run_cli(capsys, "scan", write(tmp_path, "i.json", {"scan": {**scan, "count": 2}}))
+    assert code == 0 and out["report"]["instances_checked"] > 0
+    path = write(tmp_path, "i.json", {"scan": {**scan, "count": count}})
+    code, out = run_cli(capsys, "scan", path)
+    assert code == 2 and out["message"].startswith("OutOfRange: ")
 
 
 def test_represent_aligned_beyond_the_field_cap_is_infeasible(tmp_path, capsys):

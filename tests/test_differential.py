@@ -1,9 +1,11 @@
 """Differential tests over random small specs: independent routes to one
 verdict must agree on GF(2)^<=4, GF(3)^<=3 and GF(4)^<=2 with families
-of at most three members."""
+of at most three members.  The join of the circuits below a subspace is
+compared with RREF joins exhaustively, over every pool matroid."""
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from qtransversal import (
     field_make,
     get_lattice,
     is_partial_q_transversal,
+    join,
     presentation_matroid,
     q_transversal_by_definition,
     rank_one,
@@ -70,3 +73,24 @@ def test_q_rado_sides_share_verdicts_across_the_pool(drawn):
     shared = {}
     for matroid in pool(lattice):
         assert _q_rado_sides(matroid, fam, shared) == _q_rado_sides(matroid, fam, {})
+
+
+CIRCUIT_SPACES = [(2, 1, n) for n in range(1, 4)] + [(3, 1, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "p,e,n", CIRCUIT_SPACES, ids=[f"{p**e}-{n}" for p, e, n in CIRCUIT_SPACES]
+)
+def test_circuit_join_matches_rref_joins(p, e, n):
+    # circuit_join_idx folds the lattice's join over the circuits below X;
+    # the reference tests C <= X and joins by RREF of the stacked rows.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    bottom = lattice.subspaces[lattice.bottom_index]
+    for matroid in pool(lattice):
+        circuits = matroid.circuits()
+        for xi, x in enumerate(lattice.subspaces):
+            expected = bottom
+            for c in circuits:
+                if join(c, x) == x:
+                    expected = join(expected, c)
+            assert lattice.subspaces[matroid.circuit_join_idx(xi)] == expected

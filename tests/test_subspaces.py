@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -383,6 +384,23 @@ def test_lattice_build_matches_per_subspace_routes(p, e, n):
     for i, s in enumerate(lat.subspaces):
         assert lat.masks[i] == sum(1 << lat.codes[v] for v in subspace_vectors(s))
         assert lat.perp[i] == lat.idx(_orthogonal_complement(s))
+
+
+def test_lattice_build_holds_one_square_table():
+    # The meet table is the build's one S x S table: joins come from it
+    # and perp.  Its list slots take S^2 * 8 bytes; the traced peak stays
+    # under twice that, which a second square table would cross.
+    from qtransversal.subspaces import Lattice
+
+    spec = VectorSpaceSpec(field_make(2, 1), 5)
+    tracemalloc.start()
+    try:
+        size = len(Lattice(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 374
+    assert peak < 2 * size * size * 8
 
 
 def test_serialization_round_trip():
