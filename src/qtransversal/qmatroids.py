@@ -33,7 +33,7 @@ of A.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -47,7 +47,6 @@ from .errors import (
 from .subspaces import Lattice, Subspace, VectorSpaceSpec, get_lattice
 
 SubmodularReport = namedtuple("SubmodularReport", "ok failure witness")
-AxiomReport = namedtuple("AxiomReport", "ok failure witness")
 
 
 class QMatroid:
@@ -117,12 +116,11 @@ class QMatroid:
         elementwise min over bases B of dim(B meet X), built on first use."""
         if self._bar_nullity is None:
             lat = self.lattice
-            bases = self.bases_idx()
+            rows = [lat.meet_row(b) for b in self.bases_idx()]
             # Lattice indices ascend with dimension, so the least index
             # among the meets B meet X is one of least dimension.  The
-            # repeated first basis keeps the picked meets a tuple.
-            pick = itemgetter(*bases, bases[0])
-            self._bar_nullity = tuple(lat.dims[min(pick(row))] for row in lat.meet_table)
+            # repeated first row keeps min's arguments a sequence.
+            self._bar_nullity = tuple(map(lat.dims.__getitem__, map(min, *rows, rows[0])))
         return self._bar_nullity
 
     def circuits(self) -> tuple[Subspace, ...]:
@@ -296,7 +294,8 @@ def _first_failure(lattice: Lattice, f: Sequence[int]) -> SubmodularReport:
             if f[j] > fi:
                 return SubmodularReport(False, "monotone", (subspaces[j], subspaces[i]))
     size = len(lattice)
-    for i, (fi, meets) in enumerate(zip(f, lattice.meet_table)):
+    for i, fi in enumerate(f):
+        meets = lattice.meet_row(i)
         for j in range(i + 1, size):
             if f[meets[j]] + f[lattice.join_idx(i, j)] > fi + f[j]:
                 return SubmodularReport(False, "submodular", (subspaces[i], subspaces[j]))
@@ -328,16 +327,13 @@ def check_submodular(lattice: Lattice, values) -> SubmodularReport:
     return report
 
 
-def check_rank_axioms(lattice: Lattice, ranks: Sequence[int]) -> AxiomReport:
+def check_rank_axioms(lattice: Lattice, ranks: Sequence[int]) -> SubmodularReport:
     """Check boundedness, monotonicity and submodularity of a rank table."""
     r = _dense_values(lattice, ranks)
     for i in range(len(lattice)):
         if not 0 <= r[i] <= lattice.dims[i]:
-            return AxiomReport(False, "bounded", (lattice.subspaces[i],))
-    report = check_submodular(lattice, _IntTable(r))
-    if not report.ok:
-        return AxiomReport(False, report.failure, report.witness)
-    return AxiomReport(True, None, None)
+            return SubmodularReport(False, "bounded", (lattice.subspaces[i],))
+    return check_submodular(lattice, _IntTable(r))
 
 
 def induce(lattice: Lattice, values, provenance: str = "induced") -> QMatroid:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import add
 
 from .classical import (
     SetFamily,
@@ -85,10 +86,10 @@ def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     for mask, xj in enumerate(fam.meet_indices):
         cost[xj] = min(cost.get(xj, len(fam)), len(fam) - mask.bit_count())
     dims = lattice.dims
-    ranks = [
-        dims[a] + min(c - dims[row[xj]] for xj, c in cost.items())
-        for a, row in enumerate(lattice.meet_table)
-    ]
+    # One column per distinct X(J), then the elementwise min; the repeated
+    # first column keeps min's arguments a sequence for a single X(J).
+    cols = [[c - dims[m] for m in lattice.meet_row(xj)] for xj, c in cost.items()]
+    ranks = map(add, dims, map(min, *cols, cols[0]))
     return QMatroid(lattice, ranks, "presentation")
 
 
@@ -150,7 +151,7 @@ def is_partial_q_transversal(
     theorem guarantees they exist, and a missing one raises.
     """
     lattice = fam.lattice
-    t_meets = lattice.meet_table[lattice.idx(t)]
+    t_meets = lattice.meet_row(lattice.idx(t))
     n = len(fam)
     for mask, xj in enumerate(fam.meet_indices):
         md = lattice.dims[t_meets[xj]]

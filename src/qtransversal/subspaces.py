@@ -35,10 +35,12 @@ VECTOR_CAP = 2**20
 SUBSPACE_BLOCK_CAP = 10**6
 #: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
-#: Largest lattice build, charged as S^2 meet-table entries (S subspaces)
-#: times the q^n-bit width of the masks each entry intersects.  A build
-#: at the cap, GF(7)^4 (3.2e10), takes about 3.8 s and peaks at 135 MiB
-#: RSS in a fresh process (2-vCPU Xeon VM).
+#: Largest lattice, charged before building with one unit per subspace,
+#: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a
+#: join's fixed cost (about 1.5 us) plus the q^n-bit masks it intersects.
+#: GF(7)^4 (1.6e10) builds with its covers and diamonds in 1.9 s and peaks
+#: at 163 MiB RSS; the refused GF(31)^3 (4.7e10) takes 5.7 s and 211 MiB,
+#: GF(2)^7 (5.6e10) 8.4 s and 646 MiB (fresh processes, 2-vCPU Xeon VM).
 LATTICE_CAP = 2**35
 
 
@@ -371,17 +373,9 @@ def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
     if total > basis_cap:
         raise InfeasibleScale(f"{total} vector bases exceed the basis cap {basis_cap}")
     coords = get_lattice(VectorSpaceSpec(t.spec.field, r))
-    # The atom (line) through each nonzero code; bit 0, the zero vector,
-    # lies in every atom and is never a candidate.
-    atom_of = [0] * len(coords.codes)
-    for a in coords.by_dim[1]:
-        mask = coords.masks[a] & ~1
-        while mask:
-            low = mask & -mask
-            atom_of[low.bit_length() - 1] = a
-            mask ^= low
+    # Bit 0, the zero vector, is in every span and never a candidate.
     yield from _extend_bases(
-        subspace_vectors(t), coords.masks, coords.join_idx, atom_of,
+        subspace_vectors(t), coords.masks, coords.join_idx, coords.atom_of,
         (), coords.bottom_index, 1, r,
     )
 
@@ -466,7 +460,7 @@ class SubspaceFamily:
         lattice = self.lattice
         meets = [lattice.top_index]
         for m in self.members:
-            row = lattice.meet_table[lattice.idx(m)]
+            row = lattice.meet_row(lattice.idx(m))
             meets += [row[x] for x in meets]
         return tuple(meets)
 
@@ -552,43 +546,52 @@ def _spread_adder(p: int, digits: int):
 
 
 class Lattice:
-    """Fully materialized subspace lattice with its order in one meet table.
+    """Fully materialized subspace lattice, its order read from point masks.
 
     Subspaces are indexed in enumeration order (ascending dimension), so
     index 0 is the bottom element, the last index is the ambient space,
     and a smaller index never has a larger dimension.  Each subspace's
     point set is held one way: an int bitmask ``masks[i]`` whose bit
     ``codes[v]`` is set exactly when the vector v lies in subspace i
-    (``codes`` numbers the q^n vectors of V in lexicographic order).
+    (``codes`` numbers the q^n vectors of V in lexicographic order), and
+    ``by_mask`` indexes the subspaces by mask.
 
-    Every table is derived from the masks.  A subspace's parent is the
+    Every order query is read from the masks.  A subspace's parent is the
     span of its RREF rows less the last, and its points are the parent's
     points plus the multiples of that last row, which are the points of
     the atom the row spans; so each mask grows from two smaller ones.
     The meet is the intersection of point sets, ``masks[i] & masks[j]``,
-    looked up among the masks; j lies below i exactly when their meet is
-    j.  The join comes by duality under the standard dot product, which
-    is nondegenerate over every GF(q): U + W = (U-perp meet W-perp)-perp.
-    ``perp[i]`` indexes the complement of subspace i.  Only the atoms'
-    complements are read off their RREF; every other subspace's is the
-    meet of its parent's and its last row's.
+    looked up in ``by_mask``; j lies below i exactly when its mask is a
+    subset of i's.  The join comes by duality under the standard dot
+    product, which is nondegenerate over every GF(q): U + W = (U-perp
+    meet W-perp)-perp.  ``perp[i]`` indexes the complement of subspace i.
+    Only the atoms' complements are read off their RREF; every other
+    subspace's is the meet of its parent's and its last row's.
+    ``atom_of[c]`` indexes the atom through the nonzero vector of code c.
 
-    The masks, ``perp``, ``below`` and the meet table are built eagerly.
-    The cover columns (``covers``) and the diamonds (``diamonds``), which
-    the submodularity check and the induction walk, are built on first
-    use.  Every query afterwards is a lookup.
+    The masks, ``by_mask``, ``perp`` and ``atom_of`` are built eagerly;
+    none of them is S x S (S subspaces).  The rest is built on first use
+    and kept: the cover columns (``covers``), ``below`` and the diamonds
+    (``diamonds``), which the axiom checks, induction and circuits walk,
+    and one meet row per subspace asked for (``meet_row``), which the
+    scans read again for every family and matroid.
     """
 
     def __init__(self, spec: VectorSpaceSpec):
         field = spec.field
         q = field.order
         n = spec.dim
-        total = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-        work = total * total * spec.num_vectors
+        # A k-dim subspace has [n-k 1]_q upper covers, and each pair of
+        # them spans one diamond.
+        units = 0
+        for k in range(n + 1):
+            ups = (q ** (n - k) - 1) // (q - 1)
+            units += gaussian_binomial(n, k, q) * (1 + ups + math.comb(ups, 2))
+        work = units * (2**14 + spec.num_vectors)
         if work > LATTICE_CAP:
             raise InfeasibleScale(
-                f"lattice build of {total}^2 entries on {spec.num_vectors}-bit "
-                f"masks ({work}) exceeds the cap {LATTICE_CAP}"
+                f"lattice of {units} subspaces, cover pairs and diamonds on "
+                f"{spec.num_vectors}-bit masks ({work}) exceeds the cap {LATTICE_CAP}"
             )
         self.spec = spec
         self.subspaces: tuple[Subspace, ...] = tuple(enumerate_subspaces(spec))
@@ -614,13 +617,15 @@ class Lattice:
         digit_of = {s: width - 1 - c for c, s in enumerate(spreads)}
         zeros = b"0" * width
         points = [[0]]  # spread codes; the bottom holds the zero vector
+        # The zero vector lies in every atom; its entry is never read.
+        atom_of = [self.bottom_index] * width
         for i, (parent, atom) in enumerate(grown, 1):
             if parent == self.bottom_index:
                 row = self.subspaces[i].rows[0]
-                points.append([
-                    spreads[self.codes[tuple(field.mul_codes(c, x) for x in row)]]
-                    for c in range(q)
-                ])
+                line = [self.codes[tuple(field.mul_codes(c, x) for x in row)] for c in range(q)]
+                for c in line[1:]:
+                    atom_of[c] = i
+                points.append([spreads[c] for c in line])
             else:
                 points.append([add(u, w) for w in points[atom] for u in points[parent]])
         masks = []
@@ -630,35 +635,48 @@ class Lattice:
                 digits[digit_of[s]] = 49  # ord("1")
             masks.append(int(digits, 2))
         self.masks: tuple[int, ...] = tuple(masks)
-        by_mask = {m: i for i, m in enumerate(self.masks)}
-        self.meet_table = [
-            [by_mask[mi & mj] for mj in self.masks] for mi in self.masks
-        ]
-        # Below i lie i itself and subspaces of smaller dimension, so of
-        # smaller index.
-        self.below: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j in range(i + 1) if row[j] == j)
-            for i, row in enumerate(self.meet_table)
-        )
+        self.by_mask: dict[int, int] = {m: i for i, m in enumerate(masks)}
+        self.atom_of: tuple[int, ...] = tuple(atom_of)
         perp = [self.top_index]
         for i, (parent, atom) in enumerate(grown, 1):
             if parent == self.bottom_index:
                 perp.append(self.index[_orthogonal_complement(self.subspaces[i])])
             else:
-                perp.append(self.meet_table[perp[parent]][perp[atom]])
+                perp.append(self.by_mask[masks[perp[parent]] & masks[perp[atom]]])
         self.perp: tuple[int, ...] = tuple(perp)
+        self._meet_rows: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def covers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Every cover pair as two index columns (lower, upper), the upper
         one dimension above the lower, ordered by upper and then lower: a
         walk down the columns meets all lower covers of a subspace before
-        it meets that subspace as a lower one."""
-        dims = self.dims
-        lower, upper = zip(*(
-            (j, i) for i, row in enumerate(self.below) for j in row if dims[j] == dims[i] - 1
-        ))
+        it meets that subspace as a lower one.
+
+        The upper covers of j are its joins with the atoms outside it, and
+        each point outside j lies in exactly one of them, so the walk joins
+        j with the atom of the lowest point not yet covered and drops the
+        new cover's points: one join per cover pair."""
+        masks, atom_of, join_idx = self.masks, self.atom_of, self.join_idx
+        everything = masks[self.top_index]
+        lowers = [[] for _ in self.subspaces]
+        for j, mask in enumerate(masks):
+            rest = everything & ~mask
+            while rest:
+                up = join_idx(j, atom_of[(rest & -rest).bit_length() - 1])
+                lowers[up].append(j)
+                rest &= ~masks[up]
+        lower, upper = zip(*((j, i) for i, row in enumerate(lowers) for j in row))
         return lower, upper
+
+    @cached_property
+    def below(self) -> tuple[tuple[int, ...], ...]:
+        """below[i]: every subspace below subspace i, i itself included, in
+        index order; i with the subspaces below each lower cover of i."""
+        below = [{i} for i in range(len(self))]
+        for lo, hi in zip(*self.covers):
+            below[hi] |= below[lo]
+        return tuple(tuple(sorted(b)) for b in below)
 
     @cached_property
     def diamonds(self) -> tuple[tuple[int, ...], ...]:
@@ -685,14 +703,25 @@ class Lattice:
         return i
 
     def leq_idx(self, i: int, j: int) -> bool:
-        return self.meet_table[i][j] == i
+        mi = self.masks[i]
+        return mi & self.masks[j] == mi
 
     def meet_idx(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        masks = self.masks
+        return self.by_mask[masks[i] & masks[j]]
 
     def join_idx(self, i: int, j: int) -> int:
-        perp = self.perp
-        return perp[self.meet_table[perp[i]][perp[j]]]
+        masks, perp = self.masks, self.perp
+        return perp[self.by_mask[masks[perp[i]] & masks[perp[j]]]]
+
+    def meet_row(self, i: int) -> tuple[int, ...]:
+        """The index of the meet of subspace i with every subspace, in index
+        order: computed from the masks on first use, then kept."""
+        row = self._meet_rows.get(i)
+        if row is None:
+            by_mask, mi = self.by_mask, self.masks[i]
+            row = self._meet_rows[i] = tuple([by_mask[mi & m] for m in self.masks])
+        return row
 
     def contains_idx(self, i: int, vector) -> bool:
         return self.masks[i] >> self.codes[tuple(vector)] & 1 == 1

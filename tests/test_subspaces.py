@@ -370,6 +370,25 @@ def test_lattice_covers_and_diamonds(p, e, n):
         assert (dims[y], dims[z], dims[w]) == (dims[x] + 1, dims[x] + 1, dims[x] + 2)
 
 
+@pytest.mark.parametrize(
+    "p,e,n", LATTICE_SPACES, ids=[f"{p**e}-{n}" for p, e, n in LATTICE_SPACES]
+)
+def test_meet_rows_and_covers_match_rref(p, e, n):
+    # The rows and the cover walk read the order from the masks; the
+    # reference meets by Zassenhaus and tests containment by elimination.
+    lat = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    subs, dims = lat.subspaces, lat.dims
+    for i, a in enumerate(subs):
+        assert [subs[m] for m in lat.meet_row(i)] == [meet(a, b) for b in subs]
+    expected = [
+        (j, i)
+        for i, a in enumerate(subs)
+        for j, b in enumerate(subs)
+        if dims[j] == dims[i] - 1 and leq(b, a)
+    ]
+    assert list(zip(*lat.covers)) == expected
+
+
 # The tested spaces plus GF(2)^5 and GF(3)^4, which the CLI benchmark builds.
 BUILD_SPACES = LATTICE_SPACES + [(2, 1, 5), (3, 1, 4)]
 
@@ -387,9 +406,8 @@ def test_lattice_build_matches_per_subspace_routes(p, e, n):
 
 
 def test_lattice_build_holds_one_square_table():
-    # The meet table is the build's one S x S table: joins come from it
-    # and perp.  Its list slots take S^2 * 8 bytes; the traced peak stays
-    # under twice that, which a second square table would cross.
+    # One S x S table of list slots takes S^2 * 8 bytes; the build holds
+    # none, and its traced peak stays under twice that.
     from qtransversal.subspaces import Lattice
 
     spec = VectorSpaceSpec(field_make(2, 1), 5)
@@ -401,6 +419,23 @@ def test_lattice_build_holds_one_square_table():
         tracemalloc.stop()
     assert size == 374
     assert peak < 2 * size * size * 8
+
+
+def test_lattice_build_holds_no_square_table():
+    # The order is read from the masks, S of them at q^n bits, so the
+    # GF(2)^6 build (S = 2,825) peaks under 2 * S^2 bytes (15.96 MB); an S x
+    # S table of int slots alone takes 8 * S^2.
+    from qtransversal.subspaces import Lattice
+
+    spec = VectorSpaceSpec(field_make(2, 1), 6)
+    tracemalloc.start()
+    try:
+        size = len(Lattice(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 2825
+    assert peak < 2 * size * size
 
 
 def test_serialization_round_trip():
@@ -433,8 +468,8 @@ def build_probe(monkeypatch):
 
 @pytest.mark.parametrize("q, n", [(43, 3), (1021, 2)])
 def test_lattice_guard_refuses_before_building(build_probe, q, n):
-    # GF(43)^3 (3,788 subspaces) takes about 90 s; GF(1021)^2 (1,024
-    # subspaces, within VECTOR_CAP) longer: the guard charges S^2 q^n.
+    # GF(43)^3 has 3,581,556 diamonds, and GF(1021)^2 (within VECTOR_CAP)
+    # 521,731 on 2^20-bit masks: the guard charges every diamond's join.
     spec = VectorSpaceSpec.from_jsonable({"q": q, "dim": n})
     before = get_lattice.cache_info().currsize
     with pytest.raises(InfeasibleScale, match="lattice"):
