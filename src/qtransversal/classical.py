@@ -69,53 +69,46 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _union_masks(members: list[int], j_mask: int) -> int:
-    u = 0
-    i = 0
-    while j_mask:
-        if j_mask & 1:
-            u |= members[i]
-        j_mask >>= 1
-        i += 1
-    return u
+def _union_table(members: list[int]) -> list[int]:
+    # A(J) for every J, indexed by the bitmask of J: member i doubles the
+    # table, the entry at mask + 2^(i-1) being the entry at mask with A_i.
+    table = [0]
+    for m in members:
+        table += [u | m for u in table]
+    return table
 
 
-def _intersect_masks(members: list[int], j_mask: int, full: int) -> int:
-    # X(empty) = S by convention.
-    u = full
-    i = 0
-    while j_mask:
-        if j_mask & 1:
-            u &= members[i]
-        j_mask >>= 1
-        i += 1
-    return u
+def _intersect_table(members: list[int], full: int) -> list[int]:
+    # X(J) for every J, indexed like _union_table; X(empty) = S.
+    table = [full]
+    for m in members:
+        table += [x & m for x in table]
+    return table
 
 
 def hall_check(fam: SetFamily) -> HallVerdict:
     """Hall condition: |A[J]| >= |J| for every J; witness on failure."""
-    members = fam.masks()
-    n = len(members)
-    for j_mask in range(1 << n):
-        if _union_masks(members, j_mask).bit_count() < j_mask.bit_count():
+    for j_mask, u in enumerate(_union_table(fam.masks())):
+        if u.bit_count() < j_mask.bit_count():
             return HallVerdict(False, _mask_to_indices(j_mask))
     return HallVerdict(True, None)
 
 
-def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool, int, list[int]]:
-    # Depth-first augmenting path over element bits; returns updated seen.
+def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool, int]:
+    # Depth-first augmenting path over element bits, updating owner in
+    # place; returns whether one was found and the updated seen.
     for v in range(len(owner)):
         bit = 1 << v
         if adj[u] & bit and not seen & bit:
             seen |= bit
             if owner[v] < 0:
                 owner[v] = u
-                return True, seen, owner
-            ok, seen, owner = _augment(adj, owner, owner[v], seen)
+                return True, seen
+            ok, seen = _augment(adj, owner, owner[v], seen)
             if ok:
                 owner[v] = u
-                return True, seen, owner
-    return False, seen, owner
+                return True, seen
+    return False, seen
 
 
 def maximum_matching(adj: list[int], n_right: int) -> list[int]:
@@ -126,7 +119,7 @@ def maximum_matching(adj: list[int], n_right: int) -> list[int]:
     """
     owner = [-1] * n_right
     for u in range(len(adj)):
-        _, _, owner = _augment(adj, owner, u, 0)
+        _augment(adj, owner, u, 0)
     match = [-1] * len(adj)
     for v, u in enumerate(owner):
         if u >= 0:
@@ -183,10 +176,7 @@ class ClassicalMatroid:
             rows = [cols[x] for x in sorted(subset)]
             return matrix_rank(field, rows, width) if rows else 0
 
-        m = cls(ground, rank_fn, f"linear over GF({field.order})")
-        m.columns = cols
-        m.field = field
-        return m
+        return cls(ground, rank_fn, f"linear over GF({field.order})")
 
     def rank(self, subset) -> int:
         subset = frozenset(subset)
@@ -230,11 +220,8 @@ def rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     """Rado condition: rho(A[J]) >= |J| for every J; witness on failure."""
     if fam.ground != matroid.ground:
         raise GroundMismatch("family and matroid must share one ground tuple")
-    members = fam.masks()
-    n = len(members)
     labels = fam.ground
-    for j_mask in range(1 << n):
-        u = _union_masks(members, j_mask)
+    for j_mask, u in enumerate(_union_table(fam.masks())):
         subset = frozenset(labels[i] for i in range(len(labels)) if u >> i & 1)
         if matroid.rank(subset) < j_mask.bit_count():
             return HallVerdict(False, _mask_to_indices(j_mask))
@@ -251,11 +238,8 @@ def avoiding_transversal_check(t, fam: SetFamily) -> bool:
         raise GroundMismatch("T contains labels outside the ground")
     pos = {x: i for i, x in enumerate(fam.ground)}
     t_mask = sum(1 << pos[x] for x in t)
-    members = fam.masks()
-    full = (1 << len(fam.ground)) - 1
-    n = len(members)
-    for j_mask in range(1 << n):
-        xj = _intersect_masks(members, j_mask, full)
+    n = len(fam)
+    for j_mask, xj in enumerate(_intersect_table(fam.masks(), (1 << len(fam.ground)) - 1)):
         if (t_mask & xj).bit_count() + j_mask.bit_count() > n:
             return False
     return True
@@ -298,13 +282,9 @@ def avoid_rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     """Avoidance Rado: nu*(X(J)) + |J| <= nu*(S) for every J."""
     if fam.ground != matroid.ground:
         raise GroundMismatch("family and matroid must share one ground tuple")
-    members = fam.masks()
     labels = fam.ground
-    full = (1 << len(labels)) - 1
-    n = len(members)
     nu_star_s = co_nullity(matroid, labels)
-    for j_mask in range(1 << n):
-        xj = _intersect_masks(members, j_mask, full)
+    for j_mask, xj in enumerate(_intersect_table(fam.masks(), (1 << len(labels)) - 1)):
         subset = frozenset(labels[i] for i in range(len(labels)) if xj >> i & 1)
         if co_nullity(matroid, subset) + j_mask.bit_count() > nu_star_s:
             return HallVerdict(False, _mask_to_indices(j_mask))

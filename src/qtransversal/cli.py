@@ -30,7 +30,7 @@ from .classical import (
     hall_check,
     rado_check,
 )
-from .errors import INPUT_ERRORS, InfeasibleScale, InvariantViolation
+from .errors import Error, InfeasibleScale, InvariantViolation
 from .fields import field_make, prime_power
 from .qmatroids import QMatroid
 from .qtransversals import (
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         }
     except InfeasibleScale as exc:
         code, body = 3, {"error": "infeasible-scale", "message": str(exc)}
-    except (*INPUT_ERRORS, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (Error, ValueError, KeyError, TypeError, OSError) as exc:
         code, body = 2, {"error": "malformed-input", "message": f"{type(exc).__name__}: {exc}"}
     print(json.dumps({"schema": SCHEMA, **body}, sort_keys=True, indent=2))
     return code

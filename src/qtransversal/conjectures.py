@@ -487,8 +487,10 @@ def scan_representability(
     """
     if max_ext_degree < 1:
         raise OutOfRange("max_ext_degree must be at least 1")
+    if attempts_per_degree < 1:
+        raise OutOfRange("attempts_per_degree must be at least 1")
     families = sum(_families_per_dim(cfg).values())
-    _refuse_beyond(instance_cap, families * max(1, attempts_per_degree))
+    _refuse_beyond(instance_cap, families * attempts_per_degree)
     start = time.monotonic()
     checked = 0
     instances = []

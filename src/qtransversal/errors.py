@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
-Three families matter to callers: malformed-input errors (bad field
-parameters, mismatched carriers, broken tables), scale guards
-(InfeasibleScale and its subclass ExtensionTooLarge, which the CLI
-reports with exit code 3), and InvariantViolation.  The last
-one is special: it is raised when two procedures that a proved theorem
-says must agree fail to do so, which is either a bug or a genuine
-counterexample, and is never silently reconciled.
+Three families matter to callers: scale guards (InfeasibleScale and its
+subclass ExtensionTooLarge, which the CLI reports with exit code 3),
+InvariantViolation (exit code 4), and malformed input, which is every
+other Error (bad field parameters, mismatched carriers, broken tables;
+exit code 2), so a new subclass is malformed input unless it derives
+from one of the other two.
+InvariantViolation is special: it is raised when two procedures that a
+proved theorem says must agree fail to do so, which is either a bug or a
+genuine counterexample, and is never silently reconciled.
 """
 
 
@@ -73,18 +75,3 @@ class InvariantViolation(Error):
         super().__init__(message)
         self.payload = payload
 
-
-#: Errors that indicate a problem with caller-supplied data.
-INPUT_ERRORS = (
-    NonPrimeCharacteristic,
-    ReducibleModulus,
-    SpecMismatch,
-    DivisionByZero,
-    DimensionMismatch,
-    OutOfRange,
-    IncompleteTable,
-    InvalidRankTable,
-    NotSubmodular,
-    WrongNullity,
-    GroundMismatch,
-)

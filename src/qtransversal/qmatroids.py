@@ -26,14 +26,16 @@ is graded and modular, and:
   every unit square of the grid is a diamond, and the s*t diamond
   inequalities sum (telescope) to f(A) + f(B) >= f(A meet B) + f(A join B).
 
-Induction walks the covers too: every B < A lies below a lower cover
-of A.
+Induction and the circuits walk the covers too: every B < A lies below
+a lower cover of A.  Independence is hereditary, so a dependent subspace
+is a circuit exactly when all its lower covers are independent.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add, sub
+from itertools import compress
+from operator import add, ne, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -124,18 +126,16 @@ class QMatroid:
         return self._bar_nullity
 
     def circuits(self) -> tuple[Subspace, ...]:
-        """All minimal dependent subspaces, in enumeration order."""
+        """All minimal dependent subspaces, in enumeration order: the
+        dependent subspaces whose lower covers are all independent (see
+        the module docstring), read in one pass over the covers."""
         if self._circuits is None:
-            lat = self.lattice
-            out = []
-            for i in range(len(lat)):
-                if self.independent_idx(i):
-                    continue
-                if all(
-                    self.independent_idx(j) for j in lat.below[i] if j != i
-                ):
-                    out.append(i)
-            self._circuits = tuple(out)
+            dependent = list(map(ne, self.ranks, self.lattice.dims))
+            minimal = dependent[:]
+            for lo, hi in zip(*self.lattice.covers):
+                if dependent[lo]:
+                    minimal[hi] = False
+            self._circuits = tuple(compress(range(len(minimal)), minimal))
         return tuple(self.lattice.subspaces[i] for i in self._circuits)
 
     def circuits_idx(self) -> tuple[int, ...]:

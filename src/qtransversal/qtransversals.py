@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .classical import (
+    HallVerdict,
     SetFamily,
     _mask_to_indices,
     avoiding_transversal_check,
@@ -58,7 +59,6 @@ from .subspaces import (
     vector_to_string,
 )
 
-QHallVerdict = namedtuple("QHallVerdict", "ok witness_J")
 MinimalityReport = namedtuple(
     "MinimalityReport", "minimal witness_index shrunken_member replacement"
 )
@@ -93,7 +93,7 @@ def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     return QMatroid(lattice, ranks, "presentation")
 
 
-def q_hall(fam: SubspaceFamily) -> QHallVerdict:
+def q_hall(fam: SubspaceFamily) -> HallVerdict:
     """Existence of a (full) q-transversal.
 
     Condition: dim X(J) + |J| <= dim V for every nonempty J; the first
@@ -103,8 +103,8 @@ def q_hall(fam: SubspaceFamily) -> QHallVerdict:
     dim_v = fam.spec.dim
     for mask, xj in enumerate(fam.meet_indices):
         if mask and dims[xj] + mask.bit_count() > dim_v:
-            return QHallVerdict(False, _mask_to_indices(mask))
-    return QHallVerdict(True, None)
+            return HallVerdict(False, _mask_to_indices(mask))
+    return HallVerdict(True, None)
 
 
 @dataclass(frozen=True)

@@ -296,12 +296,6 @@ def _extension(base: FieldSpec, degree: int) -> FieldSpec:
     return field_make(base.p, total)
 
 
-def _degree_generator_code(ext: FieldSpec) -> int:
-    # The class of x generates the whole extension over any subfield;
-    # when the "extension" is the base field itself fall back to 1.
-    return ext.p if ext.e >= 2 else 1
-
-
 def build_aligned_representation(
     fam: AlignedFamily, *, minimize_degree: bool = False
 ) -> QRepresentation:
@@ -321,7 +315,9 @@ def build_aligned_representation(
     degrees = range(1, guaranteed + 1) if minimize_degree else (guaranteed,)
     for degree in degrees:
         ext = _extension(base, degree)
-        alpha = _degree_generator_code(ext)
+        # The class of x generates the whole extension over any subfield;
+        # when the "extension" is the base field itself fall back to 1.
+        alpha = ext.p if ext.e >= 2 else 1
         rows = []
         for i in range(k):
             row = []

@@ -156,8 +156,7 @@ class Subspace:
         return len(self.rows)
 
     def to_rows(self) -> list[str]:
-        f = self.spec.field
-        return ["".join(f.format_code(v) for v in row) for row in self.rows]
+        return [vector_to_string(self.spec, row) for row in self.rows]
 
     def __repr__(self):
         return f"Subspace({self.to_rows()!r})"
@@ -571,10 +570,12 @@ class Lattice:
 
     The masks, ``by_mask``, ``perp`` and ``atom_of`` are built eagerly;
     none of them is S x S (S subspaces).  The rest is built on first use
-    and kept: the cover columns (``covers``), ``below`` and the diamonds
-    (``diamonds``), which the axiom checks, induction and circuits walk,
-    and one meet row per subspace asked for (``meet_row``), which the
-    scans read again for every family and matroid.
+    and kept: the cover columns (``covers``), which the axiom checks,
+    induction and circuits walk; the diamonds (``diamonds``), which the
+    axiom checks walk; ``below``, which only fundamental circuits and the
+    ordered scan naming a failed axiom read; and one meet row per
+    subspace asked for (``meet_row``), which the scans read again for
+    every family and matroid.
     """
 
     def __init__(self, spec: VectorSpaceSpec):

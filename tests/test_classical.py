@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtransversal import (
     ClassicalMatroid,
@@ -248,3 +250,86 @@ def test_linear_matroid_axiom_spot_check_rejects_bad_columns():
     gf4 = field_make(2, 2)
     m = ClassicalMatroid.linear(("x", "y"), gf4, [(1, 0), (2, 0)])
     assert m.rank(frozenset({"x", "y"})) == 1
+
+
+# Differential tests: each J-check reads A(J) or X(J) from a table built
+# by doubling; the reference below rebuilds them as sets for every J.
+
+
+def first_failing_J(family, fails):
+    """The first J, in ascending bitmask order, at which fails(J) holds,
+    as 1-based indices; None when there is none."""
+    n = len(family)
+    for mask in range(1 << n):
+        J = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        if fails(J):
+            return J
+    return None
+
+
+def union_of(family, J):
+    return frozenset().union(*(family.members[i - 1] for i in J))
+
+
+def meet_of(family, J):
+    # X(empty) = S.
+    return frozenset(family.ground).intersection(*(family.members[i - 1] for i in J))
+
+
+@st.composite
+def labeled_families(draw):
+    """A ground of at most 6 labels and a family of at most 5 subsets."""
+    ground = tuple("abcdef"[: draw(st.integers(0, 6))])
+    masks = draw(st.lists(st.integers(0, (1 << len(ground)) - 1), max_size=5))
+    return SetFamily(
+        ground,
+        tuple(frozenset(x for i, x in enumerate(ground) if m >> i & 1) for m in masks),
+    )
+
+
+@st.composite
+def matroids_and_families(draw):
+    """A free or linear (over GF(2) or GF(3)) matroid on a drawn family's ground."""
+    family = draw(labeled_families())
+    if draw(st.booleans()):
+        return ClassicalMatroid.free(family.ground), family
+    q = draw(st.sampled_from([2, 3]))
+    column = st.tuples(*[st.integers(0, q - 1)] * draw(st.integers(1, 3)))
+    size = len(family.ground)
+    columns = draw(st.lists(column, min_size=size, max_size=size))
+    return ClassicalMatroid.linear(family.ground, field_make(q, 1), columns), family
+
+
+def assert_verdict(verdict, witness):
+    assert (verdict.ok, verdict.witness_J) == (witness is None, witness)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(labeled_families())
+def test_hall_check_matches_the_per_J_loop(family):
+    witness = first_failing_J(family, lambda J: len(union_of(family, J)) < len(J))
+    assert_verdict(hall_check(family), witness)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(matroids_and_families())
+def test_rado_checks_match_the_per_J_loop(drawn):
+    matroid, family = drawn
+    witness = first_failing_J(
+        family, lambda J: matroid.rank(union_of(family, J)) < len(J)
+    )
+    assert_verdict(rado_check(matroid, family), witness)
+    nu_star_s = co_nullity(matroid, family.ground)
+    witness = first_failing_J(
+        family, lambda J: co_nullity(matroid, meet_of(family, J)) + len(J) > nu_star_s
+    )
+    assert_verdict(avoid_rado_check(matroid, family), witness)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(labeled_families(), st.data())
+def test_avoiding_transversal_check_matches_the_per_J_loop(family, data):
+    t = frozenset(data.draw(st.sets(st.sampled_from(family.ground))) if family.ground else ())
+    n = len(family)
+    witness = first_failing_J(family, lambda J: len(t & meet_of(family, J)) + len(J) > n)
+    assert avoiding_transversal_check(t, family) == (witness is None)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qtransversal import ScanConfig
+from qtransversal import ScanConfig, errors
 from qtransversal.cli import _COMMANDS, main
 
 
@@ -315,6 +315,45 @@ def test_random_scan_requires_a_positive_count(tmp_path, capsys, count):
     path = write(tmp_path, "i.json", {"scan": {**scan, "count": count}})
     code, out = run_cli(capsys, "scan", path)
     assert code == 2 and out["message"].startswith("OutOfRange: ")
+
+
+@pytest.mark.parametrize("attempts", [0, -5])
+def test_representability_scan_requires_positive_attempts(tmp_path, capsys, attempts):
+    scan = {"kind": "representability", "q": 2, "max_dim": 2, "max_family": 1, "max_ext_degree": 2}
+    path = write(tmp_path, "i.json", {"scan": {**scan, "attempts_per_degree": attempts}})
+    code, out = run_cli(capsys, "scan", path)
+    assert code == 2 and out["message"].startswith("OutOfRange: ")
+
+
+class _Unlisted(errors.Error):
+    """An Error subclass the CLI names nowhere."""
+
+
+# The documented exit codes: every other Error is malformed input.
+_ERROR_BODIES = {
+    "InfeasibleScale": (3, "infeasible-scale"),
+    "ExtensionTooLarge": (3, "infeasible-scale"),
+    "InvariantViolation": (4, "invariant-violation"),
+}
+_ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.Error)
+] + [_Unlisted]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, cls):
+    def raises(doc, args):
+        raise cls("raised inside a command")
+
+    monkeypatch.setitem(_COMMANDS, "q-hall", raises)
+    path = write(tmp_path, "i.json", {"q": 2, "dim": 2, "family": []})
+    code, out = run_cli(capsys, "q-hall", path)
+    expected = _ERROR_BODIES.get(cls.__name__, (2, "malformed-input"))
+    assert (code, out["error"]) == expected
+    if code == 2:
+        assert out["message"] == f"{cls.__name__}: raised inside a command"
 
 
 def test_represent_aligned_beyond_the_field_cap_is_infeasible(tmp_path, capsys):

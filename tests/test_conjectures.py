@@ -177,6 +177,15 @@ def test_representability_scan_all_found():
     assert any("inconclusive" in note for note in report.notes)
 
 
+@pytest.mark.parametrize("attempts", [0, -5])
+def test_representability_scan_requires_positive_attempts(attempts):
+    # A search that never ran must not be reported as inconclusive.
+    with pytest.raises(OutOfRange):
+        scan_representability(
+            ScanConfig(q=2, max_dim=2, max_family=1), max_ext_degree=2, attempts_per_degree=attempts
+        )
+
+
 def test_representability_scan_deterministic_with_seed():
     cfg = ScanConfig(q=2, max_dim=1, max_family=2, seed=5)
     a = scan_representability(cfg, max_ext_degree=2, attempts_per_degree=30)

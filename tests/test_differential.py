@@ -1,7 +1,8 @@
 """Differential tests over random small specs: independent routes to one
 verdict must agree on GF(2)^<=4, GF(3)^<=3 and GF(4)^<=2 with families
-of at most three members.  The join of the circuits below a subspace is
-compared with RREF joins exhaustively, over every pool matroid."""
+of at most three members.  The circuits, and the join of the circuits
+below a subspace, are compared with RREF orders and joins exhaustively,
+over every pool matroid."""
 
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ from qtransversal import (
     get_lattice,
     is_partial_q_transversal,
     join,
+    leq,
     presentation_matroid,
     q_transversal_by_definition,
     rank_one,
@@ -96,3 +98,23 @@ def test_circuit_join_matches_rref_joins(p, e, n):
                 if join(c, x) == x:
                     expected = join(expected, c)
             assert lattice.subspaces[matroid.circuit_join_idx(xi)] == expected
+
+
+@pytest.mark.parametrize(
+    "p,e,n", CIRCUIT_SPACES, ids=[f"{p**e}-{n}" for p, e, n in CIRCUIT_SPACES]
+)
+def test_circuits_match_the_definition(p, e, n):
+    # circuits reads the lower covers; the reference takes a circuit to be
+    # a dependent subspace whose proper subspaces, found by RREF leq, are
+    # all independent.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    subspaces = lattice.subspaces
+    proper = [[j for j, b in enumerate(subspaces) if b != a and leq(b, a)] for a in subspaces]
+    for matroid in pool(lattice):
+        expected = tuple(
+            i
+            for i in range(len(lattice))
+            if not matroid.independent_idx(i)
+            and all(matroid.independent_idx(j) for j in proper[i])
+        )
+        assert matroid.circuits_idx() == expected
