@@ -15,6 +15,7 @@ check here, and the representability construction leans on Rado.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,26 +70,30 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _union_table(members: list[int]) -> list[int]:
-    # A(J) for every J, indexed by the bitmask of J: member i doubles the
-    # table, the entry at mask + 2^(i-1) being the entry at mask with A_i.
-    table = [0]
-    for m in members:
-        table += [u | m for u in table]
-    return table
-
-
-def _intersect_table(members: list[int], full: int) -> list[int]:
-    # X(J) for every J, indexed like _union_table; X(empty) = S.
-    table = [full]
-    for m in members:
-        table += [x & m for x in table]
-    return table
+def _subset_table(members: list[int], empty: int, op):
+    # X(J) = op over the members in J, from X(empty set) = empty, yielded for
+    # every J in ascending bitmask order of J.  The first half of the members
+    # builds a table by doubling (the entry at mask + 2^(i-1) is the entry at
+    # mask with member i); each J over the second half, from this generator
+    # again, is then combined with every table entry.  So the table holds
+    # about 2^(n/2) entries, and a check stops at its first failing J.
+    half = (len(members) + 1) // 2
+    low = [empty]
+    yield empty
+    for m in members[:half]:
+        new = [op(u, m) for u in low]
+        yield from new
+        low += new
+    if half < len(members):
+        high = _subset_table(members[half:], empty, op)
+        next(high)
+        for h in high:
+            yield from [op(h, u) for u in low]
 
 
 def hall_check(fam: SetFamily) -> HallVerdict:
     """Hall condition: |A[J]| >= |J| for every J; witness on failure."""
-    for j_mask, u in enumerate(_union_table(fam.masks())):
+    for j_mask, u in enumerate(_subset_table(fam.masks(), 0, operator.or_)):
         if u.bit_count() < j_mask.bit_count():
             return HallVerdict(False, _mask_to_indices(j_mask))
     return HallVerdict(True, None)
@@ -221,7 +226,7 @@ def rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     if fam.ground != matroid.ground:
         raise GroundMismatch("family and matroid must share one ground tuple")
     labels = fam.ground
-    for j_mask, u in enumerate(_union_table(fam.masks())):
+    for j_mask, u in enumerate(_subset_table(fam.masks(), 0, operator.or_)):
         subset = frozenset(labels[i] for i in range(len(labels)) if u >> i & 1)
         if matroid.rank(subset) < j_mask.bit_count():
             return HallVerdict(False, _mask_to_indices(j_mask))
@@ -239,7 +244,9 @@ def avoiding_transversal_check(t, fam: SetFamily) -> bool:
     pos = {x: i for i, x in enumerate(fam.ground)}
     t_mask = sum(1 << pos[x] for x in t)
     n = len(fam)
-    for j_mask, xj in enumerate(_intersect_table(fam.masks(), (1 << len(fam.ground)) - 1)):
+    for j_mask, xj in enumerate(
+        _subset_table(fam.masks(), (1 << len(fam.ground)) - 1, operator.and_)
+    ):
         if (t_mask & xj).bit_count() + j_mask.bit_count() > n:
             return False
     return True
@@ -284,7 +291,9 @@ def avoid_rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
         raise GroundMismatch("family and matroid must share one ground tuple")
     labels = fam.ground
     nu_star_s = co_nullity(matroid, labels)
-    for j_mask, xj in enumerate(_intersect_table(fam.masks(), (1 << len(labels)) - 1)):
+    for j_mask, xj in enumerate(
+        _subset_table(fam.masks(), (1 << len(labels)) - 1, operator.and_)
+    ):
         subset = frozenset(labels[i] for i in range(len(labels)) if xj >> i & 1)
         if co_nullity(matroid, subset) + j_mask.bit_count() > nu_star_s:
             return HallVerdict(False, _mask_to_indices(j_mask))

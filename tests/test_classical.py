@@ -333,3 +333,26 @@ def test_avoiding_transversal_check_matches_the_per_J_loop(family, data):
     n = len(family)
     witness = first_failing_J(family, lambda J: len(t & meet_of(family, J)) + len(J) > n)
     assert avoiding_transversal_check(t, family) == (witness is None)
+
+
+def test_j_checks_match_the_per_J_loop_on_nine_members():
+    # Nine members nest the subset table four deep: 5, 2, 1 and 1 members.
+    ground = tuple("abcdefg")
+    family = SetFamily(
+        ground,
+        tuple(frozenset(ground[(3 * i + k) % 7] for k in range(3)) for i in range(9)),
+    )
+    witness = first_failing_J(family, lambda J: len(union_of(family, J)) < len(J))
+    assert witness is not None
+    assert_verdict(hall_check(family), witness)
+    t = frozenset("abc")
+    witness = first_failing_J(family, lambda J: len(t & meet_of(family, J)) + len(J) > 9)
+    assert avoiding_transversal_check(t, family) == (witness is None)
+
+
+def test_j_checks_stop_at_the_first_failing_J():
+    # 2^40 index sets: the checks must stop at J = (1, 2) without building
+    # a table over all of them.
+    family = SetFamily(("a", "b"), (frozenset("a"),) * 40)
+    assert hall_check(family) == (False, (1, 2))
+    assert rado_check(ClassicalMatroid.free(family.ground), family) == (False, (1, 2))

@@ -94,6 +94,11 @@ def test_hall_command(tmp_path, capsys):
     path = write(tmp_path, "i.json", doc)
     code, out = run_cli(capsys, "hall", path)
     assert out["verdict"] is False and out["witness_J"] == [1, 2]
+    # 40 members index 2^40 sets J; the check stops at the first that fails.
+    doc = {"ground": ["a"], "members": [["a"]] * 40}
+    path = write(tmp_path, "i.json", doc)
+    code, out = run_cli(capsys, "hall", path)
+    assert code == 0 and out["verdict"] is False and out["witness_J"] == [1, 2]
 
 
 def test_rado_command(tmp_path, capsys):
