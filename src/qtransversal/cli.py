@@ -112,20 +112,27 @@ def _q_family(doc: dict) -> SubspaceFamily:
 
 
 def _cmd_hall(doc, args):
+    """The matching decides first: an SDR is re-checked and reported
+    without the 2^n-set Hall walk, which runs only to name a failing J."""
     fam = _set_family(doc)
-    verdict = hall_check(fam)
     transversal = find_transversal(fam)
-    if verdict.ok != (transversal is not None):
+    if transversal is not None:
+        labels = [transversal[i + 1] for i in range(len(fam))]
+        if len(set(labels)) != len(labels) or any(
+            label not in member for label, member in zip(labels, fam.members)
+        ):
+            raise InvariantViolation(
+                "maximum matching returned a set that is not a transversal",
+                payload=fam.to_jsonable(),
+            )
+        return {"verdict": True, "transversal": labels}, fam.to_jsonable()
+    verdict = hall_check(fam)
+    if verdict.ok:
         raise InvariantViolation(
             "Hall condition and maximum matching disagree",
             payload=fam.to_jsonable(),
         )
-    payload = {"verdict": verdict.ok}
-    if verdict.ok:
-        payload["transversal"] = [transversal[i + 1] for i in range(len(fam))]
-    else:
-        payload["witness_J"] = list(verdict.witness_J)
-    return payload, fam.to_jsonable()
+    return {"verdict": False, "witness_J": list(verdict.witness_J)}, fam.to_jsonable()
 
 
 def _cmd_rado(check, doc, args):

@@ -8,6 +8,15 @@ deterministic: equal configurations produce identical reports, and
 wall-clock time is kept out of the canonical serialization.  The
 reverify_* replays decode a record with the decoders the CLI uses.
 
+The q-Rado scan decides a (matroid, family) pair with two integer ANDs.
+Each pool matroid is read once per call into indep (bit X set iff X is
+independent) and viol (bit k*S + X set iff barnu(X) + k > barnu(V), S
+subspaces); each family once into tmask (bit T set iff T has dimension
+|fam| and the fast test passes it) and jmask (bit |J|*S + X(J) for every
+J).  The left side holds iff indep & tmask != 0, the right side iff
+viol & jmask == 0.  Only a pair whose sides mismatch is replayed through
+the witness route, which must agree; so does reverify_q_rado.
+
 Readings pinned here (also echoed in the report notes):
 
   * q-Rado is checked with J ranging over all index subsets including
@@ -31,9 +40,10 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from operator import eq
 
 from .classical import _mask_to_indices
-from .errors import InfeasibleScale, OutOfRange
+from .errors import InfeasibleScale, InvariantViolation, OutOfRange
 from .fields import prime_power
 from .qmatroids import QMatroid, free_matroid, rank_one, union
 from .qtransversals import (
@@ -233,18 +243,15 @@ def default_matroid_source(lattice) -> list[QMatroid]:
     return out
 
 
-def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily, verdicts: dict | None = None):
+def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
     """Evaluate both sides of the q-Rado equivalence with witnesses.
 
     The left side is the first independent T of dimension |fam| (lattice
     order) that is a partial q-transversal; the right side's witness is
     the first J (masks ascending) with barnu(X(J)) + |J| > barnu(V),
-    read from fam.meet_indices.  The fast test's verdict on a T does not
-    depend on the matroid: verdicts maps T's lattice index to it, filled
-    on demand, and a scan passes one dict per family for every matroid.
+    read from fam.meet_indices.  The scan calls this only for a pair
+    whose mask verdicts mismatch; it is the oracle for those verdicts.
     """
-    if verdicts is None:
-        verdicts = {}
     lattice = matroid.lattice
     n = len(fam)
     ranks = matroid.ranks
@@ -252,13 +259,9 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily, verdicts: dict | None 
     for ti in lattice.by_dim.get(n, ()):
         if ranks[ti] != n:  # T has dimension n, so independent means rank n
             continue
-        verdict = verdicts.get(ti)
-        if verdict is None:
-            verdict = verdicts[ti] = is_partial_q_transversal(
-                lattice.subspaces[ti], fam, with_witness=False
-            ).verdict
-        if verdict:
-            lhs_witness = lattice.subspaces[ti]
+        t = lattice.subspaces[ti]
+        if is_partial_q_transversal(t, fam, with_witness=False).verdict:
+            lhs_witness = t
             break
     barn_v = matroid.bar_nullity_idx(lattice.top_index)
     barn = matroid.bar_nullity_table()
@@ -268,6 +271,58 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily, verdicts: dict | None 
             rhs_witness = mask
             break
     return lhs_witness, rhs_witness
+
+
+def _bits(flags) -> int:
+    """The int with bit i set iff flags[i] is true."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+def _matroid_masks(matroid: QMatroid, max_family: int) -> tuple[int, int]:
+    """The matroid's half of every q-Rado pair with at most max_family
+    members: (indep, viol), where bit i of indep is set iff subspace i is
+    independent, and bit k*S + x of viol (S subspaces) iff
+    barnu(x) + k > barnu(V), for k = 0..max_family."""
+    lattice = matroid.lattice
+    size = len(lattice)
+    indep = _bits(map(eq, matroid.ranks, lattice.dims))
+    barn = matroid.bar_nullity_table()
+    barn_v = matroid.bar_nullity_idx(lattice.top_index)
+    viol = 0
+    for k in range(max_family, -1, -1):
+        viol = viol << size | _bits(b + k > barn_v for b in barn)
+    return indep, viol
+
+
+def _family_masks(fam: SubspaceFamily) -> tuple[int, int]:
+    """The family's half of every q-Rado pair: (tmask, jmask), where bit
+    i of tmask is set iff subspace i has dimension |fam| and is a partial
+    q-transversal of fam, and jmask has bit |J|*S + X(J) for every J."""
+    lattice = fam.lattice
+    subspaces = lattice.subspaces
+    size = len(lattice)
+    tmask = 0
+    for ti in lattice.by_dim.get(len(fam), ()):
+        if is_partial_q_transversal(subspaces[ti], fam, with_witness=False).verdict:
+            tmask |= 1 << ti
+    jmask = 0
+    for mask, xj in enumerate(fam.meet_indices):
+        jmask |= 1 << (mask.bit_count() * size + xj)
+    return tmask, jmask
+
+
+def _q_rado_mismatches(pool_masks, family_masks) -> list[tuple[int, bool]]:
+    """(position, lhs) of every pool matroid whose pair with the family
+    has mismatching sides, decided from their masks with two ANDs: lhs
+    (some independent T of dimension |fam| is a partial q-transversal)
+    is indep & tmask != 0, rhs (no J has barnu(X(J)) + |J| > barnu(V))
+    is viol & jmask == 0, and the sides mismatch when lhs != rhs."""
+    tmask, jmask = family_masks
+    return [
+        (i, indep & tmask != 0)
+        for i, (indep, viol) in enumerate(pool_masks)
+        if (indep & tmask != 0) == (viol & jmask != 0)
+    ]
 
 
 def _default_pool_build(cfg: ScanConfig, dim: int) -> int:
@@ -328,35 +383,48 @@ def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[Q
 def scan_q_rado(
     cfg: ScanConfig, matroid_source=None, *, instance_cap: int = SCAN_INSTANCE_CAP
 ) -> ScanReport:
-    """Scan (matroid, family) pairs for q-Rado mismatches."""
+    """Scan (matroid, family) pairs for q-Rado mismatches.
+
+    Each pair is decided from two ints per side, each built once: a pool
+    matroid's (indep, viol) per call and a family's (tmask, jmask) per
+    family, joined by _q_rado_mismatches.  Only a mismatching pair is
+    replayed through _q_rado_sides, which names its witnesses and must
+    agree.
+    """
     start = time.monotonic()
     pools = _q_rado_pools(cfg, matroid_source, instance_cap)
+    pool_masks = {
+        dim: [_matroid_masks(m, cfg.max_family) for m in pool] for dim, pool in pools.items()
+    }
     counterexamples = []
     checked = 0
     for _, lattice, members in _family_stream(cfg):
         fam = _family(lattice, members)
-        verdicts: dict[int, bool] = {}
-        for matroid in pools[lattice.spec.dim]:
-            this = checked
-            checked += 1
-            lhs_t, rhs_j = _q_rado_sides(matroid, fam, verdicts)
-            lhs = lhs_t is not None
-            rhs = rhs_j is None
-            if lhs != rhs:
-                record = {
-                    "instance_index": this,
-                    "q": cfg.q,
-                    "dim": lattice.spec.dim,
-                    "family": fam.to_rows(),
-                    "matroid": matroid.to_jsonable(),
-                    "lhs_has_independent_transversal": lhs,
-                    "rhs_condition_holds": rhs,
-                }
-                if lhs_t is not None:
-                    record["lhs_witness_T"] = lhs_t.to_rows()
-                if rhs_j is not None:
-                    record["rhs_witness_J"] = list(_mask_to_indices(rhs_j))
-                counterexamples.append(record)
+        dim = lattice.spec.dim
+        for i, lhs in _q_rado_mismatches(pool_masks[dim], _family_masks(fam)):
+            matroid = pools[dim][i]
+            rhs = not lhs
+            lhs_t, rhs_j = _q_rado_sides(matroid, fam)
+            if (lhs_t is not None, rhs_j is None) != (lhs, rhs):
+                raise InvariantViolation(
+                    "q-Rado mask verdicts and witness route disagree",
+                    payload={"family": fam.to_rows(), "matroid": matroid.to_jsonable()},
+                )
+            record = {
+                "instance_index": checked + i,
+                "q": cfg.q,
+                "dim": dim,
+                "family": fam.to_rows(),
+                "matroid": matroid.to_jsonable(),
+                "lhs_has_independent_transversal": lhs,
+                "rhs_condition_holds": rhs,
+            }
+            if lhs_t is not None:
+                record["lhs_witness_T"] = lhs_t.to_rows()
+            if rhs_j is not None:
+                record["rhs_witness_J"] = list(_mask_to_indices(rhs_j))
+            counterexamples.append(record)
+        checked += len(pools[dim])
     return ScanReport(
         kind="q-rado",
         config=cfg.to_jsonable(),
@@ -369,18 +437,18 @@ def scan_q_rado(
 
 
 def reverify_q_rado(record: dict) -> bool:
-    """Recompute both sides of a q-Rado counterexample from its serialization."""
+    """Recompute both sides of a q-Rado counterexample from its
+    serialization, by the masks and by the witness route; true only if
+    both routes give the recorded, mismatching sides."""
     spec = VectorSpaceSpec.from_jsonable(record)
     fam = family_from_rows(spec, record["family"])
     matroid = QMatroid.from_jsonable(fam.lattice, record["matroid"])
     lhs_t, rhs_j = _q_rado_sides(matroid, fam)
-    lhs = lhs_t is not None
-    rhs = rhs_j is None
-    return (
-        lhs == record["lhs_has_independent_transversal"]
-        and rhs == record["rhs_condition_holds"]
-        and lhs != rhs
-    )
+    sides = (lhs_t is not None, rhs_j is None)
+    mismatches = _q_rado_mismatches([_matroid_masks(matroid, len(fam))], _family_masks(fam))
+    masks = [(lhs, not lhs) for _, lhs in mismatches]
+    recorded = (record["lhs_has_independent_transversal"], record["rhs_condition_holds"])
+    return masks == [sides] == [recorded]
 
 
 def _uniqueness_ranks(fam: SubspaceFamily) -> tuple | None:

@@ -99,7 +99,30 @@ def test_hall_command(tmp_path, capsys):
     path = write(tmp_path, "i.json", doc)
     code, out = run_cli(capsys, "hall", path)
     assert code == 0 and out["verdict"] is False and out["witness_J"] == [1, 2]
+    # A passing family of 40 members is decided by the matching alone,
+    # without walking its 2^40 sets J.
+    labels = [f"x{i}" for i in range(40)]
+    doc = {"ground": labels, "members": [[x] for x in labels]}
+    path = write(tmp_path, "i.json", doc)
+    code, out = run_cli(capsys, "hall", path)
+    assert code == 0 and out["verdict"] is True and out["transversal"] == labels
 
+
+
+@pytest.mark.parametrize(
+    "matching",
+    [None, {1: "a", 2: "a"}, {1: "b", 2: "a"}],
+    ids=["none-on-a-passing-family", "repeated-label", "label-outside-its-member"],
+)
+def test_hall_rejects_a_matching_it_cannot_confirm(tmp_path, capsys, monkeypatch, matching):
+    # The matching decides first; an SDR it returns is re-checked, and a
+    # missing one must come with a failing J from the Hall walk.
+    from qtransversal import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "find_transversal", lambda fam: matching)
+    doc = {"ground": ["a", "b"], "members": [["a", "b"], ["b"]]}
+    code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
+    assert code == 4 and out["error"] == "invariant-violation"
 
 def test_rado_command(tmp_path, capsys):
     doc = {

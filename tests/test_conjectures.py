@@ -68,8 +68,8 @@ def test_q_rado_free_matroid_reduces_to_q_hall():
 
 
 def test_q_rado_sides_match_per_pair_oracle():
-    # The scan shares one dict of fast-test verdicts per family across the
-    # matroid pool; the oracle recomputes everything per pair.
+    # The witness route reads the bar-nullity table and the family's meet
+    # table; the oracle recomputes every meet per pair.
     from qtransversal import SubspaceFamily, is_partial_q_transversal
     from qtransversal.conjectures import _q_rado_sides
     from qtransversal.qtransversals import family_meet
@@ -113,9 +113,8 @@ def test_q_rado_sides_match_per_pair_oracle():
         for size in range(3):
             for members in itertools.product(lattice.subspaces, repeat=size):
                 fam = SubspaceFamily(lattice.spec, members)
-                verdicts = {}
                 for matroid in pool:
-                    assert _q_rado_sides(matroid, fam, verdicts) == oracle(matroid, fam)
+                    assert _q_rado_sides(matroid, fam) == oracle(matroid, fam)
                     pairs += 1
     assert pairs == 2 * 7 + 6 * 31 + 32 * 273 + 7 * 43
 
@@ -568,25 +567,36 @@ def test_q_rado_random_builds_and_lists_only_visited_dimensions():
 
 
 def test_q_rado_counterexample_record_names_its_dimension(monkeypatch):
-    from qtransversal import conjectures
+    from qtransversal import SubspaceFamily, conjectures, free_matroid
 
-    real = conjectures._q_rado_sides
+    # The family (V) on GF(2)^2 has no transversal; dropping the right
+    # side's witness J for the free matroid makes that one pair a q-Rado
+    # mismatch, forced in both the mask decision and the witness route
+    # that the scan and the replay consult.
+    spec = VectorSpaceSpec(field_make(2, 1), 2)
+    lattice = get_lattice(spec)
+    free = free_matroid(spec)
+    top = SubspaceFamily(spec, (lattice.subspaces[lattice.top_index],))
+    free_indep = conjectures._matroid_masks(free, 1)[0]
+    top_masks = conjectures._family_masks(top)
+    real_mismatches = conjectures._q_rado_mismatches
+    real_sides = conjectures._q_rado_sides
 
-    def forced(matroid, fam, context=None):
-        # The family (V) on GF(2)^2 has no transversal; dropping the
-        # right side's witness J for the free matroid makes that one pair
-        # a q-Rado mismatch.
-        lhs_t, rhs_j = real(matroid, fam, context)
-        lattice = matroid.lattice
-        if (
-            lattice.spec.dim == 2
-            and fam.member_indices == (lattice.top_index,)
-            and matroid.ranks == lattice.dims
-        ):
+    def forced_mismatches(pool_masks, family_masks):
+        found = real_mismatches(pool_masks, family_masks)
+        if family_masks != top_masks:
+            return found
+        forced = [i for i, (indep, _) in enumerate(pool_masks) if indep == free_indep]
+        return found + [(i, False) for i in forced]
+
+    def forced_sides(matroid, fam):
+        lhs_t, rhs_j = real_sides(matroid, fam)
+        if matroid == free and fam.member_indices == top.member_indices:
             return lhs_t, None
         return lhs_t, rhs_j
 
-    monkeypatch.setattr(conjectures, "_q_rado_sides", forced)
+    monkeypatch.setattr(conjectures, "_q_rado_mismatches", forced_mismatches)
+    monkeypatch.setattr(conjectures, "_q_rado_sides", forced_sides)
     report = scan_q_rado(ScanConfig(q=2, max_dim=2, max_family=1))
     [record] = report.counterexamples
     # GF(2)^1 gives 3 families x 2 matroids; on GF(2)^2, (V) is the sixth
@@ -596,5 +606,31 @@ def test_q_rado_counterexample_record_names_its_dimension(monkeypatch):
     assert record["lhs_has_independent_transversal"] is False
     assert record["rhs_condition_holds"] is True
     assert reverify_q_rado(record)
+    # The replay needs both routes to agree: either one forced alone fails.
+    monkeypatch.setattr(conjectures, "_q_rado_sides", real_sides)
+    assert not reverify_q_rado(record)
+    monkeypatch.setattr(conjectures, "_q_rado_sides", forced_sides)
+    monkeypatch.setattr(conjectures, "_q_rado_mismatches", real_mismatches)
+    assert not reverify_q_rado(record)
     monkeypatch.undo()
     assert not reverify_q_rado(record)
+
+
+def test_q_rado_scan_raises_when_the_witness_route_disagrees(monkeypatch):
+    from qtransversal import InvariantViolation, QMatroid, conjectures
+
+    # Points of rank 0 under an independent V: a table that is not a
+    # q-matroid.  Its one basis is V, so barnu(X) = dim X, and a family of
+    # one point or of the zero space has no independent transversal while
+    # its right side holds: four mismatches on GF(2)^2, none on GF(2)^1.
+    def source(lattice):
+        return [QMatroid(lattice, [0 if d == 1 else d for d in lattice.dims])]
+
+    cfg = ScanConfig(q=2, max_dim=2, max_family=1)
+    records = scan_q_rado(cfg, source).counterexamples
+    assert [r["instance_index"] for r in records] == [4, 5, 6, 7]
+    assert all(r["dim"] == 2 and not r["lhs_has_independent_transversal"] for r in records)
+    assert all("rhs_witness_J" not in r for r in records)
+    monkeypatch.setattr(conjectures, "_q_rado_sides", lambda matroid, fam: (None, 1))
+    with pytest.raises(InvariantViolation):
+        scan_q_rado(cfg, source)

@@ -2,8 +2,14 @@
 verdict must agree on GF(2)^<=4, GF(3)^<=3 and GF(4)^<=2 with families
 of at most three members.  The circuits, and the join of the circuits
 below a subspace, are compared with RREF orders and joins exhaustively,
-over every pool matroid."""
+over every pool matroid.  The q-Rado scan's mask verdicts are compared
+with its witness route on the same families and exhaustively on
+GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
+q-matroids give it mismatches to record."""
 
+import itertools
+import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -11,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransversal import (
+    QMatroid,
+    ScanConfig,
     SubspaceFamily,
     VectorSpaceSpec,
     field_make,
@@ -22,10 +30,17 @@ from qtransversal import (
     q_transversal_by_definition,
     rank_one,
     recheck_certificate,
+    scan_q_rado,
     union,
     zero_matroid,
 )
-from qtransversal.conjectures import _q_rado_sides, default_matroid_source
+from qtransversal.conjectures import (
+    _family_masks,
+    _matroid_masks,
+    _q_rado_mismatches,
+    _q_rado_sides,
+    default_matroid_source,
+)
 from qtransversal.subspaces import count_bases
 
 SPACES = (
@@ -68,15 +83,138 @@ def pool(lattice):
     return default_matroid_source(lattice)
 
 
+def mask_verdicts(pool_masks, family_masks):
+    """(lhs, rhs) of every pool matroid against one family, read from
+    the masks as the scan reads them."""
+    tmask, jmask = family_masks
+    return [(indep & tmask != 0, viol & jmask == 0) for indep, viol in pool_masks]
+
+
+def assert_masks_match_the_witness_route(matroids, fam, max_family):
+    pool_masks = [_matroid_masks(m, max_family) for m in matroids]
+    family_masks = _family_masks(fam)
+    sides = [_q_rado_sides(m, fam) for m in matroids]
+    expected = [(lhs_t is not None, rhs_j is None) for lhs_t, rhs_j in sides]
+    assert mask_verdicts(pool_masks, family_masks) == expected
+    assert _q_rado_mismatches(pool_masks, family_masks) == [
+        (i, lhs) for i, (lhs, rhs) in enumerate(expected) if lhs != rhs
+    ]
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(families())
-def test_q_rado_sides_share_verdicts_across_the_pool(drawn):
-    # A scan passes one verdicts dict per family to every matroid of the
-    # pool; each pair must come out as it does with a fresh dict.
+def test_q_rado_mask_verdicts_match_the_witness_route(drawn):
+    # A scan builds each pool matroid's masks for its largest family size,
+    # three here, and each family's masks once.  The scrambled tables add
+    # pairs whose sides mismatch.
     lattice, fam = drawn
-    shared = {}
-    for matroid in pool(lattice):
-        assert _q_rado_sides(matroid, fam, shared) == _q_rado_sides(matroid, fam, {})
+    assert_masks_match_the_witness_route(pool(lattice) + scrambled(lattice), fam, 3)
+
+
+def scrambled_source(seed):
+    """A matroid source of seeded tables with 0 <= r(X) <= dim X that are
+    mostly not q-matroids, so that q-Rado mismatches occur: each pool
+    matroid with three entries redrawn (both, on GF(q)^1), then twelve
+    tables in which a subspace of dimension d is independent with a
+    chance drawn per d."""
+
+    def source(lattice):
+        rng = random.Random(seed * 10_000 + len(lattice))
+        tables = []
+        for matroid in pool(lattice):
+            ranks = list(matroid.ranks)
+            for i in rng.sample(range(len(ranks)), min(3, len(ranks))):
+                ranks[i] = rng.randint(0, lattice.dims[i])
+            tables.append(ranks)
+        for _ in range(12):
+            chance = [rng.choice((0, 0.5, 1)) for _ in range(lattice.spec.dim + 1)]
+            tables.append(
+                [
+                    d if rng.random() < chance[d] else rng.randrange(d) if d else 0
+                    for d in lattice.dims
+                ]
+            )
+        return [QMatroid(lattice, ranks, "scrambled") for ranks in tables]
+
+    return source
+
+
+scrambled = lru_cache(maxsize=None)(scrambled_source(1))
+
+
+def reference_scan(cfg, source):
+    """(pairs, records) of an exhaustive q-Rado scan that decides every
+    pair by _q_rado_sides alone, in the scan's order."""
+    records = []
+    index = 0
+    for dim in range(1, cfg.max_dim + 1):
+        lattice = get_lattice(cfg.space(dim))
+        matroids = source(lattice)
+        for size in range(cfg.max_family + 1):
+            for members in itertools.product(lattice.subspaces, repeat=size):
+                fam = SubspaceFamily(lattice.spec, members)
+                for matroid in matroids:
+                    lhs_t, rhs_j = _q_rado_sides(matroid, fam)
+                    lhs, rhs = lhs_t is not None, rhs_j is None
+                    if lhs != rhs:
+                        record = {
+                            "instance_index": index,
+                            "q": cfg.q,
+                            "dim": dim,
+                            "family": fam.to_rows(),
+                            "matroid": matroid.to_jsonable(),
+                            "lhs_has_independent_transversal": lhs,
+                            "rhs_condition_holds": rhs,
+                        }
+                        if lhs_t is not None:
+                            record["lhs_witness_T"] = lhs_t.to_rows()
+                        if rhs_j is not None:
+                            record["rhs_witness_J"] = [
+                                i + 1 for i in range(size) if rhs_j >> i & 1
+                            ]
+                        records.append(record)
+                    index += 1
+    return index, records
+
+
+EXHAUSTIVE = [
+    ScanConfig(q=2, max_dim=3, max_family=2),
+    ScanConfig(q=3, max_dim=2, max_family=2),
+    ScanConfig(q=4, max_dim=2, max_family=1),
+]
+EXHAUSTIVE_IDS = [f"{c.q}-{c.max_dim}-{c.max_family}" for c in EXHAUSTIVE]
+
+
+@pytest.mark.parametrize("cfg", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
+def test_q_rado_scan_matches_the_witness_route_on_every_pair(cfg):
+    # Every pair of the default pool, mask verdicts against _q_rado_sides.
+    for dim in range(1, cfg.max_dim + 1):
+        lattice = get_lattice(cfg.space(dim))
+        for size in range(cfg.max_family + 1):
+            for members in itertools.product(lattice.subspaces, repeat=size):
+                fam = SubspaceFamily(lattice.spec, members)
+                assert_masks_match_the_witness_route(pool(lattice), fam, cfg.max_family)
+    # The scan finds no mismatch on q-matroids, as the reference finds none.
+    pairs, records = reference_scan(cfg, pool)
+    report = scan_q_rado(cfg)
+    assert (report.instances_checked, report.counterexamples) == (pairs, records) == (pairs, [])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("cfg", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
+def test_q_rado_scan_records_match_the_reference_on_scrambled_tables(cfg, seed):
+    source = scrambled_source(seed)
+    pairs, records = reference_scan(cfg, source)
+    # The tables produce mismatches; on GF(2)^3 also ones where an
+    # independent transversal exists and a J fails, which carry both
+    # witnesses (on GF(q)^<=2 the table's bases rule those out).
+    assert records
+    if cfg.max_dim == 3:
+        assert any("lhs_witness_T" in record for record in records)
+    report = scan_q_rado(cfg, source)
+    assert report.instances_checked == pairs
+    # Record by record, so that a failure names the first differing one.
+    assert [json.dumps(r) for r in report.counterexamples] == [json.dumps(r) for r in records]
 
 
 CIRCUIT_SPACES = [(2, 1, n) for n in range(1, 4)] + [(3, 1, 2), (2, 2, 2)]
