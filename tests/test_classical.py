@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qtransversal import (
     ClassicalMatroid,
     GroundMismatch,
+    InfeasibleScale,
     SetFamily,
     avoid_rado_check,
     avoiding_transversal_by_injections,
@@ -356,3 +357,40 @@ def test_j_checks_stop_at_the_first_failing_J():
     family = SetFamily(("a", "b"), (frozenset("a"),) * 40)
     assert hall_check(family) == (False, (1, 2))
     assert rado_check(ClassicalMatroid.free(family.ground), family) == (False, (1, 2))
+
+
+def test_j_walks_refuse_past_their_cap(monkeypatch):
+    from qtransversal import classical
+
+    monkeypatch.setattr(classical, "SET_WALK_CAP", 2**10)
+    monkeypatch.setattr(classical, "RANK_WALK_CAP", 2**8)
+
+    def singletons(n):
+        labels = tuple(f"x{i}" for i in range(n))
+        return SetFamily(labels, tuple(frozenset({x}) for x in labels))
+
+    def empties(ground, n):
+        return SetFamily(ground, (frozenset(),) * n)
+
+    def checks(set_n, rank_n):
+        fam, small = singletons(set_n), singletons(rank_n)
+        ground = small.ground
+        yield lambda: hall_check(fam).ok
+        yield lambda: avoiding_transversal_check(set(), empties(("a",), set_n))
+        yield lambda: rado_check(ClassicalMatroid.free(ground), small).ok
+        yield lambda: avoid_rado_check(ClassicalMatroid.free(ground), empties(ground, rank_n)).ok
+
+    # A passing family with exactly cap index sets is decided; one more
+    # member and the walk is refused.
+    assert all(check() for check in checks(10, 8))
+    for check in checks(11, 9):
+        with pytest.raises(InfeasibleScale):
+            check()
+    # A family whose first failing J lies within the cap still returns it,
+    # the last J within the cap included.
+    nine = SetFamily(tuple("abcdefghi"), (frozenset("abcdefghi"),) * 11)
+    assert hall_check(nine) == (False, tuple(range(1, 11)))
+    family = SetFamily(("a", "b"), (frozenset(),) * 3 + (frozenset("ab"),) * 37)
+    assert hall_check(family) == (False, (1,))
+    free = ClassicalMatroid.free(family.ground)
+    assert avoid_rado_check(free, empties(family.ground, 40)) == (False, (1, 2, 3))

@@ -108,6 +108,29 @@ def test_hall_command(tmp_path, capsys):
     assert code == 0 and out["verdict"] is True and out["transversal"] == labels
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("rado", {"ground": [f"x{i}" for i in range(40)], "members": [[f"x{i}"] for i in range(40)]}),
+        # 20 labels keep the free matroid's bases enumerable; 40 empty
+        # members first fail at |J| = 21, far past the cap.
+        ("avoid-rado", {"ground": [f"x{i}" for i in range(20)], "members": [[]] * 40}),
+        ("check-transversal", {"ground": ["a"], "members": [[]] * 40, "T": []}),
+    ],
+)
+def test_j_walks_of_40_members_exit_3(monkeypatch, tmp_path, capsys, command, doc):
+    from qtransversal import classical
+
+    # The caps are lowered so that each walk is refused within
+    # milliseconds; the rule that refuses it is the one the real caps use.
+    monkeypatch.setattr(classical, "SET_WALK_CAP", 2**12)
+    monkeypatch.setattr(classical, "RANK_WALK_CAP", 2**10)
+    doc = {**doc, "matroid": {"kind": "free"}}
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
+    assert code == 3 and out["error"] == "infeasible-scale"
+    assert "of the 2^40 index sets J" in out["message"]
+
+
 
 @pytest.mark.parametrize(
     "matching",

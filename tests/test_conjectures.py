@@ -528,14 +528,101 @@ def test_default_pool_holds_its_guard_floor(monkeypatch, p, e, dim):
         for y in lattice.subspaces[i + 1:]
         if min(x.dim, y.dim) - lattice.dims[lattice.meet_idx(lattice.idx(x), lattice.idx(y))] >= 2
     ]
-    made = []
+    made = dict.fromkeys(("free_matroid", "rank_one", "_two_loop_tables", "union"), 0)
+
+    def counted(name):
+        fn = getattr(conjectures, name)
+
+        def wrapper(*args):
+            made[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def counted_tables(lat, tables=conjectures._two_loop_tables):
+        for item in tables(lat):
+            made["_two_loop_tables"] += 1
+            yield item
+
     for name in ("free_matroid", "rank_one", "union"):
-        monkeypatch.setattr(conjectures, name, lambda *a, f=getattr(conjectures, name): made.append(1) or f(*a))
+        monkeypatch.setattr(conjectures, name, counted(name))
+    monkeypatch.setattr(conjectures, "_two_loop_tables", counted_tables)
     pool = default_matroid_source(lattice)
     assert {m.ranks for m in named + pairs} <= {m.ranks for m in pool}
     assert len({m.ranks for m in pairs}) == len(pairs)
     assert len({m.ranks for m in named + pairs}) >= conjectures._default_pool_floor(cfg, dim)
-    assert len(made) == conjectures._default_pool_build(cfg, dim)
+    # The build charge counts candidate tables: the free one, S rank-1
+    # ones and S(S+1)/2 closed-form pair tables; union runs once per kept
+    # pair table.
+    s = len(lattice)
+    assert made["free_matroid"] + made["rank_one"] + made["_two_loop_tables"] == conjectures._default_pool_build(cfg, dim)
+    assert (made["free_matroid"], made["rank_one"], made["_two_loop_tables"]) == (1, s, s * (s + 1) // 2)
+    assert made["union"] == sum(m.provenance == "union" for m in pool)
+
+
+# -- the default pool against the all-pairs union route ----------------------
+
+
+def reference_pool(lattice):
+    """The default pool as every pair's union, built and then deduplicated
+    by rank table in enumeration order."""
+    from qtransversal import free_matroid, rank_one, union
+
+    out, seen = [], set()
+    singles = [rank_one(s) for s in lattice.subspaces]
+    candidates = [free_matroid(lattice.spec), *singles]
+    candidates += [union([a, b]) for i, a in enumerate(singles) for b in singles[i:]]
+    for m in candidates:
+        if m.ranks not in seen:
+            seen.add(m.ranks)
+            out.append(m)
+    return out
+
+
+POOL_SPACES = [(2, 1, d) for d in range(1, 5)] + [(3, 1, d) for d in range(1, 4)] + [(2, 2, 1), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("p, e, dim", POOL_SPACES)
+def test_default_pool_matches_the_all_pairs_union_pool(p, e, dim):
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), dim))
+    pool = [(m.ranks, m.provenance) for m in default_matroid_source(lattice)]
+    assert pool == [(m.ranks, m.provenance) for m in reference_pool(lattice)]
+
+
+@pytest.mark.parametrize("p, e, dim", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_two_loop_tables_match_presentation_and_union(p, e, dim):
+    from qtransversal import SubspaceFamily, presentation_matroid, rank_one, union
+    from qtransversal.conjectures import _two_loop_tables
+
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), dim))
+    xs = lattice.subspaces
+    tables = list(_two_loop_tables(lattice))
+    assert [(i, j) for i, j, _ in tables] == [(i, j) for i in range(len(xs)) for j in range(i, len(xs))]
+    for i, j, table in tables:
+        assert table == presentation_matroid(SubspaceFamily(lattice.spec, (xs[i], xs[j]))).ranks
+        assert table == union([rank_one(xs[i]), rank_one(xs[j])]).ranks
+
+
+def test_default_pool_raises_when_union_disagrees_with_the_closed_form(monkeypatch, tmp_path, capsys):
+    from qtransversal import InvariantViolation, conjectures, free_matroid, rank_one, union
+    from qtransversal.cli import main
+
+    # union of a pair returns its first member's table: the first pair
+    # whose closed-form table is new must then raise, naming the pair.
+    lattice = get_lattice(VectorSpaceSpec(field_make(2, 1), 3))
+    seen = {free_matroid(lattice.spec).ranks} | {rank_one(x).ranks for x in lattice.subspaces}
+    i, j, table = next(t for t in conjectures._two_loop_tables(lattice) if t[2] not in seen)
+    monkeypatch.setattr(conjectures, "union", lambda members: union(members[:1]))
+    with pytest.raises(InvariantViolation) as raised:
+        default_matroid_source(lattice)
+    x, y = lattice.subspaces[i], lattice.subspaces[j]
+    payload = raised.value.payload
+    assert payload == {**lattice.spec.to_jsonable(), "family": [x.to_rows(), y.to_rows()]}
+    # The payload replays as a build-matroid instance: the pair's matroid.
+    (tmp_path / "pair.json").write_text(json.dumps(payload))
+    assert main(["build-matroid", str(tmp_path / "pair.json")]) == 0
+    built = json.loads(capsys.readouterr().out)["matroid"]["rank_table"]
+    assert tuple(entry["rank"] for entry in built) == table
 
 
 def test_q_rado_guard_charges_random_draws_exactly():
