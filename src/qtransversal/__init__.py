@@ -23,7 +23,7 @@ from .errors import (
     SpecMismatch,
     WrongNullity,
 )
-from .fields import FieldElement, FieldSpec, field_arith, field_make, field_pow, prime_power
+from .fields import FieldElement, FieldSpec, field_make, prime_power
 from .subspaces import (
     Lattice,
     Subspace,

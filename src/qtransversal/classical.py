@@ -6,8 +6,9 @@ index set J, 1-based) so their verdicts can be re-checked without
 trusting the implementation.  Internally subsets travel as bitmasks over
 the ground tuple; the public surface speaks labels and frozensets.
 The J-checks walk the index sets in ascending mask order and stop at
-the first failing one; a walk past SET_WALK_CAP or RANK_WALK_CAP index
-sets without a verdict raises InfeasibleScale.
+the first failing one; a walk past SET_WALK_CAP (defined in subspaces,
+which caps the q-side X(J) table too) or RANK_WALK_CAP index sets
+without a verdict raises InfeasibleScale.
 
 This module is both a standalone implementation of the classical
 theorems and the inner engine for the q-analog: the definitional
@@ -25,14 +26,10 @@ from functools import cached_property
 
 from .errors import GroundMismatch, InfeasibleScale, InvalidRankTable, OutOfRange
 from .fields import FieldSpec
-from .subspaces import matrix_rank
+from .subspaces import SET_WALK_CAP, matrix_rank
 
 HallVerdict = namedtuple("HallVerdict", "ok witness_J")
 
-#: Most index sets J the set-operation checks (hall_check,
-#: avoiding_transversal_check) walk before refusing: about 2.2 s each at
-#: the cap on a 2-vCPU Xeon VM (Python 3.11), with 25 members.
-SET_WALK_CAP = 2**24
 #: Most index sets J the rank-oracle checks (rado_check, avoid_rado_check)
 #: walk before refusing: about 3 s at the cap with a free matroid (3 us
 #: per J) and about 20 s with a 14-column linear one (20 us per J).
@@ -314,15 +311,21 @@ def co_nullity(matroid: ClassicalMatroid, x) -> int:
 
 
 def avoid_rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
-    """Avoidance Rado: nu*(X(J)) + |J| <= nu*(S) for every J."""
+    """Avoidance Rado: nu*(X(J)) + |J| <= nu*(S) for every J.
+
+    Each co-nullity scans every basis, and many J share one X(J), so it
+    is computed once per distinct X(J) mask."""
     if fam.ground != matroid.ground:
         raise GroundMismatch("family and matroid must share one ground tuple")
     labels = fam.ground
+    everything = (1 << len(labels)) - 1
     nu_star_s = co_nullity(matroid, labels)
-    for j_mask, xj in _j_walk(
-        fam.masks(), (1 << len(labels)) - 1, operator.and_, RANK_WALK_CAP
-    ):
-        subset = frozenset(labels[i] for i in range(len(labels)) if xj >> i & 1)
-        if co_nullity(matroid, subset) + j_mask.bit_count() > nu_star_s:
+    nu_star = {everything: nu_star_s}  # co-nullity by X(J) mask
+    for j_mask, xj in _j_walk(fam.masks(), everything, operator.and_, RANK_WALK_CAP):
+        nu = nu_star.get(xj)
+        if nu is None:
+            subset = frozenset(labels[i] for i in range(len(labels)) if xj >> i & 1)
+            nu = nu_star[xj] = co_nullity(matroid, subset)
+        if nu + j_mask.bit_count() > nu_star_s:
             return HallVerdict(False, _mask_to_indices(j_mask))
     return HallVerdict(True, None)

@@ -442,23 +442,6 @@ def field_make(p: int, e: int, modulus=None) -> FieldSpec:
     return _field_make_cached(p, e, modulus)
 
 
-def field_arith(op: str, a: FieldElement, b: FieldElement) -> FieldElement:
-    """Apply one of add/sub/mul/div to two elements of one field."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise OutOfRange(f"unknown field operation {op!r}")
-
-
-def field_pow(a: FieldElement, m: int) -> FieldElement:
-    return a**m
-
-
 def modulus_from_string(text: str) -> tuple[int, ...]:
     """Parse a little-endian modulus digit string back to coefficients."""
     out = []

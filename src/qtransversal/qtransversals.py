@@ -51,7 +51,6 @@ from .classical import (
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange
 from .qmatroids import QMatroid
 from .subspaces import (
-    BASIS_CAP,
     Subspace,
     SubspaceFamily,
     count_bases,
@@ -142,7 +141,6 @@ def is_partial_q_transversal(
     fam: SubspaceFamily,
     *,
     with_witness: bool = True,
-    basis_cap: int = BASIS_CAP,
 ) -> QTransversalCertificate:
     """Fast test: dim(T meet X(J)) + |J| <= n for every J (X(empty) = V).
 
@@ -170,7 +168,7 @@ def is_partial_q_transversal(
     avoid_of = {}
     match_of = {}
     witnesses = []
-    for basis in enumerate_bases(t, basis_cap=basis_cap):
+    for basis in enumerate_bases(t):
         adj = []
         for v in basis:
             avoid = avoid_of.get(v)
@@ -247,9 +245,7 @@ def recheck_certificate(
     return True
 
 
-def q_transversal_by_definition(
-    t: Subspace, fam: SubspaceFamily, *, basis_cap: int = BASIS_CAP
-) -> bool:
+def q_transversal_by_definition(t: Subspace, fam: SubspaceFamily) -> bool:
     """Definitional oracle: every vector basis of T must be a partial
     avoiding transversal of the family.
 
@@ -259,7 +255,7 @@ def q_transversal_by_definition(
     """
     lattice = fam.lattice
     spec = fam.spec
-    for basis in enumerate_bases(t, basis_cap=basis_cap):
+    for basis in enumerate_bases(t):
         labels = tuple(vector_to_string(spec, v) for v in basis)
         pattern = SetFamily(
             labels,

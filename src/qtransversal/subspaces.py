@@ -10,8 +10,7 @@ exact integer arithmetic.
 
 Enumeration order is fixed everywhere: ascending dimension, then
 lexicographic on the flattened RREF entries.  Scale guards are module
-constants, read when their guard runs; BASIS_CAP is only the default of
-enumerate_bases' basis_cap, the one cap a caller can pass.
+constants, read when their guard runs.
 """
 
 from __future__ import annotations
@@ -35,6 +34,11 @@ VECTOR_CAP = 2**20
 SUBSPACE_BLOCK_CAP = 10**6
 #: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
+#: Most index sets J of one family: SubspaceFamily.meet_indices refuses a
+#: family with more, and the classical set-operation checks (hall_check,
+#: avoiding_transversal_check) stop walking after this many, about 2.2 s
+#: each at the cap on a 2-vCPU Xeon VM (Python 3.11), with 25 members.
+SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
 #: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a
 #: join's fixed cost (about 1.5 us) plus the q^n-bit masks it intersects.
@@ -280,8 +284,8 @@ def _rref_block(field: FieldSpec, n: int, k: int):
             yield tuple(tuple(row) for row in mat)
 
 
-def enumerate_subspaces(spec: VectorSpaceSpec, of: Subspace | None = None, dim: int | None = None):
-    """Stream the subspaces of V (or of a given subspace), each exactly once.
+def enumerate_subspaces(spec: VectorSpaceSpec):
+    """Stream the subspaces of V, each exactly once.
 
     Order is deterministic: ascending dimension, then lexicographic
     RREF.  Counts per dimension equal the Gaussian binomial.
@@ -290,46 +294,15 @@ def enumerate_subspaces(spec: VectorSpaceSpec, of: Subspace | None = None, dim: 
         raise InfeasibleScale(
             f"q^n = {spec.num_vectors} exceeds the vector cap {VECTOR_CAP}"
         )
-    if of is not None and of.spec != spec:
-        raise SpecMismatch("subspace filter lives in a different ambient space")
-    limit = spec.dim if of is None else of.dim
-    if dim is None:
-        dims = range(limit + 1)
-    else:
-        if dim < 0 or dim > spec.dim:
-            raise OutOfRange(f"dimension filter {dim} outside [0, {spec.dim}]")
-        if dim > limit:
-            return
-        dims = (dim,)
     q = spec.field.order
-    for k in dims:
-        count = gaussian_binomial(limit, k, q)
+    for k in range(spec.dim + 1):
+        count = gaussian_binomial(spec.dim, k, q)
         if count > SUBSPACE_BLOCK_CAP:
             raise InfeasibleScale(
                 f"{count} subspaces of dimension {k} exceed the block cap {SUBSPACE_BLOCK_CAP}"
             )
-        if of is None:
-            block = sorted(_rref_block(spec.field, spec.dim, k))
-            for rows in block:
-                yield Subspace(spec, rows)
-        else:
-            field = spec.field
-            mapped = []
-            for inner in _rref_block(field, limit, k):
-                vectors = []
-                for coeffs in inner:
-                    v = [0] * spec.dim
-                    for c, row in zip(coeffs, of.rows):
-                        if c:
-                            v = [
-                                field.add_codes(x, field.mul_codes(c, y))
-                                for x, y in zip(v, row)
-                            ]
-                    vectors.append(tuple(v))
-                mapped.append(canonicalize(spec, vectors).rows)
-            mapped.sort()
-            for rows in mapped:
-                yield Subspace(spec, rows)
+        for rows in sorted(_rref_block(spec.field, spec.dim, k)):
+            yield Subspace(spec, rows)
 
 
 def count_bases(t: Subspace) -> int:
@@ -342,12 +315,12 @@ def count_bases(t: Subspace) -> int:
     return ordered // math.factorial(r)
 
 
-def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
+def enumerate_bases(t: Subspace):
     """Stream every unordered vector basis of t, deterministically.
 
     A basis is a sorted tuple of t.dim linearly independent vectors, and
     the bases come in lexicographic order.  The guard compares the
-    number of bases, count_bases(t), with basis_cap.
+    number of bases, count_bases(t), with BASIS_CAP.
 
     The walk runs in t's pivot coordinates: the vector of t with
     coefficients c = (v[p_1], ..., v[p_r]) on its RREF rows carries c
@@ -361,7 +334,7 @@ def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
     code's atom.  Dependent prefixes are skipped, not filtered afterwards.
 
     The coordinate lattice is built after the guard.  Only a raised
-    basis_cap reaches one above LATTICE_CAP (GF(2)^7 has about 10^11
+    BASIS_CAP reaches one above LATTICE_CAP (GF(2)^7 has about 10^11
     bases); there get_lattice raises InfeasibleScale.
     """
     r = t.dim
@@ -369,8 +342,8 @@ def enumerate_bases(t: Subspace, *, basis_cap: int = BASIS_CAP):
         yield ()
         return
     total = count_bases(t)
-    if total > basis_cap:
-        raise InfeasibleScale(f"{total} vector bases exceed the basis cap {basis_cap}")
+    if total > BASIS_CAP:
+        raise InfeasibleScale(f"{total} vector bases exceed the basis cap {BASIS_CAP}")
     coords = get_lattice(VectorSpaceSpec(t.spec.field, r))
     # Bit 0, the zero vector, is in every span and never a candidate.
     yield from _extend_bases(
@@ -431,12 +404,6 @@ class SubspaceFamily:
     def __len__(self):
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
     def to_rows(self) -> list[list[str]]:
         return [m.to_rows() for m in self.members]
 
@@ -455,7 +422,14 @@ class SubspaceFamily:
         J (bit i-1 for member i); X(empty) = V.  Member i doubles the
         table: the entry at mask + 2^(i-1), for every mask below 2^(i-1),
         is the meet of member i with the entry at mask.  Members are looked
-        up here, not through member_indices: one attribute less per family."""
+        up here, not through member_indices: one attribute less per family.
+        A family with more than SET_WALK_CAP index sets is refused first."""
+        n = len(self.members)
+        if 1 << n > SET_WALK_CAP:
+            raise InfeasibleScale(
+                f"an X(J) table of {n} members would hold 2^{n} index sets J, "
+                f"past the cap {SET_WALK_CAP}"
+            )
         lattice = self.lattice
         meets = [lattice.top_index]
         for m in self.members:
@@ -552,8 +526,9 @@ class Lattice:
     and a smaller index never has a larger dimension.  Each subspace's
     point set is held one way: an int bitmask ``masks[i]`` whose bit
     ``codes[v]`` is set exactly when the vector v lies in subspace i
-    (``codes`` numbers the q^n vectors of V in lexicographic order), and
-    ``by_mask`` indexes the subspaces by mask.
+    (``codes`` numbers the q^n vectors of V in lexicographic order).
+    ``by_rows`` indexes the subspaces by their RREF rows, ``by_mask`` by
+    their masks.
 
     Every order query is read from the masks.  A subspace's parent is the
     span of its RREF rows less the last, and its points are the parent's
@@ -568,7 +543,7 @@ class Lattice:
     subspace's is the meet of its parent's and its last row's.
     ``atom_of[c]`` indexes the atom through the nonzero vector of code c.
 
-    The masks, ``by_mask``, ``perp`` and ``atom_of`` are built eagerly;
+    The masks, both indexes, ``perp`` and ``atom_of`` are built eagerly;
     none of them is S x S (S subspaces).  The rest is built on first use
     and kept: the cover columns (``covers``), which the axiom checks,
     induction and circuits walk; the diamonds (``diamonds``), which the
@@ -596,7 +571,7 @@ class Lattice:
             )
         self.spec = spec
         self.subspaces: tuple[Subspace, ...] = tuple(enumerate_subspaces(spec))
-        self.index: dict[Subspace, int] = {s: i for i, s in enumerate(self.subspaces)}
+        self.by_rows: dict[tuple, int] = {s.rows: i for i, s in enumerate(self.subspaces)}
         self.dims: tuple[int, ...] = tuple(s.dim for s in self.subspaces)
         self.bottom_index = 0
         self.top_index = len(self.subspaces) - 1
@@ -608,7 +583,7 @@ class Lattice:
             v: c for c, v in enumerate(itertools.product(range(q), repeat=n))
         }
         # (parent, atom of the last row) for every subspace but the bottom.
-        by_rows = {s.rows: i for i, s in enumerate(self.subspaces)}
+        by_rows = self.by_rows
         grown = [(by_rows[s.rows[:-1]], by_rows[s.rows[-1:]]) for s in self.subspaces[1:]]
         spreads, add = _spread_adder(field.p, n * field.e)
         # A mask is written as binary digits, the last vector code's first,
@@ -641,7 +616,7 @@ class Lattice:
         perp = [self.top_index]
         for i, (parent, atom) in enumerate(grown, 1):
             if parent == self.bottom_index:
-                perp.append(self.index[_orthogonal_complement(self.subspaces[i])])
+                perp.append(by_rows[_orthogonal_complement(self.subspaces[i]).rows])
             else:
                 perp.append(self.by_mask[masks[perp[parent]] & masks[perp[atom]]])
         self.perp: tuple[int, ...] = tuple(perp)
@@ -698,8 +673,10 @@ class Lattice:
         return len(self.subspaces)
 
     def idx(self, s: Subspace) -> int:
-        i = self.index.get(s)
-        if i is None:
+        i = self.by_rows.get(s.rows)
+        # Rows alone do not name the space.  A subspace's spec is most
+        # often this lattice's own object, which skips the dataclass ==.
+        if i is None or (s.spec is not self.spec and s.spec != self.spec):
             raise SpecMismatch("subspace does not belong to this lattice")
         return i
 

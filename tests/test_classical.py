@@ -1,6 +1,7 @@
 """Classical (set-based) transversal theory."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,42 @@ def test_rado_checks_match_the_per_J_loop(drawn):
         family, lambda J: co_nullity(matroid, meet_of(family, J)) + len(J) > nu_star_s
     )
     assert_verdict(avoid_rado_check(matroid, family), witness)
+
+
+def test_avoid_rado_computes_each_co_nullity_once(monkeypatch):
+    # Seeded families of up to 8 members share few distinct X(J) among
+    # their 2^n index sets; the check asks for each co-nullity once, S's
+    # included, and keeps the per-J route's verdict and witness.
+    from qtransversal import classical
+
+    calls = []
+
+    def counting(matroid, x):
+        calls.append(frozenset(x))
+        return co_nullity(matroid, x)
+
+    monkeypatch.setattr(classical, "co_nullity", counting)
+    rng = random.Random(20)
+    ground = tuple("abcdefg")
+    for _ in range(40):
+        members = [
+            frozenset(x for x in ground if rng.random() < 0.8) for _ in range(rng.randint(0, 8))
+        ]
+        family = SetFamily(ground, tuple(members))
+        columns = [tuple(rng.randrange(2) for _ in range(4)) for _ in ground]
+        matroid = ClassicalMatroid.linear(ground, field_make(2, 1), columns)
+        nu_star_s = co_nullity(matroid, ground)
+        witness = first_failing_J(
+            family, lambda J: co_nullity(matroid, meet_of(family, J)) + len(J) > nu_star_s
+        )
+        calls.clear()
+        assert_verdict(avoid_rado_check(matroid, family), witness)
+        distinct = {
+            meet_of(family, J)
+            for k in range(len(family) + 1)
+            for J in itertools.combinations(range(1, len(family) + 1), k)
+        }
+        assert len(calls) == len(set(calls)) <= len(distinct)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

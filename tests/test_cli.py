@@ -131,6 +131,16 @@ def test_j_walks_of_40_members_exit_3(monkeypatch, tmp_path, capsys, command, do
     assert "of the 2^40 index sets J" in out["message"]
 
 
+@pytest.mark.parametrize("command", ["q-hall", "check-q-transversal", "build-matroid"])
+def test_q_side_families_of_40_members_exit_3(tmp_path, capsys, command):
+    # The X(J) table of 40 members would hold 2^40 entries; it is refused
+    # at the real cap before the first one is built.
+    doc = {"q": 2, "dim": 2, "family": [["10"]] * 40, "subspace": ["01"]}
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
+    assert code == 3 and out["error"] == "infeasible-scale"
+    assert "2^40 index sets J" in out["message"]
+
+
 
 @pytest.mark.parametrize(
     "matching",
@@ -146,6 +156,49 @@ def test_hall_rejects_a_matching_it_cannot_confirm(tmp_path, capsys, monkeypatch
     doc = {"ground": ["a", "b"], "members": [["a", "b"], ["b"]]}
     code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
     assert code == 4 and out["error"] == "invariant-violation"
+
+
+_CLASSICAL = {"ground": ["a", "b", "c"], "members": [["a"], ["a", "b"]]}
+_Q_SIDE = {"q": 2, "dim": 2, "family": [["10"]], "subspace": ["01"]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, patch, message, payload",
+    [
+        (
+            "check-transversal",
+            {**_CLASSICAL, "T": ["b", "c"]},
+            ("avoiding_transversal_by_injections", lambda t, fam: False),
+            "avoidance J-test and injection search disagree",
+            {"T": ["b", "c"], "family": _CLASSICAL},
+        ),
+        (
+            "check-q-transversal",
+            _Q_SIDE,
+            ("recheck_certificate", lambda cert, t, fam: False),
+            "certificate failed its own re-check",
+            {"T": ["01"], "family": [["10"]]},
+        ),
+        (
+            "check-q-transversal",
+            _Q_SIDE,
+            ("q_transversal_by_definition", lambda t, fam: False),
+            "fast q-transversal test and definitional oracle disagree",
+            {"T": ["01"], "family": [["10"]]},
+        ),
+    ],
+    ids=["check-transversal-oracle", "check-q-transversal-recheck", "check-q-transversal-oracle"],
+)
+def test_disagreeing_routes_exit_4_with_the_instance(
+    tmp_path, capsys, monkeypatch, command, doc, patch, message, payload
+):
+    from qtransversal import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, *patch)
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc), "--oracle")
+    assert code == 4 and out["error"] == "invariant-violation"
+    assert out["message"] == message and out["payload"] == payload
+
 
 def test_rado_command(tmp_path, capsys):
     doc = {
@@ -217,6 +270,19 @@ def test_build_and_verify_representation_round_trip(tmp_path, capsys):
     code, out = run_cli(capsys, "verify-representation", path)
     assert code == 0 and out["verdict"] is False
     assert "first_disagreement" in out
+
+
+def test_represent_aligned_reads_a_coordinate_family(tmp_path, capsys):
+    # A family of coordinate subspaces is represented as its index sets are.
+    doc = {"q": 2, "dim": 2, "index_sets": [[1]]}
+    code, by_sets = run_cli(capsys, "represent-aligned", write(tmp_path, "s.json", doc))
+    doc = {"q": 2, "dim": 2, "family": [["10"]]}
+    code, by_family = run_cli(capsys, "represent-aligned", write(tmp_path, "f.json", doc))
+    assert code == 0 and by_family["verified"] is True
+    assert by_family["representation"] == by_sets["representation"]
+    doc = {"q": 2, "dim": 2, "family": [["11"]]}
+    code, out = run_cli(capsys, "represent-aligned", write(tmp_path, "n.json", doc))
+    assert code == 2 and out["message"] == "ValueError: family members are not coordinate subspaces"
 
 
 def test_reduce_and_minimal_commands(tmp_path, capsys):

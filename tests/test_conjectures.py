@@ -39,6 +39,8 @@ def test_config_validation():
     with pytest.raises(OutOfRange):
         ScanConfig(q=2, max_dim=0, max_family=2)
     with pytest.raises(OutOfRange):
+        ScanConfig(q=2, max_dim=2, max_family=-1)
+    with pytest.raises(OutOfRange):
         ScanConfig(q=2, max_dim=2, max_family=2, mode="random")  # no seed
     with pytest.raises(OutOfRange):
         ScanConfig(q=2, max_dim=2, max_family=2, mode="bogus")
@@ -185,6 +187,11 @@ def test_representability_scan_requires_positive_attempts(attempts):
         )
 
 
+def test_representability_scan_requires_a_positive_degree():
+    with pytest.raises(OutOfRange, match="max_ext_degree"):
+        scan_representability(ScanConfig(q=2, max_dim=1, max_family=1), max_ext_degree=0)
+
+
 def test_representability_scan_deterministic_with_seed():
     cfg = ScanConfig(q=2, max_dim=1, max_family=2, seed=5)
     a = scan_representability(cfg, max_ext_degree=2, attempts_per_degree=30)
@@ -289,6 +296,25 @@ def test_reverify_minimal_uniqueness_on_synthetic_pair():
         ],
     }
     assert not reverify_minimal_uniqueness(record)  # different matroids
+
+
+def test_reverify_minimal_uniqueness_checks_minimality_and_multisets(monkeypatch):
+    from qtransversal import conjectures
+    from qtransversal.qtransversals import MinimalityReport
+
+    # (0, 0) and (<10>, <01>) both present the free matroid of GF(2)^2;
+    # only the first is minimal (either line of the second shrinks to 0).
+    def record(*families):
+        return {"q": 2, "dim": 2, "presentations": [{"members": f} for f in families]}
+
+    zeros, lines = [[], []], [["10"], ["01"]]
+    assert not reverify_minimal_uniqueness(record(zeros, lines))  # not minimal
+    assert not reverify_minimal_uniqueness(record(zeros, zeros))  # one multiset
+    # With minimality granted, two multisets presenting one matroid replay.
+    minimal = MinimalityReport(True, None, None, None)
+    monkeypatch.setattr(conjectures, "is_minimal_presentation", lambda fam: minimal)
+    assert reverify_minimal_uniqueness(record(zeros, lines))
+    assert not reverify_minimal_uniqueness(record(lines, [["01"], ["10"]]))
 
 
 def test_scans_handle_q3_and_oversized_families():

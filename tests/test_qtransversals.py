@@ -472,3 +472,18 @@ def test_infeasible_subsystem_guard():
     big = SubspaceFamily(GF2_2, (L10,) * 21)
     with pytest.raises(InfeasibleScale):
         partial_equiv_check(L01, big)
+
+
+def test_meet_table_refuses_past_the_walk_cap(monkeypatch):
+    from qtransversal import InfeasibleScale, subspaces
+
+    # A family with exactly cap index sets J gets its X(J) table; one
+    # more member is refused before any entry is built.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 2**10)
+    assert len(SubspaceFamily(GF2_2, (L10,) * 10).meet_indices) == 2**10
+    big = SubspaceFamily(GF2_2, (L10,) * 11)
+    with pytest.raises(InfeasibleScale, match=r"2\^11 index sets J"):
+        big.meet_indices
+    for route in (q_hall, presentation_matroid, lambda fam: is_partial_q_transversal(L01, fam)):
+        with pytest.raises(InfeasibleScale):
+            route(big)

@@ -167,10 +167,9 @@ def test_lattice_laws_exhaustive_gf2_3():
 def test_counts_match_gaussian_binomial():
     for q in (2, 3):
         for n in range(1, 5):
-            spec = space(q, n)
+            dims = [s.dim for s in enumerate_subspaces(space(q, n))]
             for k in range(n + 1):
-                count = sum(1 for _ in enumerate_subspaces(spec, dim=k))
-                assert count == gaussian_binomial(n, k, q)
+                assert dims.count(k) == gaussian_binomial(n, k, q)
 
 
 def test_gaussian_binomial_values():
@@ -197,15 +196,6 @@ def test_enumeration_order_is_fixed():
         assert block == sorted(block)
 
 
-def test_enumerate_within_subspace():
-    plane = canonicalize(GF2_3, [(1, 0, 0), (0, 1, 0)])
-    inside = list(enumerate_subspaces(GF2_3, of=plane))
-    assert len(inside) == 5  # a copy of the GF(2)^2 lattice
-    assert all(leq(s, plane) for s in inside)
-    lines = list(enumerate_subspaces(GF2_3, of=plane, dim=1))
-    assert len(lines) == 3
-
-
 def test_enumerate_subspaces_scale_guard():
     huge = VectorSpaceSpec(field_make(2, 1), 21)
     with pytest.raises(InfeasibleScale):
@@ -224,7 +214,7 @@ def test_enumerate_bases_examples():
 
 @pytest.mark.parametrize("spec,dim", [(GF2_3, 2), (GF2_3, 3), (space(3, 2), 2)])
 def test_enumerate_bases_count_formula(spec, dim):
-    sub = next(iter(enumerate_subspaces(spec, dim=dim)))
+    sub = next(s for s in enumerate_subspaces(spec) if s.dim == dim)
     q = spec.field.order
     ordered = 1
     for i in range(dim):
@@ -242,25 +232,32 @@ def test_enumerate_bases_count_formula(spec, dim):
 def test_enumerate_bases_scale_guard():
     big = top(VectorSpaceSpec(field_make(2, 1), 12))
     with pytest.raises(InfeasibleScale):
-        next(enumerate_bases(big, basis_cap=10))
+        next(enumerate_bases(big))
 
 
-def test_enumerate_bases_guard_counts_bases():
+def test_enumerate_bases_guard_counts_bases(monkeypatch):
+    from qtransversal import subspaces
+
     # GF(3)^4 has 1,010,880 bases among 1,581,580 candidate 4-sets.
     full = top(space(3, 4))
     bases = count_bases(full)
     assert bases == 1_010_880
-    assert len(next(enumerate_bases(full, basis_cap=bases))) == 4
+    monkeypatch.setattr(subspaces, "BASIS_CAP", bases)
+    assert len(next(enumerate_bases(full))) == 4
+    monkeypatch.setattr(subspaces, "BASIS_CAP", bases - 1)
     with pytest.raises(InfeasibleScale):
-        next(enumerate_bases(full, basis_cap=bases - 1))
+        next(enumerate_bases(full))
 
 
-def test_enumerate_bases_beyond_lattice_cap():
+def test_enumerate_bases_beyond_lattice_cap(monkeypatch):
+    from qtransversal import subspaces
+
     # A raised cap lets the guard pass; the coordinate lattice of GF(2)^7
     # (29,212 subspaces) is then refused instead.
     full = top(VectorSpaceSpec(field_make(2, 1), 7))
+    monkeypatch.setattr(subspaces, "BASIS_CAP", count_bases(full))
     with pytest.raises(InfeasibleScale, match="lattice"):
-        next(enumerate_bases(full, basis_cap=count_bases(full)))
+        next(enumerate_bases(full))
 
 
 def test_subspace_validation_rejects_non_rref():
