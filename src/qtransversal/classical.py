@@ -7,7 +7,7 @@ trusting the implementation.  Internally subsets travel as bitmasks over
 the ground tuple; the public surface speaks labels and frozensets.
 The J-checks walk the index sets in ascending mask order and stop at
 the first failing one; a walk past SET_WALK_CAP (defined in subspaces,
-which caps the q-side X(J) table too) or RANK_WALK_CAP index sets
+which caps the q-side meet-closure too) or RANK_WALK_CAP index sets
 without a verdict raises InfeasibleScale.
 
 This module is both a standalone implementation of the classical

@@ -12,10 +12,11 @@ The q-Rado scan decides a (matroid, family) pair with two integer ANDs.
 Each pool matroid is read once per call into indep (bit X set iff X is
 independent) and viol (bit k*S + X set iff barnu(X) + k > barnu(V), S
 subspaces); each family once into tmask (bit T set iff T has dimension
-|fam| and the fast test passes it) and jmask (bit |J|*S + X(J) for every
-J).  The left side holds iff indep & tmask != 0, the right side iff
-viol & jmask == 0.  Only a pair whose sides mismatch is replayed through
-the witness route, which must agree; so does reverify_q_rado.
+|fam| and the fast test passes it) and jmask (bit |J_W|*S + W for every
+meet W of the family, J_W its largest J).  The left side holds iff
+indep & tmask != 0, the right side iff viol & jmask == 0.  Only a pair
+whose sides mismatch is replayed through the witness route, which must
+agree; so does reverify_q_rado.
 
 The default matroid pool is the free matroid, every rank-1 matroid and
 every union of two of them.  A pair's table is read from the closed
@@ -292,9 +293,11 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
 
     The left side is the first independent T of dimension |fam| (lattice
     order) that is a partial q-transversal; the right side's witness is
-    the first J (masks ascending) with barnu(X(J)) + |J| > barnu(V),
-    read from fam.meet_indices.  The scan calls this only for a pair
-    whose mask verdicts mismatch; it is the oracle for those verdicts.
+    the mask of J_W for the first meet W of fam.meet_closure with
+    barnu(W) + |J_W| > barnu(V).  Some J violates exactly when some W
+    does, since |J| <= |J_W| for W = X(J) and the test grows with |J|.
+    The scan calls this only for a pair whose mask verdicts mismatch; it
+    is the oracle for those verdicts.
     """
     lattice = matroid.lattice
     n = len(fam)
@@ -310,9 +313,9 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
     barn_v = matroid.bar_nullity_idx(lattice.top_index)
     barn = matroid.bar_nullity_table()
     rhs_witness = None
-    for mask, xj in enumerate(fam.meet_indices):
-        if barn[xj] + mask.bit_count() > barn_v:
-            rhs_witness = mask
+    for w, j in fam.meet_closure:
+        if barn[w] + j.bit_count() > barn_v:
+            rhs_witness = j
             break
     return lhs_witness, rhs_witness
 
@@ -341,7 +344,9 @@ def _matroid_masks(matroid: QMatroid, max_family: int) -> tuple[int, int]:
 def _family_masks(fam: SubspaceFamily) -> tuple[int, int]:
     """The family's half of every q-Rado pair: (tmask, jmask), where bit
     i of tmask is set iff subspace i has dimension |fam| and is a partial
-    q-transversal of fam, and jmask has bit |J|*S + X(J) for every J."""
+    q-transversal of fam, and jmask has bit |J_W|*S + W for every meet W
+    of fam.meet_closure.  viol's bits at a subspace grow with k, so the
+    largest J per meet decides every J that meets to it."""
     lattice = fam.lattice
     subspaces = lattice.subspaces
     size = len(lattice)
@@ -350,8 +355,8 @@ def _family_masks(fam: SubspaceFamily) -> tuple[int, int]:
         if is_partial_q_transversal(subspaces[ti], fam, with_witness=False).verdict:
             tmask |= 1 << ti
     jmask = 0
-    for mask, xj in enumerate(fam.meet_indices):
-        jmask |= 1 << (mask.bit_count() * size + xj)
+    for w, j in fam.meet_closure:
+        jmask |= 1 << (j.bit_count() * size + w)
     return tmask, jmask
 
 

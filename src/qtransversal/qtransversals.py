@@ -8,9 +8,11 @@ presentation matroid by:
 
     r(A) = min over J of  n - |J| + dim A - dim(A meet X(J)),
 
-with X(J) the meet of the members in J and X(empty) = V.  X(J) lives on
-the family: SubspaceFamily.meet_indices holds its lattice index for every
-J, built once on first use, and the routes below read it there.
+with X(J) the meet of the members in J and X(empty) = V.  Only the
+distinct meets matter: for a meet W, J_W = {i : W <= X_i} is the largest
+J with X(J) = W, so the minimum is taken over W alone at cost n - |J_W|.
+SubspaceFamily.meet_closure holds every W with J_W, built once on first
+use, and the routes below read it there; no route walks the 2^n sets J.
 
 The module offers three routes to the same verdict and treats any
 disagreement between them as an InvariantViolation, because the routes
@@ -18,20 +20,21 @@ are tied together by proved theorems and a divergence is either a bug
 or a counterexample worth reporting:
 
   * independence in the presentation matroid,
-  * the fast 2^n test  dim(T meet X(J)) + |J| <= n  over index sets J,
+  * the fast test  dim(T meet W) + |J_W| <= n  over the meet-closure,
   * the definitional oracle walking every vector basis of T and running
     the classical avoiding-transversal check on its membership pattern.
 
-The first two read the same meets X(J): r(T) = dim T holds exactly when
-the fast test's inequality holds at every J.  So only the oracle is
-independent of the fast test here; the union of rank-1 matroids
-(qmatroids.union of qmatroids.rank_one), which induces its ranks from a
-submodular sum without any X(J), is the reference the tests hold the
-formula to.
+The first two read the same closure: r(T) = dim T holds exactly when
+the fast test's inequality holds at every W.  A violation at some J is
+one at W = X(J) too, since |J| <= |J_W|, so the closure misses none.
+So only the oracle is independent of the fast test here; the union of
+rank-1 matroids (qmatroids.union of qmatroids.rank_one), which induces
+its ranks from a submodular sum without any X(J), is the reference the
+tests hold the formula to.
 
 Partial q-transversals are accepted at every dimension m <= n; a T with
-dim T > n fails the fast test at J = empty and the certificate records
-that honestly rather than hiding it.
+dim T > n fails the fast test at W = V and the certificate records that
+honestly rather than hiding it.
 """
 
 from __future__ import annotations
@@ -65,12 +68,14 @@ MinimalityReport = namedtuple(
 
 def family_meet(fam: SubspaceFamily, indices) -> Subspace:
     """X(J): the meet of the selected members; X(empty) = V (1-based J)."""
-    mask = 0
+    lattice = fam.lattice
+    members = fam.member_indices
+    xj = lattice.top_index
     for i in indices:
         if not 1 <= i <= len(fam):
             raise OutOfRange(f"index {i} outside 1..{len(fam)}")
-        mask |= 1 << (i - 1)
-    return fam.lattice.subspaces[fam.meet_indices[mask]]
+        xj = lattice.meet_idx(xj, members[i - 1])
+    return lattice.subspaces[xj]
 
 
 def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
@@ -79,15 +84,15 @@ def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     spaces X_i, built by the closed formula of the module docstring.
     The empty family presents the rank-0 matroid."""
     lattice = fam.lattice
-    # n - |J| per distinct X(J): for a given meet only the largest J can
-    # reach the minimum.  With no members the one entry is V at cost 0.
-    cost = {}
-    for mask, xj in enumerate(fam.meet_indices):
-        cost[xj] = min(cost.get(xj, len(fam)), len(fam) - mask.bit_count())
+    n = len(fam)
     dims = lattice.dims
-    # One column per distinct X(J), then the elementwise min; the repeated
-    # first column keeps min's arguments a sequence for a single X(J).
-    cols = [[c - dims[m] for m in lattice.meet_row(xj)] for xj, c in cost.items()]
+    # One column per meet W at cost n - |J_W|, then the elementwise min;
+    # the repeated first column keeps min's arguments a sequence when the
+    # closure is V alone.
+    cols = [
+        [n - j.bit_count() - dims[m] for m in lattice.meet_row(w)]
+        for w, j in fam.meet_closure
+    ]
     ranks = map(add, dims, map(min, *cols, cols[0]))
     return QMatroid(lattice, ranks, "presentation")
 
@@ -95,14 +100,16 @@ def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
 def q_hall(fam: SubspaceFamily) -> HallVerdict:
     """Existence of a (full) q-transversal.
 
-    Condition: dim X(J) + |J| <= dim V for every nonempty J; the first
-    violating J (masks ascending) is the witness.
+    Condition: dim X(J) + |J| <= dim V for every nonempty J.  Each meet W
+    is tested once at J_W, its largest J; the witness is J_W of the first
+    violating W in the closure's insertion order.  Only V can have an
+    empty J_W, and dim V + 0 never violates.
     """
     dims = fam.lattice.dims
     dim_v = fam.spec.dim
-    for mask, xj in enumerate(fam.meet_indices):
-        if mask and dims[xj] + mask.bit_count() > dim_v:
-            return HallVerdict(False, _mask_to_indices(mask))
+    for w, j in fam.meet_closure:
+        if dims[w] + j.bit_count() > dim_v:
+            return HallVerdict(False, _mask_to_indices(j))
     return HallVerdict(True, None)
 
 
@@ -142,7 +149,9 @@ def is_partial_q_transversal(
     *,
     with_witness: bool = True,
 ) -> QTransversalCertificate:
-    """Fast test: dim(T meet X(J)) + |J| <= n for every J (X(empty) = V).
+    """Fast test: dim(T meet X(J)) + |J| <= n for every J (X(empty) = V),
+    tested once per meet W of the closure at J_W, its largest J.  A false
+    certificate names J_W of the first violating W.
 
     On success and with_witness=True, the certificate carries one
     avoiding injection per vector basis of T, found by matching; the
@@ -151,12 +160,12 @@ def is_partial_q_transversal(
     lattice = fam.lattice
     t_meets = lattice.meet_row(lattice.idx(t))
     n = len(fam)
-    for mask, xj in enumerate(fam.meet_indices):
-        md = lattice.dims[t_meets[xj]]
-        if md + mask.bit_count() > n:
+    for w, j in fam.meet_closure:
+        md = lattice.dims[t_meets[w]]
+        if md + j.bit_count() > n:
             return QTransversalCertificate(
                 False,
-                violating_J=_mask_to_indices(mask),
+                violating_J=_mask_to_indices(j),
                 violation_meet_dim=md,
             )
     if not with_witness:

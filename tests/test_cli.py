@@ -33,7 +33,8 @@ def test_q_hall_golden_false_with_witness(tmp_path, capsys):
     code, out = run_cli(capsys, "q-hall", path)
     assert code == 0
     assert out["verdict"] is False
-    assert out["witness_J"] == [1]
+    # V is the family's one meet; its largest J is {1, 2}.
+    assert out["witness_J"] == [1, 2]
 
 
 def test_check_q_transversal_golden(tmp_path, capsys):
@@ -132,13 +133,41 @@ def test_j_walks_of_40_members_exit_3(monkeypatch, tmp_path, capsys, command, do
 
 
 @pytest.mark.parametrize("command", ["q-hall", "check-q-transversal", "build-matroid"])
-def test_q_side_families_of_40_members_exit_3(tmp_path, capsys, command):
-    # The X(J) table of 40 members would hold 2^40 entries; it is refused
-    # at the real cap before the first one is built.
+def test_q_side_families_of_40_members_answer(tmp_path, capsys, command):
+    # 40 copies of a line have two meets, V and the line, whatever their
+    # 2^40 index sets J; each command answers with the verdict of the
+    # presentation matroid, which is rank_one(line).
+    from qtransversal import VectorSpaceSpec, field_make, rank_one
+    from qtransversal.subspaces import subspace_from_rows
+
     doc = {"q": 2, "dim": 2, "family": [["10"]] * 40, "subspace": ["01"]}
     code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
+    assert code == 0
+    spec = VectorSpaceSpec(field_make(2, 1), 2)
+    matroid = rank_one(subspace_from_rows(spec, ["10"]))
+    if command == "q-hall":
+        assert matroid.space_rank < 40
+        assert out["verdict"] is False and out["witness_J"] == list(range(1, 41))
+    elif command == "check-q-transversal":
+        assert matroid.independent(subspace_from_rows(spec, ["01"]))
+        assert out["verdict"] is True
+        assert out["certificate"]["basis_witnesses"] == [{"avoids_via": [1], "basis": ["01"]}]
+    else:
+        ranks = [entry["rank"] for entry in out["matroid"]["rank_table"]]
+        assert ranks == list(matroid.ranks)
+
+
+@pytest.mark.parametrize("command", ["q-hall", "check-q-transversal", "build-matroid"])
+def test_q_side_closure_past_the_walk_cap_exits_3(monkeypatch, tmp_path, capsys, command):
+    from qtransversal import subspaces
+
+    # Copies of a line charge the closure 2k - 1 units by member k: the
+    # ninth member's 17 pass a cap of 16.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 16)
+    doc = {"q": 2, "dim": 2, "family": [["10"]] * 10, "subspace": ["01"]}
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
     assert code == 3 and out["error"] == "infeasible-scale"
-    assert "2^40 index sets J" in out["message"]
+    assert "meet-closure of 10 members passes the cap 16" in out["message"]
 
 
 

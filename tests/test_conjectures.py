@@ -71,7 +71,9 @@ def test_q_rado_free_matroid_reduces_to_q_hall():
 
 def test_q_rado_sides_match_per_pair_oracle():
     # The witness route reads the bar-nullity table and the family's meet
-    # table; the oracle recomputes every meet per pair.
+    # closure; the oracle recomputes every meet per pair and walks every J.
+    # The verdicts must agree; the route's J must violate and be the
+    # largest J with its meet, {i : X(J) <= X_i}.
     from qtransversal import SubspaceFamily, is_partial_q_transversal
     from qtransversal.conjectures import _q_rado_sides
     from qtransversal.qtransversals import family_meet
@@ -100,13 +102,14 @@ def test_q_rado_sides_match_per_pair_oracle():
             (
                 mask
                 for mask in range(1 << n)
-                if barn(lattice.idx(family_meet(fam, [i + 1 for i in range(n) if mask >> i & 1])))
-                + mask.bit_count()
-                > barn_v
+                if barn(meet_of(fam, mask)) + mask.bit_count() > barn_v
             ),
             None,
         )
-        return lhs, rhs
+        return lhs, rhs, barn, barn_v
+
+    def meet_of(fam, mask):
+        return fam.lattice.idx(family_meet(fam, [i + 1 for i in range(len(fam)) if mask >> i & 1]))
 
     pairs = 0
     for p, e, dim in ((2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2)):
@@ -116,7 +119,18 @@ def test_q_rado_sides_match_per_pair_oracle():
             for members in itertools.product(lattice.subspaces, repeat=size):
                 fam = SubspaceFamily(lattice.spec, members)
                 for matroid in pool:
-                    assert _q_rado_sides(matroid, fam) == oracle(matroid, fam)
+                    lhs_t, rhs_j = _q_rado_sides(matroid, fam)
+                    lhs, rhs, barn, barn_v = oracle(matroid, fam)
+                    assert lhs_t == lhs
+                    assert (rhs_j is None) == (rhs is None)
+                    if rhs_j is not None:
+                        w = meet_of(fam, rhs_j)
+                        assert barn(w) + rhs_j.bit_count() > barn_v
+                        assert rhs_j == sum(
+                            1 << i
+                            for i, x in enumerate(fam.member_indices)
+                            if lattice.leq_idx(w, x)
+                        )
                     pairs += 1
     assert pairs == 2 * 7 + 6 * 31 + 32 * 273 + 7 * 43
 

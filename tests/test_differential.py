@@ -5,7 +5,10 @@ below a subspace, are compared with RREF orders and joins exhaustively,
 over every pool matroid.  The q-Rado scan's mask verdicts are compared
 with its witness route on the same families and exhaustively on
 GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
-q-matroids give it mismatches to record."""
+q-matroids give it mismatches to record.  The meet-closure and the
+q-side routes that read it are compared with the 2^n table of every
+X(J) over every multiset of a few members of GF(2)^<=4, GF(3)^<=3 and
+GF(4)^<=2."""
 
 import itertools
 import json
@@ -27,6 +30,7 @@ from qtransversal import (
     join,
     leq,
     presentation_matroid,
+    q_hall,
     q_transversal_by_definition,
     rank_one,
     recheck_certificate,
@@ -256,3 +260,66 @@ def test_circuits_match_the_definition(p, e, n):
             and all(matroid.independent_idx(j) for j in proper[i])
         )
         assert matroid.circuits_idx() == expected
+
+
+def meet_table(fam):
+    """The lattice index of X(J) for every J, indexed by the bitmask of J
+    (bit i-1 for member i), X(empty) = V: member i doubles the table, the
+    entry at mask + 2^(i-1) being the meet of X_i with the entry at mask."""
+    lattice = fam.lattice
+    meets = [lattice.top_index]
+    for mi in fam.member_indices:
+        row = lattice.meet_row(mi)
+        meets += [row[x] for x in meets]
+    return meets
+
+
+# (p, e, n, most members) for the exhaustive closure check: 4,040 multisets.
+CLOSURE_SPACES = (
+    [(2, 1, n, 3) for n in range(1, 4)]
+    + [(2, 1, 4, 2), (3, 1, 1, 3), (3, 1, 2, 3), (3, 1, 3, 2), (2, 2, 1, 3), (2, 2, 2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "p,e,n,size", CLOSURE_SPACES, ids=[f"{p**e}-{n}-{k}" for p, e, n, k in CLOSURE_SPACES]
+)
+def test_meet_closure_matches_the_meet_table(p, e, n, size):
+    # The closure route against the 2^n table of X(J): its keys are the
+    # distinct X(J), each J_W is the union of the J with X(J) = W, and the
+    # presentation ranks, the q-Hall verdict and every T's partial
+    # q-transversal verdict equal the table's minima over every J.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    dims = lattice.dims
+    for k in range(size + 1):
+        for members in itertools.combinations_with_replacement(lattice.subspaces, k):
+            fam = SubspaceFamily(lattice.spec, members)
+            table = meet_table(fam)
+            union_of_js = {}
+            for mask, xj in enumerate(table):
+                union_of_js[xj] = union_of_js.get(xj, 0) | mask
+            assert [w for w, _ in fam.meet_closure] == list(dict.fromkeys(table))
+            assert dict(fam.meet_closure) == union_of_js
+            ranks = [
+                min(
+                    k - mask.bit_count() + dims[a] - dims[lattice.meet_idx(a, xj)]
+                    for mask, xj in enumerate(table)
+                )
+                for a in range(len(lattice))
+            ]
+            assert presentation_matroid(fam).ranks == tuple(ranks)
+            verdict = q_hall(fam)
+            assert verdict.ok == all(
+                dims[xj] + mask.bit_count() <= n for mask, xj in enumerate(table) if mask
+            )
+            if not verdict.ok:
+                mask = sum(1 << (i - 1) for i in verdict.witness_J)
+                assert dims[table[mask]] + mask.bit_count() > n
+            for t, subspace in enumerate(lattice.subspaces):
+                cert = is_partial_q_transversal(subspace, fam, with_witness=False)
+                assert cert.verdict == all(
+                    dims[lattice.meet_idx(t, xj)] + mask.bit_count() <= k
+                    for mask, xj in enumerate(table)
+                )
+                if not cert.verdict:
+                    assert recheck_certificate(cert, subspace, fam)

@@ -108,8 +108,10 @@ def test_q_hall_examples():
 
 
 def test_q_hall_witness_recheck():
+    # V is the one meet, and J_V = {1, 2} is the witness; {1} alone
+    # violates too, but the closure tests each meet at its largest J.
     verdict = q_hall(fam2(V2, V2))
-    assert verdict.witness_J == (1,)
+    assert verdict.witness_J == (1, 2)
     xj = family_meet(fam2(V2, V2), verdict.witness_J)
     assert xj.dim + len(verdict.witness_J) > GF2_2.dim
 
@@ -437,7 +439,8 @@ MEET_SPACES = ((2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 2, 2), (4, 2, 2))
 )
 def test_family_meets_match_zassenhaus_fold(q, n, size):
     # X(J) as a fold of the Zassenhaus meet, which uses no lattice table;
-    # the memo only saves repeating a meet of the same two subspaces.
+    # the memo only saves repeating a meet of the same two subspaces.  The
+    # closure holds each distinct X(J) once, with J_W = {i : W <= X_i}.
     p, e = prime_power(q)
     spec = VectorSpaceSpec(field_make(p, e), n)
     lattice = get_lattice(spec)
@@ -450,14 +453,21 @@ def test_family_meets_match_zassenhaus_fold(q, n, size):
 
     for family in families(spec, range(size + 1)):
         assert family.member_indices == tuple(map(lattice.idx, family.members))
-        assert len(family.meet_indices) == 1 << len(family)
-        for mask, xj in enumerate(family.meet_indices):
+        union_of_js = {}
+        for mask in range(1 << len(family)):
             js = [i + 1 for i in range(len(family)) if mask >> i & 1]
             expected = top(spec)
             for i in js:
                 expected = zassenhaus(expected, family.members[i - 1])
-            assert lattice.subspaces[xj] == expected
             assert family_meet(family, js) == expected
+            union_of_js[expected] = union_of_js.get(expected, 0) | mask
+        closure = {lattice.subspaces[w]: j for w, j in family.meet_closure}
+        assert len(closure) == len(family.meet_closure)
+        assert closure == union_of_js
+        for w, j in closure.items():
+            assert j == sum(
+                1 << i for i, x in enumerate(family.members) if zassenhaus(w, x) == w
+            )
 
 
 def test_family_meet_rejects_indices_outside_the_family():
@@ -477,13 +487,16 @@ def test_infeasible_subsystem_guard():
 def test_meet_table_refuses_past_the_walk_cap(monkeypatch):
     from qtransversal import InfeasibleScale, subspaces
 
-    # A family with exactly cap index sets J gets its X(J) table; one
-    # more member is refused before any entry is built.
-    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 2**10)
-    assert len(SubspaceFamily(GF2_2, (L10,) * 10).meet_indices) == 2**10
-    big = SubspaceFamily(GF2_2, (L10,) * 11)
-    with pytest.raises(InfeasibleScale, match=r"2\^11 index sets J"):
-        big.meet_indices
+    # Copies of L10 meet to V and L10 alone: member 1 is charged the one
+    # entry V, each later member both entries, 2k - 1 units for k copies.
+    # At exactly the cap the closure is built; one more member is refused.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 15)
+    fits = SubspaceFamily(GF2_2, (L10,) * 8)
+    assert fits.meet_closure == ((LAT2.top_index, 0), (LAT2.idx(L10), 2**8 - 1))
+    assert q_hall(fits).witness_J == tuple(range(1, 9))
+    big = SubspaceFamily(GF2_2, (L10,) * 9)
+    with pytest.raises(InfeasibleScale, match="meet-closure of 9 members passes the cap 15 at member 9"):
+        big.meet_closure
     for route in (q_hall, presentation_matroid, lambda fam: is_partial_q_transversal(L01, fam)):
         with pytest.raises(InfeasibleScale):
             route(big)
