@@ -5,34 +5,34 @@ decision procedures all return witnesses (a transversal, or a violating
 index set J, 1-based) so their verdicts can be re-checked without
 trusting the implementation.  Internally subsets travel as bitmasks over
 the ground tuple; the public surface speaks labels and frozensets.
-The J-checks walk the index sets in ascending mask order and stop at
-the first failing one; a walk past SET_WALK_CAP (defined in subspaces,
-which caps the q-side meet-closure too) or RANK_WALK_CAP index sets
-without a verdict raises InfeasibleScale.
+Hall and the avoiding-transversal test are decided by a maximum
+matching, and avoidance Rado is Rado on the complemented family, so
+only rado_check walks the index sets J: in ascending mask order, stopping
+at the first failing one, and raising InfeasibleScale past RANK_WALK_CAP
+index sets without a verdict.
 
 This module is both a standalone implementation of the classical
 theorems and the inner engine for the q-analog: the definitional
-q-transversal oracle reduces each vector basis to an avoiding-transversal
+q-transversal oracle reduces each vector basis to a partial-transversal
 check here, and the representability construction leans on Rado.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GroundMismatch, InfeasibleScale, InvalidRankTable, OutOfRange
 from .fields import FieldSpec
-from .subspaces import SET_WALK_CAP, matrix_rank
+from .subspaces import matrix_rank
 
 HallVerdict = namedtuple("HallVerdict", "ok witness_J")
 
-#: Most index sets J the rank-oracle checks (rado_check, avoid_rado_check)
-#: walk before refusing: about 3 s at the cap with a free matroid (3 us
-#: per J) and about 20 s with a 14-column linear one (20 us per J).
+#: Most index sets J rado_check (and avoid_rado_check through it) walks
+#: before refusing: about 3 s at the cap with a free matroid (3 us per J)
+#: and about 20 s with a 14-column linear one (20 us per J).
 RANK_WALK_CAP = 2**20
 
 
@@ -79,49 +79,60 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subset_table(members: list[int], empty: int, op):
-    # X(J) = op over the members in J, from X(empty set) = empty, yielded for
-    # every J in ascending bitmask order of J.  The first half of the members
-    # builds a table by doubling (the entry at mask + 2^(i-1) is the entry at
-    # mask with member i); each J over the second half, from this generator
-    # again, is then combined with every table entry.  So the table holds
-    # about 2^(n/2) entries, and a check stops at its first failing J.
+def _subset_table(members: list[int]):
+    # A(J), the union of the members in J, for every J in ascending bitmask
+    # order of J.  The first half of the members builds a table by doubling
+    # (the entry at mask + 2^(i-1) is the entry at mask with member i); each
+    # J over the second half, from this generator again, is then combined
+    # with every table entry.  So the table holds about 2^(n/2) entries, and
+    # a check stops at its first failing J.
     half = (len(members) + 1) // 2
-    low = [empty]
-    yield empty
+    low = [0]
+    yield 0
     for m in members[:half]:
-        new = [op(u, m) for u in low]
+        new = [u | m for u in low]
         yield from new
         low += new
     if half < len(members):
-        high = _subset_table(members[half:], empty, op)
+        high = _subset_table(members[half:])
         next(high)
         for h in high:
-            yield from [op(h, u) for u in low]
+            yield from [h | u for u in low]
 
 
-def _refuse_walk(n: int, cap: int):
-    raise InfeasibleScale(f"walked {cap} of the 2^{n} index sets J without a verdict")
-    yield
-
-
-def _j_walk(members: list[int], empty: int, op, cap: int):
-    """(mask of J, X(J)) for every J in ascending mask order, as
-    enumerate(_subset_table(...)).  A family with more than cap index
-    sets raises InfeasibleScale at the first J past the cap, so a check
+def _j_walk(members: list[int]):
+    """(mask of J, A(J)) for every J in ascending mask order.  The walk
+    raises InfeasibleScale at the first J past RANK_WALK_CAP, so a check
     that fails sooner still returns its witness."""
-    walk = enumerate(_subset_table(members, empty, op))
-    if 1 << len(members) <= cap:
-        return walk
-    return itertools.chain(itertools.islice(walk, cap), _refuse_walk(len(members), cap))
+    cap = RANK_WALK_CAP
+    yield from itertools.islice(enumerate(_subset_table(members)), cap)
+    if 1 << len(members) > cap:
+        raise InfeasibleScale(
+            f"walked {cap} of the 2^{len(members)} index sets J without a verdict"
+        )
 
 
 def hall_check(fam: SetFamily) -> HallVerdict:
-    """Hall condition: |A[J]| >= |J| for every J; witness on failure."""
-    for j_mask, u in _j_walk(fam.masks(), 0, operator.or_, SET_WALK_CAP):
-        if u.bit_count() < j_mask.bit_count():
-            return HallVerdict(False, _mask_to_indices(j_mask))
-    return HallVerdict(True, None)
+    """Hall condition: |A[J]| >= |J| for every J; witness on failure.
+
+    Decided by maximum_matching.  The augmenting search from the first
+    unmatched member k reaches labels `seen`, all matched; J = {k} with
+    their owners has A[J] = seen, so |A[J]| = |J| - 1.  Every violator
+    within members 1..k contains J, and none lies within 1..k-1, so J is
+    the first failing J in ascending mask order.  Later augmenting paths
+    never enter A[J], so the final match keeps the owners k met."""
+    members = fam.masks()
+    match = maximum_matching(members, len(fam.ground))
+    if -1 not in match:
+        return HallVerdict(True, None)
+    owner = [-1] * len(fam.ground)
+    for u, v in enumerate(match):
+        if v >= 0:
+            owner[v] = u
+    k = match.index(-1)
+    _, seen = _augment(members, owner, k, 0)
+    j = [k] + [u for v, u in enumerate(owner) if seen >> v & 1]
+    return HallVerdict(False, tuple(sorted(u + 1 for u in j)))
 
 
 def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool, int]:
@@ -251,30 +262,26 @@ def rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     if fam.ground != matroid.ground:
         raise GroundMismatch("family and matroid must share one ground tuple")
     labels = fam.ground
-    for j_mask, u in _j_walk(fam.masks(), 0, operator.or_, RANK_WALK_CAP):
+    for j_mask, u in _j_walk(fam.masks()):
         subset = frozenset(labels[i] for i in range(len(labels)) if u >> i & 1)
         if matroid.rank(subset) < j_mask.bit_count():
             return HallVerdict(False, _mask_to_indices(j_mask))
     return HallVerdict(True, None)
 
 
-def avoiding_transversal_check(t, fam: SetFamily) -> bool:
-    """Fast test for T being a partial avoiding transversal of (X_1..X_n).
+def _complement(fam: SetFamily) -> SetFamily:
+    """(S - X_1, ..., S - X_n) over the same ground S."""
+    ground = frozenset(fam.ground)
+    return SetFamily(fam.ground, tuple(ground - m for m in fam.members))
 
-    Condition: |T meet X(J)| + |J| <= n for every J, with X(empty) = S.
-    """
-    t = frozenset(t)
-    if not t <= set(fam.ground):
-        raise GroundMismatch("T contains labels outside the ground")
-    pos = {x: i for i, x in enumerate(fam.ground)}
-    t_mask = sum(1 << pos[x] for x in t)
-    n = len(fam)
-    for j_mask, xj in _j_walk(
-        fam.masks(), (1 << len(fam.ground)) - 1, operator.and_, SET_WALK_CAP
-    ):
-        if (t_mask & xj).bit_count() + j_mask.bit_count() > n:
-            return False
-    return True
+
+def avoiding_transversal_check(t, fam: SetFamily) -> bool:
+    """Fast test for T being a partial avoiding transversal of (X_1..X_n),
+    equivalently |T meet X(J)| + |J| <= n for every J, with X(empty) = S.
+
+    An injection with x_i not in X_i is one with x_i in S - X_i, so this
+    is is_partial_transversal on the complemented family."""
+    return is_partial_transversal(t, _complement(fam))
 
 
 def avoiding_transversal_by_injections(t, fam: SetFamily) -> bool:
@@ -313,19 +320,7 @@ def co_nullity(matroid: ClassicalMatroid, x) -> int:
 def avoid_rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     """Avoidance Rado: nu*(X(J)) + |J| <= nu*(S) for every J.
 
-    Each co-nullity scans every basis, and many J share one X(J), so it
-    is computed once per distinct X(J) mask."""
-    if fam.ground != matroid.ground:
-        raise GroundMismatch("family and matroid must share one ground tuple")
-    labels = fam.ground
-    everything = (1 << len(labels)) - 1
-    nu_star_s = co_nullity(matroid, labels)
-    nu_star = {everything: nu_star_s}  # co-nullity by X(J) mask
-    for j_mask, xj in _j_walk(fam.masks(), everything, operator.and_, RANK_WALK_CAP):
-        nu = nu_star.get(xj)
-        if nu is None:
-            subset = frozenset(labels[i] for i in range(len(labels)) if xj >> i & 1)
-            nu = nu_star[xj] = co_nullity(matroid, subset)
-        if nu + j_mask.bit_count() > nu_star_s:
-            return HallVerdict(False, _mask_to_indices(j_mask))
-    return HallVerdict(True, None)
+    Since rho(S - X) = nu*(S) - nu*(X), this is rado_check on the
+    complemented family, condition for condition at every J: the same
+    verdict and the same witness."""
+    return rado_check(matroid, _complement(fam))

@@ -112,8 +112,9 @@ def _q_family(doc: dict) -> SubspaceFamily:
 
 
 def _cmd_hall(doc, args):
-    """The matching decides first: an SDR is re-checked and reported
-    without the 2^n-set Hall walk, which runs only to name a failing J."""
+    """The matching decides: an SDR is re-checked and reported; without
+    one, hall_check names J from the failed augmenting search, and
+    |A[J]| < |J| is re-checked from the sets."""
     fam = _set_family(doc)
     transversal = find_transversal(fam)
     if transversal is not None:
@@ -126,13 +127,13 @@ def _cmd_hall(doc, args):
                 payload=fam.to_jsonable(),
             )
         return {"verdict": True, "transversal": labels}, fam.to_jsonable()
-    verdict = hall_check(fam)
-    if verdict.ok:
+    j = hall_check(fam).witness_J or ()
+    if len(frozenset().union(*(fam.members[i - 1] for i in j))) >= len(j):
         raise InvariantViolation(
-            "Hall condition and maximum matching disagree",
+            "maximum matching found no transversal but the Hall witness J does not violate",
             payload=fam.to_jsonable(),
         )
-    return {"verdict": False, "witness_J": list(verdict.witness_J)}, fam.to_jsonable()
+    return {"verdict": False, "witness_J": list(j)}, fam.to_jsonable()
 
 
 def _cmd_rado(check, doc, args):
@@ -156,7 +157,7 @@ def _cmd_check_transversal(doc, args):
         payload["oracle_verdict"] = oracle
         if oracle != verdict:
             raise InvariantViolation(
-                "avoidance J-test and injection search disagree",
+                "matching on the complements and injection search disagree",
                 payload={"T": sorted(t), "family": fam.to_jsonable()},
             )
     return payload, doc

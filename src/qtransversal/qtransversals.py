@@ -21,8 +21,8 @@ or a counterexample worth reporting:
 
   * independence in the presentation matroid,
   * the fast test  dim(T meet W) + |J_W| <= n  over the meet-closure,
-  * the definitional oracle walking every vector basis of T and running
-    the classical avoiding-transversal check on its membership pattern.
+  * the definitional oracle walking every vector basis of T and matching
+    its vectors to the members that do not contain them.
 
 The first two read the same closure: r(T) = dim T holds exactly when
 the fast test's inequality holds at every W.  A violation at some J is
@@ -48,7 +48,7 @@ from .classical import (
     HallVerdict,
     SetFamily,
     _mask_to_indices,
-    avoiding_transversal_check,
+    is_partial_transversal,
     maximum_matching,
 )
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange
@@ -258,9 +258,9 @@ def q_transversal_by_definition(t: Subspace, fam: SubspaceFamily) -> bool:
     """Definitional oracle: every vector basis of T must be a partial
     avoiding transversal of the family.
 
-    Each basis is turned into a membership pattern over its own vectors
-    and handed to the classical avoiding-transversal check.  Exponential
-    in dim T; desk scale only.
+    Each basis becomes a family over its own vectors whose i-th set holds
+    the vectors not in X_i, and the classical is_partial_transversal
+    matches the basis into it.  Exponential in dim T; desk scale only.
     """
     lattice = fam.lattice
     spec = fam.spec
@@ -272,12 +272,12 @@ def q_transversal_by_definition(t: Subspace, fam: SubspaceFamily) -> bool:
                 frozenset(
                     lbl
                     for lbl, v in zip(labels, basis)
-                    if lattice.contains_idx(mi, v)
+                    if not lattice.contains_idx(mi, v)
                 )
                 for mi in fam.member_indices
             ),
         )
-        if not avoiding_transversal_check(labels, pattern):
+        if not is_partial_transversal(labels, pattern):
             return False
     return True
 

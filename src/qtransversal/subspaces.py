@@ -34,13 +34,11 @@ VECTOR_CAP = 2**20
 SUBSPACE_BLOCK_CAP = 10**6
 #: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
-#: Most units of set walking over one family.  The classical set-operation
-#: checks (hall_check, avoiding_transversal_check) stop after this many
-#: index sets J, about 2.2 s each at the cap with 25 members.  The q-side
-#: SubspaceFamily.meet_closure charges each member the size of the closure
-#: it meets: about 250 ns a unit with 1,000 members of GF(2)^6 and 400 ns
-#: with 6,000, whose J masks are 6,000 bits wide, so 6.8 s and 63 MiB at
-#: the cap (2-vCPU Xeon VM, Python 3.11).
+#: Most units of set walking over one family: SubspaceFamily.meet_closure
+#: charges each member the size of the closure it meets, about 250 ns a
+#: unit with 1,000 members of GF(2)^6 and 400 ns with 6,000, whose J masks
+#: are 6,000 bits wide, so 6.8 s and 63 MiB at the cap (2-vCPU Xeon VM,
+#: Python 3.11).
 SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
 #: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a

@@ -328,19 +328,10 @@ def test_rado_checks_match_the_per_J_loop(drawn):
     assert_verdict(avoid_rado_check(matroid, family), witness)
 
 
-def test_avoid_rado_computes_each_co_nullity_once(monkeypatch):
-    # Seeded families of up to 8 members share few distinct X(J) among
-    # their 2^n index sets; the check asks for each co-nullity once, S's
-    # included, and keeps the per-J route's verdict and witness.
-    from qtransversal import classical
-
-    calls = []
-
-    def counting(matroid, x):
-        calls.append(frozenset(x))
-        return co_nullity(matroid, x)
-
-    monkeypatch.setattr(classical, "co_nullity", counting)
+def test_avoid_rado_matches_the_co_nullity_per_J_loop_on_seeded_families():
+    # Seeded families of up to 8 members on a 7-label linear matroid: the
+    # check, Rado on the complements, keeps the verdict and witness of the
+    # per-J co-nullity route it replaced.
     rng = random.Random(20)
     ground = tuple("abcdefg")
     for _ in range(40):
@@ -354,14 +345,34 @@ def test_avoid_rado_computes_each_co_nullity_once(monkeypatch):
         witness = first_failing_J(
             family, lambda J: co_nullity(matroid, meet_of(family, J)) + len(J) > nu_star_s
         )
-        calls.clear()
         assert_verdict(avoid_rado_check(matroid, family), witness)
-        distinct = {
-            meet_of(family, J)
-            for k in range(len(family) + 1)
-            for J in itertools.combinations(range(1, len(family) + 1), k)
-        }
-        assert len(calls) == len(set(calls)) <= len(distinct)
+
+
+def test_hall_and_avoid_rado_match_the_first_failing_mask_on_seeded_families():
+    # About 2,000 families of up to 9 members on up to 8 labels.  Hall's
+    # witness, read off the failed augmenting search, is the first failing
+    # mask; avoidance Rado is Rado on the complemented family.
+    rng = random.Random(22)
+    failing = 0
+    for _ in range(2000):
+        width = rng.randint(0, 8)
+        ground = tuple("abcdefgh"[:width])
+        density = rng.random()
+        members = [
+            frozenset(x for x in ground if rng.random() < density)
+            for _ in range(rng.randint(0, 9))
+        ]
+        family = SetFamily(ground, tuple(members))
+        witness = first_failing_J(family, lambda J: len(union_of(family, J)) < len(J))
+        failing += witness is not None
+        assert_verdict(hall_check(family), witness)
+        matroid = ClassicalMatroid.free(ground)
+        if width and rng.random() < 0.5:
+            columns = [tuple(rng.randrange(2) for _ in range(3)) for _ in ground]
+            matroid = ClassicalMatroid.linear(ground, field_make(2, 1), columns)
+        complemented = SetFamily(ground, tuple(frozenset(ground) - m for m in family.members))
+        assert avoid_rado_check(matroid, family) == rado_check(matroid, complemented)
+    assert failing > 1000
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -399,7 +410,6 @@ def test_j_checks_stop_at_the_first_failing_J():
 def test_j_walks_refuse_past_their_cap(monkeypatch):
     from qtransversal import classical
 
-    monkeypatch.setattr(classical, "SET_WALK_CAP", 2**10)
     monkeypatch.setattr(classical, "RANK_WALK_CAP", 2**8)
 
     def singletons(n):
@@ -409,25 +419,30 @@ def test_j_walks_refuse_past_their_cap(monkeypatch):
     def empties(ground, n):
         return SetFamily(ground, (frozenset(),) * n)
 
-    def checks(set_n, rank_n):
-        fam, small = singletons(set_n), singletons(rank_n)
+    def checks(n):
+        small = singletons(n)
         ground = small.ground
-        yield lambda: hall_check(fam).ok
-        yield lambda: avoiding_transversal_check(set(), empties(("a",), set_n))
         yield lambda: rado_check(ClassicalMatroid.free(ground), small).ok
-        yield lambda: avoid_rado_check(ClassicalMatroid.free(ground), empties(ground, rank_n)).ok
+        yield lambda: avoid_rado_check(ClassicalMatroid.free(ground), empties(ground, n)).ok
 
     # A passing family with exactly cap index sets is decided; one more
     # member and the walk is refused.
-    assert all(check() for check in checks(10, 8))
-    for check in checks(11, 9):
+    assert all(check() for check in checks(8))
+    for check in checks(9):
         with pytest.raises(InfeasibleScale):
             check()
     # A family whose first failing J lies within the cap still returns it,
     # the last J within the cap included.
-    nine = SetFamily(tuple("abcdefghi"), (frozenset("abcdefghi"),) * 11)
-    assert hall_check(nine) == (False, tuple(range(1, 11)))
+    seven = SetFamily(tuple("abcdefg"), (frozenset("abcdefg"),) * 40)
+    assert rado_check(ClassicalMatroid.free(seven.ground), seven) == (False, tuple(range(1, 9)))
     family = SetFamily(("a", "b"), (frozenset(),) * 3 + (frozenset("ab"),) * 37)
-    assert hall_check(family) == (False, (1,))
     free = ClassicalMatroid.free(family.ground)
     assert avoid_rado_check(free, empties(family.ground, 40)) == (False, (1, 2, 3))
+    # Hall and the avoiding-transversal test walk no J: they answer at 40
+    # members at the real caps.
+    assert hall_check(singletons(40)).ok
+    assert avoiding_transversal_check(set(), empties(("a",), 40))
+    assert avoiding_transversal_check({"a"}, empties(("a",), 40))
+    nine = SetFamily(tuple("abcdefghi"), (frozenset("abcdefghi"),) * 11)
+    assert hall_check(nine) == (False, tuple(range(1, 11)))
+    assert hall_check(family) == (False, (1,))

@@ -95,7 +95,7 @@ def test_hall_command(tmp_path, capsys):
     path = write(tmp_path, "i.json", doc)
     code, out = run_cli(capsys, "hall", path)
     assert out["verdict"] is False and out["witness_J"] == [1, 2]
-    # 40 members index 2^40 sets J; the check stops at the first that fails.
+    # 40 members index 2^40 sets J; the witness is the first that fails.
     doc = {"ground": ["a"], "members": [["a"]] * 40}
     path = write(tmp_path, "i.json", doc)
     code, out = run_cli(capsys, "hall", path)
@@ -113,23 +113,58 @@ def test_hall_command(tmp_path, capsys):
     "command, doc",
     [
         ("rado", {"ground": [f"x{i}" for i in range(40)], "members": [[f"x{i}"] for i in range(40)]}),
-        # 20 labels keep the free matroid's bases enumerable; 40 empty
-        # members first fail at |J| = 21, far past the cap.
+        # 40 empty members over 20 labels first fail at |J| = 21, far past
+        # the cap.
         ("avoid-rado", {"ground": [f"x{i}" for i in range(20)], "members": [[]] * 40}),
-        ("check-transversal", {"ground": ["a"], "members": [[]] * 40, "T": []}),
     ],
 )
 def test_j_walks_of_40_members_exit_3(monkeypatch, tmp_path, capsys, command, doc):
     from qtransversal import classical
 
-    # The caps are lowered so that each walk is refused within
-    # milliseconds; the rule that refuses it is the one the real caps use.
-    monkeypatch.setattr(classical, "SET_WALK_CAP", 2**12)
+    # The cap is lowered so that each walk is refused within milliseconds;
+    # the rule that refuses it is the one the real cap uses.
     monkeypatch.setattr(classical, "RANK_WALK_CAP", 2**10)
     doc = {**doc, "matroid": {"kind": "free"}}
     code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
     assert code == 3 and out["error"] == "infeasible-scale"
     assert "of the 2^40 index sets J" in out["message"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, expected",
+    [
+        (
+            "check-transversal",
+            {"ground": [f"x{i}" for i in range(20)], "members": [[]] * 40,
+             "T": [f"x{i}" for i in range(20)]},
+            {"verdict": True},
+        ),
+        (
+            "hall",
+            {"ground": [f"x{i}" for i in range(39)],
+             "members": [[f"x{i}"] for i in range(39)] + [["x38"]]},
+            {"verdict": False, "witness_J": [39, 40]},
+        ),
+    ],
+    ids=["check-transversal", "hall"],
+)
+def test_matching_commands_on_40_members_answer(tmp_path, capsys, command, doc, expected):
+    # The matching decides without walking the 2^40 sets J, at the real caps.
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
+    assert code == 0 and {key: out[key] for key in expected} == expected
+
+
+def test_avoid_rado_on_a_30_label_ground_answers(tmp_path, capsys):
+    # No basis enumeration: the 2^30 subsets of the ground are never walked.
+    ground = [f"x{i}" for i in range(30)]
+    doc = {"ground": ground, "members": [ground[2:]] * 3, "matroid": {"kind": "free"}}
+    code, out = run_cli(capsys, "avoid-rado", write(tmp_path, "i.json", doc))
+    # Free: nu*(X) = |X|, and |X(J)| + |J| = 28 + 3 > 30 first at J = {1, 2, 3}.
+    assert code == 0 and out["verdict"] is False and out["witness_J"] == [1, 2, 3]
+    doc["members"] = [[x] for x in ground[:10]]
+    code, out = run_cli(capsys, "avoid-rado", write(tmp_path, "i.json", doc))
+    # x_i+1 for member i avoids it, and distinct labels are free-independent.
+    assert code == 0 and out["verdict"] is True
 
 
 @pytest.mark.parametrize("command", ["q-hall", "check-q-transversal", "build-matroid"])
@@ -178,11 +213,22 @@ def test_q_side_closure_past_the_walk_cap_exits_3(monkeypatch, tmp_path, capsys,
 )
 def test_hall_rejects_a_matching_it_cannot_confirm(tmp_path, capsys, monkeypatch, matching):
     # The matching decides first; an SDR it returns is re-checked, and a
-    # missing one must come with a failing J from the Hall walk.
+    # missing one must come with a J that violates Hall.
     from qtransversal import cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "find_transversal", lambda fam: matching)
     doc = {"ground": ["a", "b"], "members": [["a", "b"], ["b"]]}
+    code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
+    assert code == 4 and out["error"] == "invariant-violation"
+
+
+def test_hall_rejects_a_witness_that_does_not_violate(tmp_path, capsys, monkeypatch):
+    # Without a matching, the Hall witness is re-checked from the sets.
+    from qtransversal import cli as cli_mod
+    from qtransversal.classical import HallVerdict
+
+    monkeypatch.setattr(cli_mod, "hall_check", lambda fam: HallVerdict(False, (1,)))
+    doc = {"ground": ["a"], "members": [["a"], ["a"]]}
     code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
     assert code == 4 and out["error"] == "invariant-violation"
 
@@ -198,7 +244,7 @@ _Q_SIDE = {"q": 2, "dim": 2, "family": [["10"]], "subspace": ["01"]}
             "check-transversal",
             {**_CLASSICAL, "T": ["b", "c"]},
             ("avoiding_transversal_by_injections", lambda t, fam: False),
-            "avoidance J-test and injection search disagree",
+            "matching on the complements and injection search disagree",
             {"T": ["b", "c"], "family": _CLASSICAL},
         ),
         (
