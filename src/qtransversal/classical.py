@@ -137,18 +137,29 @@ def hall_check(fam: SetFamily) -> HallVerdict:
 
 def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool, int]:
     # Depth-first augmenting path over element bits, updating owner in
-    # place; returns whether one was found and the updated seen.
-    for v in range(len(owner)):
-        bit = 1 << v
-        if adj[u] & bit and not seen & bit:
-            seen |= bit
-            if owner[v] < 0:
-                owner[v] = u
-                return True, seen
-            ok, seen = _augment(adj, owner, owner[v], seen)
-            if ok:
-                owner[v] = u
-                return True, seen
+    # place; returns whether one was found and the updated seen.  The
+    # search keeps its path on a list, not the call stack, so a long path
+    # cannot overflow it.  Each vertex on the path tries its unseen labels
+    # in ascending order, the lowest bit of adj & ~seen: labels it tried
+    # before are seen by then, so this is the order of a recursive search.
+    path = [u]  # left vertices from u to the current one
+    via = []  # via[k]: the label by which path[k] reached path[k + 1]
+    while path:
+        rest = adj[path[-1]] & ~seen
+        if not rest:
+            path.pop()
+            if via:
+                via.pop()
+            continue
+        bit = rest & -rest
+        seen |= bit
+        v = bit.bit_length() - 1
+        via.append(v)
+        if owner[v] < 0:
+            for w, x in zip(path, via):
+                owner[x] = w
+            return True, seen
+        path.append(owner[v])
     return False, seen
 
 

@@ -18,11 +18,17 @@ indep & tmask != 0, the right side iff viol & jmask == 0.  Only a pair
 whose sides mismatch is replayed through the witness route, which must
 agree; so does reverify_q_rado.
 
+Both the pool and viol are read from meet-level bitsets: L_X[d] has bit
+A set iff dim(A meet X) <= d, read from X's meet row once per call and
+dimension.  barnu(X) > t exactly when no basis B has X in L_B[t], so
+viol is one OR over the bases per k.
+
 The default matroid pool is the free matroid, every rank-1 matroid and
-every union of two of them.  A pair's table is read from the closed
-two-member formula, which decides whether it repeats an earlier table;
-union builds and checks each table that is kept, and must agree with
-the formula.
+every union of two of them, compared by rank levels (bit A of level k
+set iff r(A) >= k).  A pair's levels come from the closed two-member
+formula as a few ANDs of the meet-level bitsets, and decide whether it
+repeats an earlier table; union builds and checks each table that is
+kept, and its levels must equal the pair's.
 
 Readings pinned here (also echoed in the report notes):
 
@@ -47,7 +53,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from operator import eq, sub
+from operator import ne
 
 from .classical import _mask_to_indices
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange
@@ -228,53 +234,92 @@ def _family(lattice, members: tuple[int, ...]) -> SubspaceFamily:
     return SubspaceFamily(lattice.spec, tuple(lattice.subspaces[i] for i in members))
 
 
-def _two_loop_tables(lattice):
-    """(i, j, ranks) for every pair i <= j of lattice indices, in the
-    pool's order: the rank table of union(rank_one(X_i), rank_one(X_j)),
-    by the closed form
+def _levels(values: bytes, top: int) -> list[int]:
+    """[m_0, ..., m_top]: bit i of m_d is set iff values[i] <= d.  The
+    values, one byte per lattice index, are read last index first as
+    binary digits, one translate and one parse per level."""
+    digits = values[::-1]
+    return [int(digits.translate(b"1" * (d + 1) + b"0" * (255 - d)), 2) for d in range(top + 1)]
+
+
+def _meet_levels(lattice) -> list[list[int]]:
+    """L_X[d] for every subspace X and d = 0..n: bit A of L_X[d] is set
+    iff dim(A meet X) <= d, read once from lattice.meet_row(X)."""
+    dims = lattice.dims
+    n = lattice.spec.dim
+    return [_levels(bytes(map(dims.__getitem__, lattice.meet_row(x))), n) for x in range(len(dims))]
+
+
+def _rank_key(ranks) -> tuple[int, ...]:
+    """A rank table as its levels: bit A of entry k - 1 is set iff
+    r(A) >= k, for k = 1..max r.  Tables with equal keys are equal."""
+    full = (1 << len(ranks)) - 1
+    return tuple(full ^ m for m in _levels(bytes(ranks), max(ranks) - 1))
+
+
+def _pair_keys(lattice, levels):
+    """(i, j, key) for every pair i <= j of lattice indices, in the pool's
+    order: the _rank_key of union(rank_one(X_i), rank_one(X_j)), by the
+    closed form
 
         r(A) = min(2, 1 + c_i(A), 1 + c_j(A), c_(X_i meet X_j)(A)),
 
     with c_X(A) = dim A - dim(A meet X).  It is the presentation formula
-    of qtransversals at n = 2 (J = empty, {i}, {j}, {i, j}); the rows c_X
-    are read once per X from lattice.meet_row(X)."""
+    of qtransversals at n = 2 (J = empty, {i}, {j}, {i, j}).  With m the
+    meet of X_i and X_j, level 1 is c_m(A) >= 1 (A not below m), and
+    level 2 is c_i(A) >= 1, c_j(A) >= 1 and c_m(A) >= 2.  The set of A
+    with c_X(A) >= t is the union over d of the dimension-d subspaces in
+    L_X[d - t] (levels, from _meet_levels)."""
     dims = lattice.dims
     size = len(dims)
-    c = [tuple(map(sub, dims, map(dims.__getitem__, lattice.meet_row(x)))) for x in range(size)]
-    c1 = [tuple(map((1).__add__, row)) for row in c]
-    twos = (2,) * size
+    at_most = _levels(bytes(dims), lattice.spec.dim)
+    of_dim = [m ^ lower for m, lower in zip(at_most, [0, *at_most])]
+
+    def c_at_least(t):
+        # The dimension classes are disjoint: their sum is their union.
+        return [
+            sum(of_dim[d] & row[d - t] for d in range(t, len(of_dim))) for row in levels
+        ]
+
+    c1, c2 = c_at_least(1), c_at_least(2)
     for i in range(size):
         meets = lattice.meet_row(i)
+        c1_i = c1[i]
         for j in range(i, size):
-            yield i, j, tuple(map(min, c1[i], c1[j], c[meets[j]], twos))
+            m = meets[j]
+            two = c1_i & c1[j] & c2[m]
+            yield i, j, (c1[m], two) if two else (c1[m],) if c1[m] else ()
 
 
 def default_matroid_source(lattice) -> list[QMatroid]:
     """Free matroid, every rank-1 matroid, and every union of two rank-1
     matroids, deduplicated by rank table in enumeration order.
 
-    A pair's table comes from the closed form of _two_loop_tables, which
-    decides whether it repeats an earlier one; only a new table is built
-    by union, and union's ranks must equal the closed form, else
-    InvariantViolation with the pair as a build-matroid instance."""
+    Tables are compared by _rank_key.  A pair's key comes from the
+    closed form of _pair_keys, a few ANDs of the meet-level bitsets,
+    which decides whether the pair repeats an earlier table; only a new
+    table is built by union, and the levels of union's ranks must equal
+    the key, else InvariantViolation with the pair as a build-matroid
+    instance."""
     out = []
     seen = set()
 
-    def push(m):
-        if m.ranks not in seen:
-            seen.add(m.ranks)
+    def push(m, key):
+        if key not in seen:
+            seen.add(key)
             out.append(m)
 
-    push(free_matroid(lattice.spec))
+    free = free_matroid(lattice.spec)
+    push(free, _rank_key(free.ranks))
     singles = [rank_one(s) for s in lattice.subspaces]
     for m in singles:
-        push(m)
+        push(m, _rank_key(m.ranks))
     # Union is commutative: (j, i) repeats (i, j), which came earlier.
-    for i, j, table in _two_loop_tables(lattice):
-        if table in seen:
+    for i, j, key in _pair_keys(lattice, _meet_levels(lattice)):
+        if key in seen:
             continue
         m = union([singles[i], singles[j]])
-        if m.ranks != table:
+        if _rank_key(m.ranks) != key:
             raise InvariantViolation(
                 "closed-form union of two rank-1 matroids and union route disagree",
                 payload={
@@ -282,9 +327,7 @@ def default_matroid_source(lattice) -> list[QMatroid]:
                     "family": [lattice.subspaces[i].to_rows(), lattice.subspaces[j].to_rows()],
                 },
             )
-        # push keeps m.ranks in seen: keeping table there instead would
-        # hold a second copy of every kept table.
-        push(m)
+        push(m, key)
     return out
 
 
@@ -320,24 +363,30 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
     return lhs_witness, rhs_witness
 
 
-def _bits(flags) -> int:
-    """The int with bit i set iff flags[i] is true."""
-    return sum(1 << i for i, flag in enumerate(flags) if flag)
-
-
-def _matroid_masks(matroid: QMatroid, max_family: int) -> tuple[int, int]:
+def _matroid_masks(matroid: QMatroid, max_family: int, levels) -> tuple[int, int]:
     """The matroid's half of every q-Rado pair with at most max_family
     members: (indep, viol), where bit i of indep is set iff subspace i is
     independent, and bit k*S + x of viol (S subspaces) iff
-    barnu(x) + k > barnu(V), for k = 0..max_family."""
+    barnu(x) + k > barnu(V), for k = 0..max_family.
+
+    barnu(X) > t exactly when no basis B meets X in t or fewer
+    dimensions, so viol's block k is the complement of the union of
+    L_B[barnu(V) - k] over the bases (levels, from _meet_levels), and all
+    of it when barnu(V) < k."""
     lattice = matroid.lattice
     size = len(lattice)
-    indep = _bits(map(eq, matroid.ranks, lattice.dims))
-    barn = matroid.bar_nullity_table()
+    full = (1 << size) - 1
+    # r(X) != dim X is False, 0, exactly at the independent subspaces.
+    indep = _levels(bytes(map(ne, matroid.ranks, lattice.dims)), 0)[0]
+    bases = matroid.bases_idx()
     barn_v = matroid.bar_nullity_idx(lattice.top_index)
     viol = 0
     for k in range(max_family, -1, -1):
-        viol = viol << size | _bits(b + k > barn_v for b in barn)
+        met = 0
+        if k <= barn_v:
+            for b in bases:
+                met |= levels[b][barn_v - k]
+        viol = viol << size | full ^ met
     return indep, viol
 
 
@@ -415,8 +464,9 @@ def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[Q
 
     A default pool is only built once its build and a closed-form lower
     bound on the pairs keep the scan under the cap: GF(2)^5's build
-    computes 70,500 candidate tables in about 30 s (2-vCPU Xeon VM),
-    GF(2)^6's some 4M.  Each candidate table is charged as one instance.
+    reads 70,500 candidate keys in 0.05 s and then spends about 26 s
+    (2-vCPU Xeon VM) in union on the 30,972 kept pair tables, GF(2)^6's
+    some 4M keys.  Each candidate table is charged as one instance.
     """
     families = _families_per_dim(cfg)
     built = 0
@@ -443,9 +493,10 @@ def scan_q_rado(
     """
     start = time.monotonic()
     pools = _q_rado_pools(cfg, matroid_source, instance_cap)
-    pool_masks = {
-        dim: [_matroid_masks(m, cfg.max_family) for m in pool] for dim, pool in pools.items()
-    }
+    pool_masks = {}
+    for dim, pool in pools.items():
+        levels = _meet_levels(get_lattice(cfg.space(dim)))
+        pool_masks[dim] = [_matroid_masks(m, cfg.max_family, levels) for m in pool]
     counterexamples = []
     checked = 0
     for _, lattice, members in _family_stream(cfg):
@@ -495,7 +546,9 @@ def reverify_q_rado(record: dict) -> bool:
     matroid = QMatroid.from_jsonable(fam.lattice, record["matroid"])
     lhs_t, rhs_j = _q_rado_sides(matroid, fam)
     sides = (lhs_t is not None, rhs_j is None)
-    mismatches = _q_rado_mismatches([_matroid_masks(matroid, len(fam))], _family_masks(fam))
+    mismatches = _q_rado_mismatches(
+        [_matroid_masks(matroid, len(fam), _meet_levels(fam.lattice))], _family_masks(fam)
+    )
     masks = [(lhs, not lhs) for _, lhs in mismatches]
     recorded = (record["lhs_has_independent_transversal"], record["rhs_condition_holds"])
     return masks == [sides] == [recorded]

@@ -7,9 +7,9 @@ submodular function, union (induction from the sum of rank functions),
 and explicit tables.  Derived notions (circuits, closure, flats,
 nullity, fundamental circuits, cyclicity) are computed by full lattice
 scans; at desk scale this is the point, since exhaustive theorem checks
-need totality.  Bar nullity is a per-matroid table, built once on first
-use as the elementwise min over bases B of dim(B meet X), so each
-bar_nullity_idx call is a lookup rather than a scan over the bases.
+need totality.  Bar nullity is the min over bases B of dim(B meet X):
+bar_nullity_idx evaluates it at one subspace, and bar_nullity_table
+builds every entry once, on first use, for callers that read many.
 
 The axioms are checked on the lattice's covers and diamonds, not on all
 pairs (see Lattice.covers and Lattice.diamonds).  The subspace lattice
@@ -33,9 +33,10 @@ is a circuit exactly when all its lower covers are independent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import compress
-from operator import add, ne, sub
+from operator import add, eq, ne, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -98,9 +99,13 @@ class QMatroid:
     def bases_idx(self) -> tuple[int, ...]:
         """Indices of the maximal independent subspaces (matroid bases)."""
         if self._bases is None:
-            independent = [i for i in range(len(self.lattice)) if self.independent_idx(i)]
-            best = max(self.lattice.dims[i] for i in independent)
-            self._bases = tuple(i for i in independent if self.lattice.dims[i] == best)
+            dims = self.lattice.dims
+            independent = list(compress(range(len(dims)), map(eq, self.ranks, dims)))
+            # Indices ascend with dimension, so the last independent
+            # subspace has the largest dimension, and the bases are the
+            # independent ones from the first index of that dimension on.
+            first = self.lattice.by_dim[dims[independent[-1]]][0]
+            self._bases = tuple(independent[bisect_left(independent, first):])
         return self._bases
 
     def bases(self) -> tuple[Subspace, ...]:
@@ -111,7 +116,10 @@ class QMatroid:
         return self.bar_nullity_idx(self.lattice.idx(x))
 
     def bar_nullity_idx(self, xi: int) -> int:
-        return self.bar_nullity_table()[xi]
+        """bar_nullity_table()[xi], evaluated at that one subspace: the
+        min over bases B of dim(B meet X)."""
+        lat = self.lattice
+        return min(lat.dims[lat.meet_idx(b, xi)] for b in self.bases_idx())
 
     def bar_nullity_table(self) -> tuple[int, ...]:
         """Bar nullity of every subspace, indexed like the lattice: the

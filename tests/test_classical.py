@@ -348,6 +348,53 @@ def test_avoid_rado_matches_the_co_nullity_per_J_loop_on_seeded_families():
         assert_verdict(avoid_rado_check(matroid, family), witness)
 
 
+def recursive_augment(adj, owner, u, seen):
+    """The depth-first augmenting search with one call per path edge."""
+    for v in range(len(owner)):
+        bit = 1 << v
+        if adj[u] & bit and not seen & bit:
+            seen |= bit
+            if owner[v] < 0:
+                owner[v] = u
+                return True, seen
+            ok, seen = recursive_augment(adj, owner, owner[v], seen)
+            if ok:
+                owner[v] = u
+                return True, seen
+    return False, seen
+
+
+def test_matching_matches_the_recursive_search_on_seeded_families():
+    # The Hall families of the test below: the same matching after every
+    # member, and the same seen labels from the first unmatched one.
+    from qtransversal.classical import _augment, maximum_matching
+
+    rng = random.Random(22)
+    for _ in range(2000):
+        width = rng.randint(0, 8)
+        density = rng.random()
+        adj = [
+            sum(1 << v for v in range(width) if rng.random() < density)
+            for _ in range(rng.randint(0, 9))
+        ]
+        owner, reference = [-1] * width, [-1] * width
+        found = []
+        for u in range(len(adj)):
+            found.append(recursive_augment(adj, reference, u, 0))
+            assert _augment(adj, owner, u, 0) == found[-1]
+            assert owner == reference
+        match = [-1] * len(adj)
+        for v, u in enumerate(reference):
+            if u >= 0:
+                match[u] = v
+        assert maximum_matching(adj, width) == match
+        stuck = [u for u, (ok, _) in enumerate(found) if not ok]
+        if stuck:
+            assert _augment(adj, owner[:], stuck[0], 0) == recursive_augment(
+                adj, reference[:], stuck[0], 0
+            )
+
+
 def test_hall_and_avoid_rado_match_the_first_failing_mask_on_seeded_families():
     # About 2,000 families of up to 9 members on up to 8 labels.  Hall's
     # witness, read off the failed augmenting search, is the first failing

@@ -109,6 +109,24 @@ def test_hall_command(tmp_path, capsys):
     assert code == 0 and out["verdict"] is True and out["transversal"] == labels
 
 
+def test_hall_answers_along_an_augmenting_path_of_1500_edges(tmp_path, capsys):
+    # Members {x_i, x_(i+1)} for i < 1500 take x_i first; {x_0} then
+    # reaches x_1500 through a path of 1,500 edges, which the matching
+    # follows without one call per edge.
+    labels = [f"x{i}" for i in range(1501)]
+    chain = [[labels[i], labels[i + 1]] for i in range(1500)]
+    doc = {"ground": labels, "members": chain + [["x0"]]}
+    code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
+    assert code == 0 and out["verdict"] is True
+    assert out["transversal"] == labels[1:] + ["x0"]
+    # With {x_1500} as well, the search from it walks the same path back
+    # and fails: every member is in J, over 1,501 labels.
+    doc = {"ground": labels, "members": chain + [["x0"], ["x1500"]]}
+    code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
+    assert code == 0 and out["verdict"] is False
+    assert out["witness_J"] == list(range(1, 1503))
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [

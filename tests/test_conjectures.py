@@ -568,7 +568,7 @@ def test_default_pool_holds_its_guard_floor(monkeypatch, p, e, dim):
         for y in lattice.subspaces[i + 1:]
         if min(x.dim, y.dim) - lattice.dims[lattice.meet_idx(lattice.idx(x), lattice.idx(y))] >= 2
     ]
-    made = dict.fromkeys(("free_matroid", "rank_one", "_two_loop_tables", "union"), 0)
+    made = dict.fromkeys(("free_matroid", "rank_one", "_pair_keys", "union"), 0)
 
     def counted(name):
         fn = getattr(conjectures, name)
@@ -579,24 +579,24 @@ def test_default_pool_holds_its_guard_floor(monkeypatch, p, e, dim):
 
         return wrapper
 
-    def counted_tables(lat, tables=conjectures._two_loop_tables):
-        for item in tables(lat):
-            made["_two_loop_tables"] += 1
+    def counted_keys(lat, levels, keys=conjectures._pair_keys):
+        for item in keys(lat, levels):
+            made["_pair_keys"] += 1
             yield item
 
     for name in ("free_matroid", "rank_one", "union"):
         monkeypatch.setattr(conjectures, name, counted(name))
-    monkeypatch.setattr(conjectures, "_two_loop_tables", counted_tables)
+    monkeypatch.setattr(conjectures, "_pair_keys", counted_keys)
     pool = default_matroid_source(lattice)
     assert {m.ranks for m in named + pairs} <= {m.ranks for m in pool}
     assert len({m.ranks for m in pairs}) == len(pairs)
     assert len({m.ranks for m in named + pairs}) >= conjectures._default_pool_floor(cfg, dim)
-    # The build charge counts candidate tables: the free one, S rank-1
-    # ones and S(S+1)/2 closed-form pair tables; union runs once per kept
-    # pair table.
+    # The build charge counts candidate tables, each read as a key: the
+    # free one, S rank-1 ones and S(S+1)/2 closed-form pair keys; union
+    # runs once per kept pair table.
     s = len(lattice)
-    assert made["free_matroid"] + made["rank_one"] + made["_two_loop_tables"] == conjectures._default_pool_build(cfg, dim)
-    assert (made["free_matroid"], made["rank_one"], made["_two_loop_tables"]) == (1, s, s * (s + 1) // 2)
+    assert made["free_matroid"] + made["rank_one"] + made["_pair_keys"] == conjectures._default_pool_build(cfg, dim)
+    assert (made["free_matroid"], made["rank_one"], made["_pair_keys"]) == (1, s, s * (s + 1) // 2)
     assert made["union"] == sum(m.provenance == "union" for m in pool)
 
 
@@ -632,11 +632,12 @@ def test_default_pool_matches_the_all_pairs_union_pool(p, e, dim):
 @pytest.mark.parametrize("p, e, dim", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
 def test_two_loop_tables_match_presentation_and_union(p, e, dim):
     from qtransversal import SubspaceFamily, presentation_matroid, rank_one, union
-    from qtransversal.conjectures import _two_loop_tables
+    from test_differential import two_loop_tables
 
+    # The tuple-route oracle that the pool's keys are compared with.
     lattice = get_lattice(VectorSpaceSpec(field_make(p, e), dim))
     xs = lattice.subspaces
-    tables = list(_two_loop_tables(lattice))
+    tables = list(two_loop_tables(lattice))
     assert [(i, j) for i, j, _ in tables] == [(i, j) for i in range(len(xs)) for j in range(i, len(xs))]
     for i, j, table in tables:
         assert table == presentation_matroid(SubspaceFamily(lattice.spec, (xs[i], xs[j]))).ranks
@@ -646,12 +647,13 @@ def test_two_loop_tables_match_presentation_and_union(p, e, dim):
 def test_default_pool_raises_when_union_disagrees_with_the_closed_form(monkeypatch, tmp_path, capsys):
     from qtransversal import InvariantViolation, conjectures, free_matroid, rank_one, union
     from qtransversal.cli import main
+    from test_differential import two_loop_tables
 
     # union of a pair returns its first member's table: the first pair
     # whose closed-form table is new must then raise, naming the pair.
     lattice = get_lattice(VectorSpaceSpec(field_make(2, 1), 3))
     seen = {free_matroid(lattice.spec).ranks} | {rank_one(x).ranks for x in lattice.subspaces}
-    i, j, table = next(t for t in conjectures._two_loop_tables(lattice) if t[2] not in seen)
+    i, j, table = next(t for t in two_loop_tables(lattice) if t[2] not in seen)
     monkeypatch.setattr(conjectures, "union", lambda members: union(members[:1]))
     with pytest.raises(InvariantViolation) as raised:
         default_matroid_source(lattice)
@@ -704,7 +706,7 @@ def test_q_rado_counterexample_record_names_its_dimension(monkeypatch):
     lattice = get_lattice(spec)
     free = free_matroid(spec)
     top = SubspaceFamily(spec, (lattice.subspaces[lattice.top_index],))
-    free_indep = conjectures._matroid_masks(free, 1)[0]
+    free_indep = conjectures._matroid_masks(free, 1, conjectures._meet_levels(lattice))[0]
     top_masks = conjectures._family_masks(top)
     real_mismatches = conjectures._q_rado_mismatches
     real_sides = conjectures._q_rado_sides

@@ -8,23 +8,28 @@ GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
 q-matroids give it mismatches to record.  The meet-closure and the
 q-side routes that read it are compared with the 2^n table of every
 X(J) over every multiset of a few members of GF(2)^<=4, GF(3)^<=3 and
-GF(4)^<=2."""
+GF(4)^<=2.  The default pool's bitset keys and the scan's bitset viol
+masks are compared with the tuple route of the closed-form pair tables
+and with the bar-nullity-table route they replace."""
 
 import itertools
 import json
 import random
 from functools import lru_cache
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransversal import (
+    InvariantViolation,
     QMatroid,
     ScanConfig,
     SubspaceFamily,
     VectorSpaceSpec,
     field_make,
+    free_matroid,
     get_lattice,
     is_partial_q_transversal,
     join,
@@ -41,8 +46,11 @@ from qtransversal import (
 from qtransversal.conjectures import (
     _family_masks,
     _matroid_masks,
+    _meet_levels,
+    _pair_keys,
     _q_rado_mismatches,
     _q_rado_sides,
+    _rank_key,
     default_matroid_source,
 )
 from qtransversal.subspaces import count_bases
@@ -87,6 +95,11 @@ def pool(lattice):
     return default_matroid_source(lattice)
 
 
+@lru_cache(maxsize=None)
+def levels(lattice):
+    return _meet_levels(lattice)
+
+
 def mask_verdicts(pool_masks, family_masks):
     """(lhs, rhs) of every pool matroid against one family, read from
     the masks as the scan reads them."""
@@ -95,7 +108,7 @@ def mask_verdicts(pool_masks, family_masks):
 
 
 def assert_masks_match_the_witness_route(matroids, fam, max_family):
-    pool_masks = [_matroid_masks(m, max_family) for m in matroids]
+    pool_masks = [_matroid_masks(m, max_family, levels(m.lattice)) for m in matroids]
     family_masks = _family_masks(fam)
     sides = [_q_rado_sides(m, fam) for m in matroids]
     expected = [(lhs_t is not None, rhs_j is None) for lhs_t, rhs_j in sides]
@@ -219,6 +232,111 @@ def test_q_rado_scan_records_match_the_reference_on_scrambled_tables(cfg, seed):
     assert report.instances_checked == pairs
     # Record by record, so that a failure names the first differing one.
     assert [json.dumps(r) for r in report.counterexamples] == [json.dumps(r) for r in records]
+
+
+def two_loop_tables(lattice):
+    """(i, j, ranks) for every pair i <= j of lattice indices, in the
+    pool's order: the rank table of union(rank_one(X_i), rank_one(X_j)),
+    by the closed form
+
+        r(A) = min(2, 1 + c_i(A), 1 + c_j(A), c_(X_i meet X_j)(A)),
+
+    with c_X(A) = dim A - dim(A meet X), as one tuple of S entries per
+    pair (S subspaces); the rows c_X are read once per X from
+    lattice.meet_row(X)."""
+    dims = lattice.dims
+    size = len(dims)
+    c = [tuple(map(sub, dims, map(dims.__getitem__, lattice.meet_row(x)))) for x in range(size)]
+    c1 = [tuple(map((1).__add__, row)) for row in c]
+    twos = (2,) * size
+    for i in range(size):
+        meets = lattice.meet_row(i)
+        for j in range(i, size):
+            yield i, j, tuple(map(min, c1[i], c1[j], c[meets[j]], twos))
+
+
+def tuple_route_pool(lattice):
+    """The default pool deduplicated by rank tuple: the free matroid, the
+    rank-1 matroids, then every pair whose two_loop_tables table is new,
+    built by union, which must agree with the table."""
+    out, seen = [], set()
+
+    def push(m):
+        if m.ranks not in seen:
+            seen.add(m.ranks)
+            out.append(m)
+
+    push(free_matroid(lattice.spec))
+    singles = [rank_one(x) for x in lattice.subspaces]
+    for m in singles:
+        push(m)
+    for i, j, table in two_loop_tables(lattice):
+        if table not in seen:
+            m = union([singles[i], singles[j]])
+            if m.ranks != table:
+                raise InvariantViolation("closed form and union disagree")
+            push(m)
+    return out
+
+
+SPACE_IDS = [f"{p**e}-{n}" for p, e, n in SPACES]
+
+
+@pytest.mark.parametrize("p,e,n", SPACES, ids=SPACE_IDS)
+def test_bitset_pool_matches_the_tuple_route(p, e, n):
+    # Every pair's key is the levels of its closed-form table, and the
+    # pool keeps the same matroids, in the same order and provenance.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    assert list(_pair_keys(lattice, levels(lattice))) == [
+        (i, j, _rank_key(table)) for i, j, table in two_loop_tables(lattice)
+    ]
+    expected = [(m.provenance, m.ranks) for m in tuple_route_pool(lattice)]
+    assert [(m.provenance, m.ranks) for m in pool(lattice)] == expected
+
+
+def table_route_masks(matroid, max_family):
+    """(indep, viol) as _matroid_masks defines them, read bit by bit from
+    the rank table and the matroid's bar_nullity_table."""
+    lattice = matroid.lattice
+    size = len(lattice)
+    indep = sum(1 << i for i in range(size) if matroid.ranks[i] == lattice.dims[i])
+    barn = matroid.bar_nullity_table()
+    barn_v = barn[lattice.top_index]
+    viol = 0
+    for k in range(max_family, -1, -1):
+        viol = viol << size | sum(1 << x for x, b in enumerate(barn) if b + k > barn_v)
+    return indep, viol
+
+
+@pytest.mark.parametrize("p,e,n", SPACES, ids=SPACE_IDS)
+def test_bitset_matroid_masks_match_the_bar_nullity_table_route(p, e, n):
+    # Every pool matroid and the seeded scrambled tables of two seeds,
+    # which are mostly not q-matroids, for every family size up to three.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    matroids = pool(lattice) + scrambled_source(1)(lattice) + scrambled_source(2)(lattice)
+    for matroid in matroids:
+        for max_family in range(4):
+            assert _matroid_masks(matroid, max_family, levels(lattice)) == table_route_masks(
+                matroid, max_family
+            )
+
+
+BAR_NULLITY_SPACES = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "p,e,n", BAR_NULLITY_SPACES, ids=[f"{p**e}-{n}" for p, e, n in BAR_NULLITY_SPACES]
+)
+def test_bar_nullity_idx_matches_the_table(p, e, n):
+    # bar_nullity_idx evaluates one entry; the table builds them all.  The
+    # bases are the independent subspaces of the largest dimension.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    for matroid in pool(lattice) + scrambled(lattice):
+        independent = [i for i in range(len(lattice)) if matroid.independent_idx(i)]
+        best = max(lattice.dims[i] for i in independent)
+        assert matroid.bases_idx() == tuple(i for i in independent if lattice.dims[i] == best)
+        table = matroid.bar_nullity_table()
+        assert [matroid.bar_nullity_idx(x) for x in range(len(lattice))] == list(table)
 
 
 CIRCUIT_SPACES = [(2, 1, n) for n in range(1, 4)] + [(3, 1, 2), (2, 2, 2)]
