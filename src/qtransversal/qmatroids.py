@@ -344,24 +344,28 @@ def check_rank_axioms(lattice: Lattice, ranks: Sequence[int]) -> SubmodularRepor
     return check_submodular(lattice, _IntTable(r))
 
 
-def induce(lattice: Lattice, values, provenance: str = "induced") -> QMatroid:
-    """The q-matroid induced by a submodular function.
-
-    r(A) = min over B <= A of f(B) + dim A - dim B, computed along the
-    covers: with h(A) = min over B <= A of f(B) - dim B, every B < A lies
-    below a lower cover of A, so h(A) = min(f(A) - dim A, h(C) for the
-    lower covers C of A), and r(A) = dim A + h(A).
-    """
-    f = _dense_values(lattice, values)
-    report = check_submodular(lattice, _IntTable(f))
-    if not report.ok:
-        raise NotSubmodular(f"{report.failure} axiom fails at {report.witness}")
+def _lower_envelope(lattice: Lattice, f: Sequence[int]):
+    """r(A) = min over B <= A of f(B) + dim A - dim B, for every A, computed
+    along the covers: with h(A) = min over B <= A of f(B) - dim B, every
+    B < A lies below a lower cover of A, so h(A) = min(f(A) - dim A, h(C)
+    for the lower covers C of A), and r(A) = dim A + h(A)."""
     dims = lattice.dims
     h = list(map(sub, f, dims))
     for lo, hi in zip(*lattice.covers):
         if h[lo] < h[hi]:
             h[hi] = h[lo]
-    return QMatroid(lattice, map(add, dims, h), provenance)
+    return map(add, dims, h)
+
+
+def induce(lattice: Lattice, values, provenance: str = "induced") -> QMatroid:
+    """The q-matroid induced by a submodular function f: r(A) = min over
+    B <= A of f(B) + dim A - dim B, one walk over the covers.
+    """
+    f = _dense_values(lattice, values)
+    report = check_submodular(lattice, _IntTable(f))
+    if not report.ok:
+        raise NotSubmodular(f"{report.failure} axiom fails at {report.witness}")
+    return QMatroid(lattice, _lower_envelope(lattice, f), provenance)
 
 
 def rank_one(loop_space: Subspace) -> QMatroid:

@@ -2,9 +2,15 @@
 
 A family (X_1, ..., X_n) of subspaces presents the q-matroid obtained as
 the union of the rank-1 q-matroids with loop spaces X_i; its independent
-subspaces are exactly the partial q-transversals of the family.
-Unfolding the union gives the closed formula this module builds the
-presentation matroid by:
+subspaces are exactly the partial q-transversals of the family.  By the
+q-matroid union theorem its rank function is
+
+    r(A) = min over B <= A of  f(B) + dim A - dim B,
+
+with f(B) = #{i : B not <= X_i} the sum of the rank-1 rank functions.
+presentation_matroid builds f from the point masks and takes the minimum
+in one walk over the covers, the walk qmatroids.induce runs.  Unfolding
+the union over the members' meets gives a closed formula instead:
 
     r(A) = min over J of  n - |J| + dim A - dim(A meet X(J)),
 
@@ -12,25 +18,27 @@ with X(J) the meet of the members in J and X(empty) = V.  Only the
 distinct meets matter: for a meet W, J_W = {i : W <= X_i} is the largest
 J with X(J) = W, so the minimum is taken over W alone at cost n - |J_W|.
 SubspaceFamily.meet_closure holds every W with J_W, built once on first
-use, and the routes below read it there; no route walks the 2^n sets J.
+use; q_hall, the fast test and reduce_presentation read it there, and no
+route walks the 2^n sets J.
 
 The module offers three routes to the same verdict and treats any
 disagreement between them as an InvariantViolation, because the routes
 are tied together by proved theorems and a divergence is either a bug
 or a counterexample worth reporting:
 
-  * independence in the presentation matroid,
+  * independence in the presentation matroid, by the union theorem over
+    the covers,
   * the fast test  dim(T meet W) + |J_W| <= n  over the meet-closure,
   * the definitional oracle walking every vector basis of T and matching
     its vectors to the members that do not contain them.
 
-The first two read the same closure: r(T) = dim T holds exactly when
-the fast test's inequality holds at every W.  A violation at some J is
-one at W = X(J) too, since |J| <= |J_W|, so the closure misses none.
-So only the oracle is independent of the fast test here; the union of
-rank-1 matroids (qmatroids.union of qmatroids.rank_one), which induces
-its ranks from a submodular sum without any X(J), is the reference the
-tests hold the formula to.
+The three are independent: the presentation matroid reads no meet of the
+members, the fast test no cover, and the oracle neither.  The closed
+formula gives r(T) = dim T exactly when the fast test's inequality holds
+at every W; a violation at some J is one at W = X(J) too, since
+|J| <= |J_W|, so the closure misses none.  The tests also hold the
+presentation matroid to the union of rank-1 matroids (qmatroids.union of
+qmatroids.rank_one), which checks the summed table's submodularity first.
 
 Partial q-transversals are accepted at every dimension m <= n; a T with
 dim T > n fails the fast test at W = V and the certificate records that
@@ -42,8 +50,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import add
 
+from . import subspaces
 from .classical import (
     HallVerdict,
     SetFamily,
@@ -52,7 +60,7 @@ from .classical import (
     maximum_matching,
 )
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange
-from .qmatroids import QMatroid
+from .qmatroids import QMatroid, _lower_envelope
 from .subspaces import (
     Subspace,
     SubspaceFamily,
@@ -81,20 +89,26 @@ def family_meet(fam: SubspaceFamily, indices) -> Subspace:
 def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     """The q-matroid whose independent subspaces are the partial
     q-transversals of the family: the union of rank-1 matroids with loop
-    spaces X_i, built by the closed formula of the module docstring.
-    The empty family presents the rank-0 matroid."""
+    spaces X_i, by the union theorem of the module docstring.  f(B) =
+    #{i : B not <= X_i} is summed from one pass over the point masks per
+    member, and f needs no submodularity check, being a sum of rank
+    functions.  Each member charges S units (S subspaces) against
+    subspaces.SET_WALK_CAP and the family is refused past it.  The empty
+    family presents the rank-0 matroid."""
     lattice = fam.lattice
-    n = len(fam)
-    dims = lattice.dims
-    # One column per meet W at cost n - |J_W|, then the elementwise min;
-    # the repeated first column keeps min's arguments a sequence when the
-    # closure is V alone.
-    cols = [
-        [n - j.bit_count() - dims[m] for m in lattice.meet_row(w)]
-        for w, j in fam.meet_closure
-    ]
-    ranks = map(add, dims, map(min, *cols, cols[0]))
-    return QMatroid(lattice, ranks, "presentation")
+    masks = lattice.masks
+    everything = masks[lattice.top_index]
+    units = len(fam) * len(lattice)
+    if units > subspaces.SET_WALK_CAP:
+        raise InfeasibleScale(
+            f"the presentation of {len(fam)} members over {len(lattice)} subspaces "
+            f"charges {units} units, past the cap {subspaces.SET_WALK_CAP}"
+        )
+    f = [0] * len(lattice)
+    for x in fam.member_indices:
+        outside = everything & ~masks[x]
+        f = [c + (m & outside != 0) for c, m in zip(f, masks)]
+    return QMatroid(lattice, _lower_envelope(lattice, f), "presentation")
 
 
 def q_hall(fam: SubspaceFamily) -> HallVerdict:
@@ -158,10 +172,11 @@ def is_partial_q_transversal(
     theorem guarantees they exist, and a missing one raises.
     """
     lattice = fam.lattice
-    t_meets = lattice.meet_row(lattice.idx(t))
+    masks, by_mask, dims = lattice.masks, lattice.by_mask, lattice.dims
+    t_mask = masks[lattice.idx(t)]
     n = len(fam)
     for w, j in fam.meet_closure:
-        md = lattice.dims[t_meets[w]]
+        md = dims[by_mask[t_mask & masks[w]]]
         if md + j.bit_count() > n:
             return QTransversalCertificate(
                 False,
@@ -294,20 +309,28 @@ def reduce_presentation(fam: SubspaceFamily) -> SubspaceFamily:
     """Greedy left-to-right reduction to a presentation with exactly
     rank-many members.
 
-    A member that does not raise the rank of the members kept so far is
-    discarded; the union-same-rank proposition guarantees the matroid is
-    unchanged, and the result is re-verified against the full family.
+    A member that does not raise r(V) of the members kept so far is
+    discarded.  r(V) of the kept members and the candidate is the closed
+    formula of the module docstring at A = V, the min over the meets W
+    of their closure of n - |J_W| + dim V - dim W.  The union-same-rank
+    proposition guarantees the matroid is unchanged, and the reduced
+    family's presentation matroid is re-verified against the full
+    family's.
     """
+    dims = fam.lattice.dims
+    dim_v = fam.spec.dim
     kept: list[Subspace] = []
-    current = presentation_matroid(SubspaceFamily(fam.spec, ()))
+    rank = 0
     for x in fam.members:
-        candidate = presentation_matroid(SubspaceFamily(fam.spec, (*kept, x)))
-        if candidate.space_rank > current.space_rank:
+        candidate = SubspaceFamily(fam.spec, (*kept, x))
+        n = len(candidate)
+        r = min(n - j.bit_count() + dim_v - dims[w] for w, j in candidate.meet_closure)
+        if r > rank:
             kept.append(x)
-            current = candidate
+            rank = r
     reduced = SubspaceFamily(fam.spec, tuple(kept))
     full = presentation_matroid(fam)
-    if current.ranks != full.ranks or len(kept) != full.space_rank:
+    if presentation_matroid(reduced).ranks != full.ranks or len(kept) != full.space_rank:
         raise InvariantViolation(
             "greedy presentation reduction changed the matroid",
             payload={"family": fam.to_rows(), "reduced": reduced.to_rows()},

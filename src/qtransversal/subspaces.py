@@ -34,10 +34,13 @@ VECTOR_CAP = 2**20
 SUBSPACE_BLOCK_CAP = 10**6
 #: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
-#: Most units of set walking over one family: SubspaceFamily.meet_closure
-#: charges each member the size of the closure it meets, about 250 ns a
-#: unit with 1,000 members of GF(2)^6 and 400 ns with 6,000, whose J masks
-#: are 6,000 bits wide, so 6.8 s and 63 MiB at the cap (2-vCPU Xeon VM,
+#: Most units of set walking over one family.  SubspaceFamily.meet_closure
+#: charges each member the size of the closure it meets, about 280 ns a
+#: unit with 1,000 members of GF(2)^6 and 410 ns with 5,900, whose J masks
+#: are 5,900 bits wide, so 6.9 s and 23 MiB at the cap.  presentation_matroid
+#: charges each member the S subspaces it tests, about 115 ns a unit on
+#: GF(2)^6, GF(3)^5 and GF(7)^4, so 2 s and at most 30 MiB at the cap, but
+#: 1.8 us on the 177,241-bit point masks of GF(421)^2 (2-vCPU Xeon VM,
 #: Python 3.11).
 SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
@@ -426,13 +429,16 @@ class SubspaceFamily:
         J with X(J) = W.  Member i ORs J | bit into the entry of the meet of
         X_i with each entry (W, J) so far, so every entry holds the union
         of the J that meet to it: at most min(S, 2^n) entries (S
-        subspaces), built in n passes.  The meets come in the order they
+        subspaces), built in n passes.  While they grow the entries are
+        keyed by point mask, so that each meet is one AND of masks, and
+        they are indexed once at the end.  The meets come in the order they
         first appear as J runs through the bitmasks ascending.  Each pass
         charges the closure it meets against SET_WALK_CAP and is refused
         past it.  Members are looked up here, not through member_indices:
         one attribute less per family."""
         lattice = self.lattice
-        closure = {lattice.top_index: 0}
+        masks = lattice.masks
+        closure = {masks[lattice.top_index]: 0}
         charged = 0
         for i, m in enumerate(self.members):
             charged += len(closure)
@@ -442,12 +448,13 @@ class SubspaceFamily:
                     f"the cap {SET_WALK_CAP} at member {i + 1}, "
                     f"with {len(closure)} distinct meets"
                 )
-            row = lattice.meet_row(lattice.idx(m))
+            mi = masks[lattice.idx(m)]
             bit = 1 << i
             for w, j in list(closure.items()):
-                w = row[w]
+                w &= mi
                 closure[w] = closure.get(w, 0) | j | bit
-        return tuple(closure.items())
+        by_mask = lattice.by_mask
+        return tuple((by_mask[w], j) for w, j in closure.items())
 
 
 # -- serialization helpers ------------------------------------------------
@@ -556,13 +563,14 @@ class Lattice:
     ``atom_of[c]`` indexes the atom through the nonzero vector of code c.
 
     The masks, both indexes, ``perp`` and ``atom_of`` are built eagerly;
-    none of them is S x S (S subspaces).  The rest is built on first use
-    and kept: the cover columns (``covers``), which the axiom checks,
-    induction and circuits walk; the diamonds (``diamonds``), which the
-    axiom checks walk; ``below``, which only fundamental circuits and the
-    ordered scan naming a failed axiom read; and one meet row per
-    subspace asked for (``meet_row``), which the scans read again for
-    every family and matroid.
+    none of them is S x S (S subspaces).  Three tables of the lattice
+    itself are built on first use and kept: the cover columns
+    (``covers``), which the axiom checks, induction, the presentation
+    matroid and circuits walk; the diamonds (``diamonds``), which the
+    axiom checks walk; and ``below``, which only fundamental circuits and
+    the ordered scan naming a failed axiom read.  Nothing a caller asks
+    about one subspace or family is kept: ``meet_row`` builds its row on
+    every call.
     """
 
     def __init__(self, spec: VectorSpaceSpec):
@@ -632,7 +640,6 @@ class Lattice:
             else:
                 perp.append(self.by_mask[masks[perp[parent]] & masks[perp[atom]]])
         self.perp: tuple[int, ...] = tuple(perp)
-        self._meet_rows: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def covers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -706,12 +713,9 @@ class Lattice:
 
     def meet_row(self, i: int) -> tuple[int, ...]:
         """The index of the meet of subspace i with every subspace, in index
-        order: computed from the masks on first use, then kept."""
-        row = self._meet_rows.get(i)
-        if row is None:
-            by_mask, mi = self.by_mask, self.masks[i]
-            row = self._meet_rows[i] = tuple([by_mask[mi & m] for m in self.masks])
-        return row
+        order, computed from the masks on every call."""
+        by_mask, mi = self.by_mask, self.masks[i]
+        return tuple([by_mask[mi & m] for m in self.masks])
 
     def contains_idx(self, i: int, vector) -> bool:
         return self.masks[i] >> self.codes[tuple(vector)] & 1 == 1

@@ -210,7 +210,7 @@ def test_q_side_families_of_40_members_answer(tmp_path, capsys, command):
         assert ranks == list(matroid.ranks)
 
 
-@pytest.mark.parametrize("command", ["q-hall", "check-q-transversal", "build-matroid"])
+@pytest.mark.parametrize("command", ["q-hall", "check-q-transversal"])
 def test_q_side_closure_past_the_walk_cap_exits_3(monkeypatch, tmp_path, capsys, command):
     from qtransversal import subspaces
 
@@ -221,6 +221,26 @@ def test_q_side_closure_past_the_walk_cap_exits_3(monkeypatch, tmp_path, capsys,
     code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
     assert code == 3 and out["error"] == "infeasible-scale"
     assert "meet-closure of 10 members passes the cap 16" in out["message"]
+
+
+def test_build_matroid_past_its_walk_charge_exits_3(monkeypatch, tmp_path, capsys):
+    from qtransversal import VectorSpaceSpec, field_make, rank_one, subspaces
+    from qtransversal.subspaces import subspace_from_rows
+
+    # build-matroid reads no meet-closure; each member charges the 5
+    # subspaces of GF(2)^2, so at a cap of 40 eight copies of a line fit
+    # exactly and nine are refused.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 40)
+    doc = {"q": 2, "dim": 2, "family": [["10"]] * 8}
+    code, out = run_cli(capsys, "build-matroid", write(tmp_path, "fits.json", doc))
+    assert code == 0
+    ranks = [entry["rank"] for entry in out["matroid"]["rank_table"]]
+    line = subspace_from_rows(VectorSpaceSpec(field_make(2, 1), 2), ["10"])
+    assert ranks == list(rank_one(line).ranks)
+    doc["family"].append(["10"])
+    code, out = run_cli(capsys, "build-matroid", write(tmp_path, "big.json", doc))
+    assert code == 3 and out["error"] == "infeasible-scale"
+    assert "presentation of 9 members over 5 subspaces charges 45 units, past the cap 40" in out["message"]
 
 
 

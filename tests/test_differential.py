@@ -8,15 +8,18 @@ GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
 q-matroids give it mismatches to record.  The meet-closure and the
 q-side routes that read it are compared with the 2^n table of every
 X(J) over every multiset of a few members of GF(2)^<=4, GF(3)^<=3 and
-GF(4)^<=2.  The default pool's bitset keys and the scan's bitset viol
-masks are compared with the tuple route of the closed-form pair tables
-and with the bar-nullity-table route they replace."""
+GF(4)^<=2.  The presentation matroid, built by the union theorem over
+the covers, is compared with the closed formula over the meet-closure,
+with the union of rank-1 matroids and with the fast test at every T.
+The default pool's bitset keys and the scan's bitset viol masks are
+compared with the tuple route of the closed-form pair tables and with
+the bar-nullity-table route they replace."""
 
 import itertools
 import json
 import random
 from functools import lru_cache
-from operator import sub
+from operator import add, eq, sub
 
 import pytest
 from hypothesis import given, settings
@@ -441,3 +444,51 @@ def test_meet_closure_matches_the_meet_table(p, e, n, size):
                 )
                 if not cert.verdict:
                     assert recheck_certificate(cert, subspace, fam)
+
+
+def closure_column_ranks(fam):
+    """The closed formula over the meet-closure: one S-entry column per
+    meet W at cost n - |J_W|, r(A) = dim A + min over W of n - |J_W| -
+    dim(A meet W); the repeated first column keeps min's arguments a
+    sequence when the closure is V alone."""
+    lattice = fam.lattice
+    dims = lattice.dims
+    n = len(fam)
+    cols = [
+        [n - j.bit_count() - dims[m] for m in lattice.meet_row(w)]
+        for w, j in fam.meet_closure
+    ]
+    return tuple(map(add, dims, map(min, *cols, cols[0])))
+
+
+# (p, e, n, most members): every multiset of at most two members on
+# GF(2)^<=4, GF(3)^<=3 and GF(4)^<=2, and of three on GF(2)^3.
+PRESENTATION_SPACES = [(p, e, n, 2) for p, e, n in SPACES] + [(2, 1, 3, 3)]
+
+
+@pytest.mark.parametrize(
+    "p,e,n,size",
+    PRESENTATION_SPACES,
+    ids=[f"{p**e}-{n}-{k}" for p, e, n, k in PRESENTATION_SPACES],
+)
+def test_presentation_matroid_matches_three_routes(p, e, n, size):
+    # The cover walk over f(B) = #{i : B not <= X_i} against the closed
+    # formula over the meet-closure, the union of rank-1 matroids (which
+    # checks the summed table's submodularity first) and the fast test's
+    # verdict at every T.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    dims = lattice.dims
+    for k in range(size + 1):
+        for members in itertools.combinations_with_replacement(lattice.subspaces, k):
+            fam = SubspaceFamily(lattice.spec, members)
+            ranks = presentation_matroid(fam).ranks
+            assert ranks == closure_column_ranks(fam)
+            if members:
+                reference = union([rank_one(x) for x in members])
+            else:
+                reference = zero_matroid(lattice.spec)
+            assert ranks == reference.ranks
+            assert list(map(eq, ranks, dims)) == [
+                is_partial_q_transversal(t, fam, with_witness=False).verdict
+                for t in lattice.subspaces
+            ]

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -265,6 +266,35 @@ def test_witness_and_recheck_leave_no_reference_cycles():
         gc.enable()
 
 
+def test_q_side_routes_keep_nothing_per_family():
+    # The lattice keeps no row or table for the families it is asked
+    # about: once the lattice and its covers are built, 200 distinct
+    # families leave next to nothing traced behind them.
+    spec = VectorSpaceSpec(field_make(2, 1), 5)
+    lattice = get_lattice(spec)
+    rng = random.Random(5)
+
+    def run(fam):
+        presentation_matroid(fam)
+        q_hall(fam)
+        is_partial_q_transversal(rng.choice(lattice.subspaces), fam, with_witness=False)
+
+    run(SubspaceFamily(spec, lattice.subspaces[-3:]))
+    seen = set()
+    while len(seen) < 200:
+        seen.add(tuple(sorted(rng.sample(range(len(lattice)), rng.randint(1, 4)))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for members in sorted(seen):
+            run(SubspaceFamily(spec, tuple(lattice.subspaces[i] for i in members)))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 def test_too_large_t_fails_at_empty_J():
     cert = is_partial_q_transversal(V2, fam2(L10))
     assert not cert.verdict and cert.violating_J == ()
@@ -497,6 +527,20 @@ def test_meet_table_refuses_past_the_walk_cap(monkeypatch):
     big = SubspaceFamily(GF2_2, (L10,) * 9)
     with pytest.raises(InfeasibleScale, match="meet-closure of 9 members passes the cap 15 at member 9"):
         big.meet_closure
-    for route in (q_hall, presentation_matroid, lambda fam: is_partial_q_transversal(L01, fam)):
+    for route in (q_hall, lambda fam: is_partial_q_transversal(L01, fam)):
         with pytest.raises(InfeasibleScale):
             route(big)
+
+
+def test_presentation_matroid_refuses_past_its_walk_charge(monkeypatch):
+    from qtransversal import InfeasibleScale, subspaces
+
+    # presentation_matroid reads no meet-closure: each member charges the
+    # 5 subspaces of GF(2)^2, so at a cap of 40 eight copies of L10 fit
+    # exactly and nine are refused.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 40)
+    assert presentation_matroid(SubspaceFamily(GF2_2, (L10,) * 8)) == rank_one(L10)
+    with pytest.raises(
+        InfeasibleScale, match="presentation of 9 members over 5 subspaces charges 45 units, past the cap 40"
+    ):
+        presentation_matroid(SubspaceFamily(GF2_2, (L10,) * 9))
