@@ -5,11 +5,8 @@ decision procedures all return witnesses (a transversal, or a violating
 index set J, 1-based) so their verdicts can be re-checked without
 trusting the implementation.  Internally subsets travel as bitmasks over
 the ground tuple; the public surface speaks labels and frozensets.
-Hall and the avoiding-transversal test are decided by a maximum
-matching, and avoidance Rado is Rado on the complemented family, so
-only rado_check walks the index sets J: in ascending mask order, stopping
-at the first failing one, and raising InfeasibleScale past RANK_WALK_CAP
-index sets without a verdict.
+Hall and Rado are decided by one augmenting search, avoidance Rado is
+Rado on the complemented family, and no check walks the index sets J.
 
 This module is both a standalone implementation of the classical
 theorems and the inner engine for the q-analog: the definitional
@@ -24,16 +21,17 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GroundMismatch, InfeasibleScale, InvalidRankTable, OutOfRange
+from .errors import (
+    GroundMismatch,
+    InfeasibleScale,
+    InvalidRankTable,
+    InvariantViolation,
+    OutOfRange,
+)
 from .fields import FieldSpec
 from .subspaces import matrix_rank
 
 HallVerdict = namedtuple("HallVerdict", "ok witness_J")
-
-#: Most index sets J rado_check (and avoid_rado_check through it) walks
-#: before refusing: about 3 s at the cap with a free matroid (3 us per J)
-#: and about 20 s with a 14-column linear one (20 us per J).
-RANK_WALK_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -79,60 +77,63 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subset_table(members: list[int]):
-    # A(J), the union of the members in J, for every J in ascending bitmask
-    # order of J.  The first half of the members builds a table by doubling
-    # (the entry at mask + 2^(i-1) is the entry at mask with member i); each
-    # J over the second half, from this generator again, is then combined
-    # with every table entry.  So the table holds about 2^(n/2) entries, and
-    # a check stops at its first failing J.
-    half = (len(members) + 1) // 2
-    low = [0]
-    yield 0
-    for m in members[:half]:
-        new = [u | m for u in low]
-        yield from new
-        low += new
-    if half < len(members):
-        high = _subset_table(members[half:])
-        next(high)
-        for h in high:
-            yield from [h | u for u in low]
+def _first_failing(members: list[int], width: int, independent) -> HallVerdict:
+    """The first J, in ascending mask order, with rho(A(J)) < |J|, where
+    members[u] is the label mask of A_(u+1) and `independent` accepts the
+    independent label masks of rho: Rado by matroid intersection.
 
+    Members join in order, and the labels they own, `held`, stay
+    independent.  Member k's search is breadth-first: a depth-first path
+    can leave held dependent.  From a member it visits each unseen label
+    a.  An owned a brings in its owner; an unowned a with held | a
+    independent ends the search; any other a brings in the owners of its
+    circuit, the b with held - b + a independent.
 
-def _j_walk(members: list[int]):
-    """(mask of J, A(J)) for every J in ascending mask order.  The walk
-    raises InfeasibleScale at the first J past RANK_WALK_CAP, so a check
-    that fails sooner still returns its witness."""
-    cap = RANK_WALK_CAP
-    yield from itertools.islice(enumerate(_subset_table(members)), cap)
-    if 1 << len(members) > cap:
-        raise InfeasibleScale(
-            f"walked {cap} of the 2^{len(members)} index sets J without a verdict"
-        )
+    If the search fails, J is k with the members it reached, whose labels
+    span A(J), so g(J) = rho(A(J)) - |J| = -1.  g is submodular and >= 0
+    within 1..k-1, so the violators within 1..k minimize g over the sets
+    holding k, and meet in the first failing mask.  That is J, as the
+    matched labels of a violator J' span A(J'): the search never leaves J'."""
+    owner = [-1] * width
+    held = 0
+    for k in range(len(members)):
+        via = {k: None}  # member -> its step (u, a, b): u takes a, b is freed
+        queue, seen, step = [k], 0, None
+        for u in queue:
+            rest = members[u] & ~seen
+            seen |= rest
+            while rest:
+                a = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if owner[a] < 0 and independent(held | 1 << a):
+                    step = (u, a, a)
+                    break
+                circuit = [a] if owner[a] >= 0 else [
+                    b for b in range(width)
+                    if held >> b & 1 and owner[b] not in via and independent(held ^ 1 << b | 1 << a)
+                ]
+                for b in circuit:
+                    if owner[b] not in via:
+                        via[owner[b]] = (u, a, b)
+                        queue.append(owner[b])
+            if step is not None:
+                break
+        else:
+            return HallVerdict(False, _mask_to_indices(sum(1 << w for w in via)))
+        while step is not None:
+            u, a, b = step
+            owner[b] = -1
+            owner[a] = u
+            held = held & ~(1 << b) | 1 << a
+            step = via[u]
+        if held.bit_count() != k + 1 or not independent(held):
+            raise InvariantViolation(f"member {k + 1}'s search left held = {held:#b} dependent")
+    return HallVerdict(True, None)
 
 
 def hall_check(fam: SetFamily) -> HallVerdict:
-    """Hall condition: |A[J]| >= |J| for every J; witness on failure.
-
-    Decided by maximum_matching.  The augmenting search from the first
-    unmatched member k reaches labels `seen`, all matched; J = {k} with
-    their owners has A[J] = seen, so |A[J]| = |J| - 1.  Every violator
-    within members 1..k contains J, and none lies within 1..k-1, so J is
-    the first failing J in ascending mask order.  Later augmenting paths
-    never enter A[J], so the final match keeps the owners k met."""
-    members = fam.masks()
-    match = maximum_matching(members, len(fam.ground))
-    if -1 not in match:
-        return HallVerdict(True, None)
-    owner = [-1] * len(fam.ground)
-    for u, v in enumerate(match):
-        if v >= 0:
-            owner[v] = u
-    k = match.index(-1)
-    _, seen = _augment(members, owner, k, 0)
-    j = [k] + [u for v, u in enumerate(owner) if seen >> v & 1]
-    return HallVerdict(False, tuple(sorted(u + 1 for u in j)))
+    """Hall: |A[J]| >= |J| for every J, Rado over the free matroid; witness on failure."""
+    return _first_failing(fam.masks(), len(fam.ground), lambda mask: True)
 
 
 def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool, int]:
@@ -272,12 +273,11 @@ def rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     """Rado condition: rho(A[J]) >= |J| for every J; witness on failure."""
     if fam.ground != matroid.ground:
         raise GroundMismatch("family and matroid must share one ground tuple")
-    labels = fam.ground
-    for j_mask, u in _j_walk(fam.masks()):
-        subset = frozenset(labels[i] for i in range(len(labels)) if u >> i & 1)
-        if matroid.rank(subset) < j_mask.bit_count():
-            return HallVerdict(False, _mask_to_indices(j_mask))
-    return HallVerdict(True, None)
+
+    def independent(mask):
+        subset = frozenset(x for i, x in enumerate(fam.ground) if mask >> i & 1)
+        return matroid.rank(subset) == mask.bit_count()
+    return _first_failing(fam.masks(), len(fam.ground), independent)
 
 
 def _complement(fam: SetFamily) -> SetFamily:

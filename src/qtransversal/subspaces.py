@@ -426,33 +426,37 @@ class SubspaceFamily:
         """Every distinct meet X(J) once, as (lattice index of W, bitmask
         of J_W) pairs in insertion order, starting with V; bit i-1 stands
         for member i, X(empty) = V, and J_W = {i : W <= X_i} is the largest
-        J with X(J) = W.  Member i ORs J | bit into the entry of the meet of
-        X_i with each entry (W, J) so far, so every entry holds the union
-        of the J that meet to it: at most min(S, 2^n) entries (S
-        subspaces), built in n passes.  While they grow the entries are
-        keyed by point mask, so that each meet is one AND of masks, and
-        they are indexed once at the end.  The meets come in the order they
-        first appear as J runs through the bitmasks ascending.  Each pass
+        J with X(J) = W.  Each distinct member X, in order of first
+        occurrence, ORs J | P into the entry of the meet of X with each
+        entry (W, J) so far, where P masks the positions of X, so every
+        entry holds the union of the J that meet to it: at most min(S, 2^n)
+        entries (S subspaces), built in one pass per distinct member.  A
+        repeat of X would add no meet, so the meets still come in the order
+        they first appear as J runs through the bitmasks ascending.  While
+        they grow the entries are keyed by point mask, so that each meet is
+        one AND of masks, and they are indexed once at the end.  Each pass
         charges the closure it meets against SET_WALK_CAP and is refused
         past it.  Members are looked up here, not through member_indices:
         one attribute less per family."""
         lattice = self.lattice
         masks = lattice.masks
+        positions = {}
+        for i, m in enumerate(self.members):
+            mi = masks[lattice.idx(m)]
+            positions[mi] = positions.get(mi, 0) | 1 << i
         closure = {masks[lattice.top_index]: 0}
         charged = 0
-        for i, m in enumerate(self.members):
+        for mi, bits in positions.items():
             charged += len(closure)
             if charged > SET_WALK_CAP:
                 raise InfeasibleScale(
                     f"the meet-closure of {len(self.members)} members passes "
-                    f"the cap {SET_WALK_CAP} at member {i + 1}, "
+                    f"the cap {SET_WALK_CAP} at member {(bits & -bits).bit_length()}, "
                     f"with {len(closure)} distinct meets"
                 )
-            mi = masks[lattice.idx(m)]
-            bit = 1 << i
             for w, j in list(closure.items()):
                 w &= mi
-                closure[w] = closure.get(w, 0) | j | bit
+                closure[w] = closure.get(w, 0) | j | bits
         by_mask = lattice.by_mask
         return tuple((by_mask[w], j) for w, j in closure.items())
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qtransversal import (
     ClassicalMatroid,
     GroundMismatch,
-    InfeasibleScale,
     SetFamily,
     avoid_rado_check,
     avoiding_transversal_by_injections,
@@ -104,6 +103,13 @@ def test_rado_examples():
     assert rado_check(m, family).ok
     witness = brute_force_independent_transversal(m, family)
     assert witness is not None and set(witness) == {"s1", "s3"}
+    # A depth-first augmenting search for member 3 leaves the labels held
+    # dependent here; the breadth-first one passes, as brute force does.
+    columns = [(1, 0, 0), (1, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 0), (0, 0, 1)]
+    m = ClassicalMatroid.linear(tuple("abcdefg"), gf2, columns)
+    family = fam("abcdefg", "defg", "ceg", "abceg")
+    assert rado_check(m, family).ok
+    assert brute_force_independent_transversal(m, family) is not None
 
 
 def test_rado_matches_brute_force_on_linear_matroid():
@@ -254,8 +260,8 @@ def test_linear_matroid_axiom_spot_check_rejects_bad_columns():
     assert m.rank(frozenset({"x", "y"})) == 1
 
 
-# Differential tests: each J-check reads A(J) or X(J) from a table built
-# by doubling; the reference below rebuilds them as sets for every J.
+# Differential tests: each check names the first failing J without
+# walking the index sets; the reference below walks every J, as sets.
 
 
 def first_failing_J(family, fails):
@@ -395,12 +401,34 @@ def test_matching_matches_the_recursive_search_on_seeded_families():
             )
 
 
+def rado_oracles(matroid, family):
+    """The first failing J of Rado and of avoidance Rado, by the per-J loop,
+    with each rank and co-nullity read once per distinct set."""
+    rank, co = {}, {}
+    nu_star_s = co_nullity(matroid, family.ground)
+
+    def rado_fails(J):
+        union = union_of(family, J)
+        if union not in rank:
+            rank[union] = matroid.rank(union)
+        return rank[union] < len(J)
+
+    def avoid_fails(J):
+        meet = meet_of(family, J)
+        if meet not in co:
+            co[meet] = co_nullity(matroid, meet)
+        return co[meet] + len(J) > nu_star_s
+
+    return first_failing_J(family, rado_fails), first_failing_J(family, avoid_fails)
+
+
 def test_hall_and_avoid_rado_match_the_first_failing_mask_on_seeded_families():
-    # About 2,000 families of up to 9 members on up to 8 labels.  Hall's
-    # witness, read off the failed augmenting search, is the first failing
-    # mask; avoidance Rado is Rado on the complemented family.
+    # About 2,000 families of up to 9 members on up to 8 labels, with the
+    # free matroid or a linear one over GF(2) or GF(3) of up to 4 rows.
+    # Hall, Rado and avoidance Rado each name the per-J loop's first
+    # failing mask, or pass with it.
     rng = random.Random(22)
-    failing = 0
+    failing = {"hall": 0, "rado": 0, "avoid": 0}
     for _ in range(2000):
         width = rng.randint(0, 8)
         ground = tuple("abcdefgh"[:width])
@@ -411,15 +439,44 @@ def test_hall_and_avoid_rado_match_the_first_failing_mask_on_seeded_families():
         ]
         family = SetFamily(ground, tuple(members))
         witness = first_failing_J(family, lambda J: len(union_of(family, J)) < len(J))
-        failing += witness is not None
+        failing["hall"] += witness is not None
         assert_verdict(hall_check(family), witness)
         matroid = ClassicalMatroid.free(ground)
         if width and rng.random() < 0.5:
-            columns = [tuple(rng.randrange(2) for _ in range(3)) for _ in ground]
-            matroid = ClassicalMatroid.linear(ground, field_make(2, 1), columns)
-        complemented = SetFamily(ground, tuple(frozenset(ground) - m for m in family.members))
-        assert avoid_rado_check(matroid, family) == rado_check(matroid, complemented)
-    assert failing > 1000
+            q = rng.choice([2, 3])
+            rows = rng.randint(1, 4)
+            columns = [tuple(rng.randrange(q) for _ in range(rows)) for _ in ground]
+            matroid = ClassicalMatroid.linear(ground, field_make(q, 1), columns)
+        rado_witness, avoid_witness = rado_oracles(matroid, family)
+        failing["rado"] += rado_witness is not None
+        failing["avoid"] += avoid_witness is not None
+        assert_verdict(rado_check(matroid, family), rado_witness)
+        assert_verdict(avoid_rado_check(matroid, family), avoid_witness)
+    assert all(count > 500 for count in failing.values()), failing
+
+
+def test_rado_checks_match_the_first_failing_mask_on_all_small_pairs():
+    # Every family of at most 3 members over 3 labels against the free
+    # matroid and each of the 64 column matroids of a 2 x 3 matrix over
+    # GF(2): 38,025 pairs.  Each matroid's ranks are tabulated once.
+    ground = tuple("abc")
+    gf2 = field_make(2, 1)
+    vectors = list(itertools.product(range(2), repeat=2))
+    subsets = [frozenset(s) for k in range(4) for s in itertools.combinations(ground, k)]
+    matroids = []
+    for m in [ClassicalMatroid.free(ground)] + [
+        ClassicalMatroid.linear(ground, gf2, columns)
+        for columns in itertools.product(vectors, repeat=3)
+    ]:
+        table = {s: m.rank(s) for s in subsets}
+        matroids.append(ClassicalMatroid(ground, table.__getitem__, m.provenance))
+    families = list(all_families(ground, 3))
+    assert len(matroids) * len(families) == 38_025
+    for matroid in matroids:
+        for family in families:
+            rado_witness, avoid_witness = rado_oracles(matroid, family)
+            assert_verdict(rado_check(matroid, family), rado_witness)
+            assert_verdict(avoid_rado_check(matroid, family), avoid_witness)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -432,7 +489,7 @@ def test_avoiding_transversal_check_matches_the_per_J_loop(family, data):
 
 
 def test_j_checks_match_the_per_J_loop_on_nine_members():
-    # Nine members nest the subset table four deep: 5, 2, 1 and 1 members.
+    # Nine 3-label members over 7 labels: Hall first fails at member 8.
     ground = tuple("abcdefg")
     family = SetFamily(
         ground,
@@ -447,18 +504,16 @@ def test_j_checks_match_the_per_J_loop_on_nine_members():
 
 
 def test_j_checks_stop_at_the_first_failing_J():
-    # 2^40 index sets: the checks must stop at J = (1, 2) without building
-    # a table over all of them.
+    # 2^40 index sets: the checks must stop at J = (1, 2) without walking
+    # them.
     family = SetFamily(("a", "b"), (frozenset("a"),) * 40)
     assert hall_check(family) == (False, (1, 2))
     assert rado_check(ClassicalMatroid.free(family.ground), family) == (False, (1, 2))
 
 
-def test_j_walks_refuse_past_their_cap(monkeypatch):
-    from qtransversal import classical
-
-    monkeypatch.setattr(classical, "RANK_WALK_CAP", 2**8)
-
+def test_rado_checks_answer_on_40_members():
+    # No check walks the 2^n index sets J, so families of 40 members are
+    # decided, passing ones included.
     def singletons(n):
         labels = tuple(f"x{i}" for i in range(n))
         return SetFamily(labels, tuple(frozenset({x}) for x in labels))
@@ -466,30 +521,29 @@ def test_j_walks_refuse_past_their_cap(monkeypatch):
     def empties(ground, n):
         return SetFamily(ground, (frozenset(),) * n)
 
-    def checks(n):
-        small = singletons(n)
-        ground = small.ground
-        yield lambda: rado_check(ClassicalMatroid.free(ground), small).ok
-        yield lambda: avoid_rado_check(ClassicalMatroid.free(ground), empties(ground, n)).ok
-
-    # A passing family with exactly cap index sets is decided; one more
-    # member and the walk is refused.
-    assert all(check() for check in checks(8))
-    for check in checks(9):
-        with pytest.raises(InfeasibleScale):
-            check()
-    # A family whose first failing J lies within the cap still returns it,
-    # the last J within the cap included.
+    for n in (9, 40):
+        ground = singletons(n).ground
+        assert rado_check(ClassicalMatroid.free(ground), singletons(n)).ok
+        assert avoid_rado_check(ClassicalMatroid.free(ground), empties(ground, n)).ok
     seven = SetFamily(tuple("abcdefg"), (frozenset("abcdefg"),) * 40)
     assert rado_check(ClassicalMatroid.free(seven.ground), seven) == (False, tuple(range(1, 9)))
     family = SetFamily(("a", "b"), (frozenset(),) * 3 + (frozenset("ab"),) * 37)
     free = ClassicalMatroid.free(family.ground)
     assert avoid_rado_check(free, empties(family.ground, 40)) == (False, (1, 2, 3))
-    # Hall and the avoiding-transversal test walk no J: they answer at 40
-    # members at the real caps.
     assert hall_check(singletons(40)).ok
     assert avoiding_transversal_check(set(), empties(("a",), 40))
     assert avoiding_transversal_check({"a"}, empties(("a",), 40))
     nine = SetFamily(tuple("abcdefghi"), (frozenset("abcdefghi"),) * 11)
     assert hall_check(nine) == (False, tuple(range(1, 11)))
     assert hall_check(family) == (False, (1,))
+
+
+def test_the_augmenting_search_rejects_an_oracle_that_contradicts_itself():
+    # The oracle accepts member 1's label while the search runs and then
+    # rejects it: the check after augmenting raises.
+    from qtransversal import InvariantViolation
+    from qtransversal.classical import _first_failing
+
+    answers = iter([True, False])
+    with pytest.raises(InvariantViolation, match="member 1's search left held = 0b1 dependent"):
+        _first_failing([0b1], 1, lambda mask: next(answers))

@@ -128,24 +128,27 @@ def test_hall_answers_along_an_augmenting_path_of_1500_edges(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, expected",
     [
-        ("rado", {"ground": [f"x{i}" for i in range(40)], "members": [[f"x{i}"] for i in range(40)]}),
-        # 40 empty members over 20 labels first fail at |J| = 21, far past
-        # the cap.
-        ("avoid-rado", {"ground": [f"x{i}" for i in range(20)], "members": [[]] * 40}),
+        (
+            "rado",
+            {"ground": [f"x{i}" for i in range(40)], "members": [[f"x{i}"] for i in range(40)]},
+            {"verdict": True},
+        ),
+        # 40 empty members over 20 labels first fail at |J| = 21.
+        (
+            "avoid-rado",
+            {"ground": [f"x{i}" for i in range(20)], "members": [[]] * 40},
+            {"verdict": False, "witness_J": list(range(1, 22))},
+        ),
     ],
+    ids=["rado", "avoid-rado"],
 )
-def test_j_walks_of_40_members_exit_3(monkeypatch, tmp_path, capsys, command, doc):
-    from qtransversal import classical
-
-    # The cap is lowered so that each walk is refused within milliseconds;
-    # the rule that refuses it is the one the real cap uses.
-    monkeypatch.setattr(classical, "RANK_WALK_CAP", 2**10)
+def test_rado_commands_on_40_members_answer(tmp_path, capsys, command, doc, expected):
+    # The augmenting search decides without walking the 2^40 sets J.
     doc = {**doc, "matroid": {"kind": "free"}}
     code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
-    assert code == 3 and out["error"] == "infeasible-scale"
-    assert "of the 2^40 index sets J" in out["message"]
+    assert code == 0 and {key: out[key] for key in expected} == expected
 
 
 @pytest.mark.parametrize(
@@ -214,13 +217,15 @@ def test_q_side_families_of_40_members_answer(tmp_path, capsys, command):
 def test_q_side_closure_past_the_walk_cap_exits_3(monkeypatch, tmp_path, capsys, command):
     from qtransversal import subspaces
 
-    # Copies of a line charge the closure 2k - 1 units by member k: the
-    # ninth member's 17 pass a cap of 16.
+    # Two copies each of five distinct lines of GF(2)^3: the distinct lines
+    # charge the closure 1, 2, 4, 5 and 6 units, the copies nothing, so
+    # the fifth line, member 9, passes a cap of 16 at 18.
     monkeypatch.setattr(subspaces, "SET_WALK_CAP", 16)
-    doc = {"q": 2, "dim": 2, "family": [["10"]] * 10, "subspace": ["01"]}
+    lines = [["100"], ["010"], ["001"], ["110"], ["101"]]
+    doc = {"q": 2, "dim": 3, "family": [x for x in lines for _ in range(2)], "subspace": ["011"]}
     code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
     assert code == 3 and out["error"] == "infeasible-scale"
-    assert "meet-closure of 10 members passes the cap 16" in out["message"]
+    assert "meet-closure of 10 members passes the cap 16 at member 9" in out["message"]
 
 
 def test_build_matroid_past_its_walk_charge_exits_3(monkeypatch, tmp_path, capsys):

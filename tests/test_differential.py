@@ -446,6 +446,34 @@ def test_meet_closure_matches_the_meet_table(p, e, n, size):
                     assert recheck_certificate(cert, subspace, fam)
 
 
+def per_position_closure(fam):
+    """The meet-closure with one pass per member position: member i ORs
+    its own bit into the entry of the meet of X_i with each entry so far."""
+    lattice = fam.lattice
+    closure = {lattice.top_index: 0}
+    for i, m in enumerate(fam.member_indices):
+        for w, j in list(closure.items()):
+            x = lattice.meet_idx(w, m)
+            closure[x] = closure.get(x, 0) | j | 1 << i
+    return tuple(closure.items())
+
+
+def test_meet_closure_over_distinct_members_matches_the_per_position_passes():
+    # 400 seeded families with repeats in any order: one pass per distinct
+    # member gives the same entries, J_W and order as one per position.
+    rng = random.Random(26)
+    repeated = 0
+    for _ in range(400):
+        p, e, n = rng.choice(SPACES)
+        lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+        pool = rng.sample(lattice.subspaces, min(len(lattice), rng.randint(1, 4)))
+        members = tuple(rng.choice(pool) for _ in range(rng.randint(0, 9)))
+        fam = SubspaceFamily(lattice.spec, members)
+        repeated += len(set(fam.members)) < len(fam)
+        assert fam.meet_closure == per_position_closure(fam)
+    assert repeated > 250
+
+
 def closure_column_ranks(fam):
     """The closed formula over the meet-closure: one S-entry column per
     meet W at cost n - |J_W|, r(A) = dim A + min over W of n - |J_W| -

@@ -517,17 +517,30 @@ def test_infeasible_subsystem_guard():
 def test_meet_table_refuses_past_the_walk_cap(monkeypatch):
     from qtransversal import InfeasibleScale, subspaces
 
-    # Copies of L10 meet to V and L10 alone: member 1 is charged the one
-    # entry V, each later member both entries, 2k - 1 units for k copies.
-    # At exactly the cap the closure is built; one more member is refused.
-    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 15)
-    fits = SubspaceFamily(GF2_2, (L10,) * 8)
-    assert fits.meet_closure == ((LAT2.top_index, 0), (LAT2.idx(L10), 2**8 - 1))
+    # Distinct lines of GF(2)^3 meet pairwise in 0: the k-th distinct line
+    # is charged the closure so far, 1, 2, 4, 5 and 6 entries for the first
+    # five, and a repeated line is charged nothing.  Four distinct lines
+    # fit a cap of 12 exactly, whatever their copies; a fifth is refused.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 12)
+    lines = [line(GF2_3, *v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))]
+    lattice = get_lattice(GF2_3)
+    order = [0, 1, 0, 2, 1, 3, 2, 3]
+    fits = SubspaceFamily(GF2_3, tuple(lines[i] for i in order))
+    positions = [sum(1 << p for p, i in enumerate(order) if i == x) for x in range(4)]
+    assert fits.meet_closure == (
+        (lattice.top_index, 0),
+        (lattice.idx(lines[0]), positions[0]),
+        (lattice.idx(lines[1]), positions[1]),
+        (lattice.idx(bottom(GF2_3)), 2**8 - 1),
+        (lattice.idx(lines[2]), positions[2]),
+        (lattice.idx(lines[3]), positions[3]),
+    )
+    # Only the meet 0 fails, with the largest J.
     assert q_hall(fits).witness_J == tuple(range(1, 9))
-    big = SubspaceFamily(GF2_2, (L10,) * 9)
-    with pytest.raises(InfeasibleScale, match="meet-closure of 9 members passes the cap 15 at member 9"):
+    big = SubspaceFamily(GF2_3, fits.members + (lines[4],))
+    with pytest.raises(InfeasibleScale, match="meet-closure of 9 members passes the cap 12 at member 9"):
         big.meet_closure
-    for route in (q_hall, lambda fam: is_partial_q_transversal(L01, fam)):
+    for route in (q_hall, lambda fam: is_partial_q_transversal(lines[0], fam)):
         with pytest.raises(InfeasibleScale):
             route(big)
 
