@@ -57,7 +57,6 @@ from .classical import (
     avoid_rado_check,
     avoiding_transversal_by_injections,
     avoiding_transversal_check,
-    co_nullity,
     find_transversal,
     hall_check,
     is_partial_transversal,

@@ -1,4 +1,4 @@
-"""Set-based transversal theory: Hall, Rado, avoidance forms, co-nullity.
+"""Set-based transversal theory: Hall, Rado and their avoidance forms.
 
 Families are ordered tuples of subsets of a labeled ground set.  The
 decision procedures all return witnesses (a transversal, or a violating
@@ -19,11 +19,9 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     GroundMismatch,
-    InfeasibleScale,
     InvalidRankTable,
     InvariantViolation,
     OutOfRange,
@@ -136,15 +134,16 @@ def hall_check(fam: SetFamily) -> HallVerdict:
     return _first_failing(fam.masks(), len(fam.ground), lambda mask: True)
 
 
-def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool, int]:
+def _augment(adj: list[int], owner: list[int], u: int) -> bool:
     # Depth-first augmenting path over element bits, updating owner in
-    # place; returns whether one was found and the updated seen.  The
-    # search keeps its path on a list, not the call stack, so a long path
-    # cannot overflow it.  Each vertex on the path tries its unseen labels
-    # in ascending order, the lowest bit of adj & ~seen: labels it tried
-    # before are seen by then, so this is the order of a recursive search.
+    # place; returns whether one was found.  The search keeps its path on
+    # a list, not the call stack, so a long path cannot overflow it.  Each
+    # vertex on the path tries its unseen labels in ascending order, the
+    # lowest bit of adj & ~seen: labels it tried before are seen by then,
+    # so this is the order of a recursive search.
     path = [u]  # left vertices from u to the current one
     via = []  # via[k]: the label by which path[k] reached path[k + 1]
+    seen = 0
     while path:
         rest = adj[path[-1]] & ~seen
         if not rest:
@@ -159,9 +158,9 @@ def _augment(adj: list[int], owner: list[int], u: int, seen: int) -> tuple[bool,
         if owner[v] < 0:
             for w, x in zip(path, via):
                 owner[x] = w
-            return True, seen
+            return True
         path.append(owner[v])
-    return False, seen
+    return False
 
 
 def maximum_matching(adj: list[int], n_right: int) -> list[int]:
@@ -172,7 +171,7 @@ def maximum_matching(adj: list[int], n_right: int) -> list[int]:
     """
     owner = [-1] * n_right
     for u in range(len(adj)):
-        _augment(adj, owner, u, 0)
+        _augment(adj, owner, u)
     match = [-1] * len(adj)
     for v, u in enumerate(owner):
         if u >= 0:
@@ -254,20 +253,6 @@ class ClassicalMatroid:
                 if r[a | b] + r[a & b] > r[a] + r[b]:
                     raise InvalidRankTable("rank is not submodular")
 
-    @cached_property
-    def bases(self) -> tuple[frozenset, ...]:
-        """All bases, by brute force over subsets."""
-        n = len(self.ground)
-        if n > 20:
-            raise InfeasibleScale(f"basis enumeration over 2^{n} subsets")
-        full_rank = self.rank(self.ground)
-        out = []
-        for combo in itertools.combinations(self.ground, full_rank):
-            s = frozenset(combo)
-            if self._rank_fn(s) == full_rank:
-                out.append(s)
-        return tuple(out)
-
 
 def rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     """Rado condition: rho(A[J]) >= |J| for every J; witness on failure."""
@@ -318,14 +303,6 @@ def is_partial_transversal(t, fam: SetFamily) -> bool:
     ]
     match = maximum_matching(adj, len(fam.members))
     return all(v >= 0 for v in match)
-
-
-def co_nullity(matroid: ClassicalMatroid, x) -> int:
-    """nu*(X) = min over bases B of |X meet B|."""
-    x = frozenset(x)
-    if not x <= set(matroid.ground):
-        raise GroundMismatch("subset contains labels outside the ground")
-    return min(len(x & b) for b in matroid.bases)
 
 
 def avoid_rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:

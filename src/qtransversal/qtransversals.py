@@ -66,6 +66,7 @@ from .subspaces import (
     SubspaceFamily,
     count_bases,
     enumerate_bases,
+    subspace_vectors,
     vector_to_string,
 )
 
@@ -197,7 +198,7 @@ def is_partial_q_transversal(
         for v in basis:
             avoid = avoid_of.get(v)
             if avoid is None:
-                bit = 1 << lattice.codes[v]
+                bit = 1 << lattice.code(v)
                 avoid = sum(1 << i for i in range(n) if not member_masks[i] & bit)
                 avoid_of[v] = avoid
             adj.append(avoid)
@@ -256,6 +257,7 @@ def recheck_certificate(
     certified = [basis for basis, _ in cert.basis_witnesses]
     if certified != bases and set(certified) != set(bases):
         return False
+    code_of = {}  # each distinct vector's code, computed once
     for basis, assignment in cert.basis_witnesses:
         if (
             len(assignment) != t.dim
@@ -264,7 +266,10 @@ def recheck_certificate(
         ):
             return False
         for v, i in zip(basis, assignment):
-            if member_masks[i - 1] >> lattice.codes[v] & 1:
+            code = code_of.get(v)
+            if code is None:
+                code = code_of[v] = lattice.code(v)
+            if member_masks[i - 1] >> code & 1:
                 return False
     return True
 
@@ -279,6 +284,8 @@ def q_transversal_by_definition(t: Subspace, fam: SubspaceFamily) -> bool:
     """
     lattice = fam.lattice
     spec = fam.spec
+    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
+    code_of = {v: lattice.code(v) for v in subspace_vectors(t)}
     for basis in enumerate_bases(t):
         labels = tuple(vector_to_string(spec, v) for v in basis)
         pattern = SetFamily(
@@ -287,9 +294,9 @@ def q_transversal_by_definition(t: Subspace, fam: SubspaceFamily) -> bool:
                 frozenset(
                     lbl
                     for lbl, v in zip(labels, basis)
-                    if not lattice.contains_idx(mi, v)
+                    if not mask >> code_of[v] & 1
                 )
-                for mi in fam.member_indices
+                for mask in member_masks
             ),
         )
         if not is_partial_transversal(labels, pattern):
@@ -310,24 +317,17 @@ def reduce_presentation(fam: SubspaceFamily) -> SubspaceFamily:
     rank-many members.
 
     A member that does not raise r(V) of the members kept so far is
-    discarded.  r(V) of the kept members and the candidate is the closed
-    formula of the module docstring at A = V, the min over the meets W
-    of their closure of n - |J_W| + dim V - dim W.  The union-same-rank
-    proposition guarantees the matroid is unchanged, and the reduced
-    family's presentation matroid is re-verified against the full
-    family's.
+    discarded.  The kept members have r(V) = len(kept), and one more
+    rank-1 matroid raises r(V) by at most 1, so a member raises it
+    exactly when the kept members and the member pass q_hall.  The
+    union-same-rank proposition guarantees the matroid is unchanged, and
+    the reduced family's presentation matroid is re-verified against the
+    full family's.
     """
-    dims = fam.lattice.dims
-    dim_v = fam.spec.dim
     kept: list[Subspace] = []
-    rank = 0
     for x in fam.members:
-        candidate = SubspaceFamily(fam.spec, (*kept, x))
-        n = len(candidate)
-        r = min(n - j.bit_count() + dim_v - dims[w] for w, j in candidate.meet_closure)
-        if r > rank:
+        if q_hall(SubspaceFamily(fam.spec, (*kept, x))).ok:
             kept.append(x)
-            rank = r
     reduced = SubspaceFamily(fam.spec, tuple(kept))
     full = presentation_matroid(fam)
     if presentation_matroid(reduced).ranks != full.ranks or len(kept) != full.space_rank:

@@ -46,9 +46,9 @@ SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
 #: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a
 #: join's fixed cost (about 1.5 us) plus the q^n-bit masks it intersects.
-#: GF(7)^4 (1.6e10) builds with its covers and diamonds in 1.9 s and peaks
-#: at 163 MiB RSS; the refused GF(31)^3 (4.7e10) takes 5.7 s and 211 MiB,
-#: GF(2)^7 (5.6e10) 8.4 s and 646 MiB (fresh processes, 2-vCPU Xeon VM).
+#: GF(7)^4 (1.6e10) builds with its covers and diamonds in 1.0 s and peaks
+#: at 49 MiB RSS; the refused GF(31)^3 (4.7e10) takes 4.5 s and 67 MiB,
+#: GF(2)^7 (5.6e10) 3.9 s and 169 MiB (fresh processes, 2-vCPU Xeon VM).
 LATTICE_CAP = 2**35
 
 
@@ -548,10 +548,10 @@ class Lattice:
     index 0 is the bottom element, the last index is the ambient space,
     and a smaller index never has a larger dimension.  Each subspace's
     point set is held one way: an int bitmask ``masks[i]`` whose bit
-    ``codes[v]`` is set exactly when the vector v lies in subspace i
-    (``codes`` numbers the q^n vectors of V in lexicographic order).
-    ``by_rows`` indexes the subspaces by their RREF rows, ``by_mask`` by
-    their masks.
+    ``code(v)`` is set exactly when the vector v lies in subspace i; a
+    vector's code is its base-q number, which numbers the q^n vectors of
+    V in lexicographic order.  ``by_rows`` indexes the subspaces by their
+    RREF rows, ``by_mask`` by their masks.
 
     Every order query is read from the masks.  A subspace's parent is the
     span of its RREF rows less the last, and its points are the parent's
@@ -603,9 +603,6 @@ class Lattice:
             k: tuple(i for i, d in enumerate(self.dims) if d == k)
             for k in range(n + 1)
         }
-        self.codes: dict[tuple[int, ...], int] = {
-            v: c for c, v in enumerate(itertools.product(range(q), repeat=n))
-        }
         # (parent, atom of the last row) for every subspace but the bottom.
         by_rows = self.by_rows
         grown = [(by_rows[s.rows[:-1]], by_rows[s.rows[-1:]]) for s in self.subspaces[1:]]
@@ -622,7 +619,7 @@ class Lattice:
         for i, (parent, atom) in enumerate(grown, 1):
             if parent == self.bottom_index:
                 row = self.subspaces[i].rows[0]
-                line = [self.codes[tuple(field.mul_codes(c, x) for x in row)] for c in range(q)]
+                line = [self.code(field.mul_codes(c, x) for x in row) for c in range(q)]
                 for c in line[1:]:
                     atom_of[c] = i
                 points.append([spreads[c] for c in line])
@@ -685,12 +682,12 @@ class Lattice:
         upper_covers = [[] for _ in self.subspaces]
         for lo, hi in zip(*self.covers):
             upper_covers[lo].append(hi)
-        quads = [
-            (x, y, z, self.join_idx(y, z))
-            for x, ups in enumerate(upper_covers)
-            for y, z in itertools.combinations(ups, 2)
-        ]
-        return tuple(zip(*quads)) if quads else ((), (), (), ())
+        # Column by column: a list of 4-tuples zipped into columns would
+        # hold about 80 more bytes a diamond while the columns are built.
+        xs = tuple(x for x, ups in enumerate(upper_covers) for _ in range(math.comb(len(ups), 2)))
+        ys = tuple(y for ups in upper_covers for y, _ in itertools.combinations(ups, 2))
+        zs = tuple(z for ups in upper_covers for _, z in itertools.combinations(ups, 2))
+        return xs, ys, zs, tuple(map(self.join_idx, ys, zs))
 
     def __len__(self):
         return len(self.subspaces)
@@ -721,8 +718,23 @@ class Lattice:
         by_mask, mi = self.by_mask, self.masks[i]
         return tuple([by_mask[mi & m] for m in self.masks])
 
+    def code(self, vector) -> int:
+        """The vector's base-q number, its first entry the most significant;
+        the entries are not checked."""
+        q = self.spec.field.order
+        c = 0
+        for x in vector:
+            c = c * q + x
+        return c
+
     def contains_idx(self, i: int, vector) -> bool:
-        return self.masks[i] >> self.codes[tuple(vector)] & 1 == 1
+        v = tuple(vector)
+        if len(v) != self.spec.dim:
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        q = self.spec.field.order
+        if not all(isinstance(x, int) and 0 <= x < q for x in v):
+            raise OutOfRange(f"vector entries must be field element codes 0..{q - 1}")
+        return self.masks[i] >> self.code(v) & 1 == 1
 
 
 @lru_cache(maxsize=None)

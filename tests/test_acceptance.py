@@ -22,7 +22,6 @@ from qtransversal import (
     avoiding_transversal_check,
     build_aligned_representation,
     check_rank_axioms,
-    co_nullity,
     field_make,
     find_transversal,
     free_matroid,
@@ -50,6 +49,7 @@ from qtransversal.conjectures import (
     reverify_q_rado,
     reverify_representation_entry,
 )
+from test_classical import co_nullity
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
 GF2_3 = VectorSpaceSpec(field_make(2, 1), 3)

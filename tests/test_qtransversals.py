@@ -389,6 +389,40 @@ def test_reduce_presentation_properties():
         assert all(any(x == y for y in it) for x in reduced.members)
 
 
+def reduce_by_closed_formula(family):
+    """The greedy reduction with each candidate's r(V) from the closed
+    formula, the min over the closure's meets W of n - |J_W| + dim V -
+    dim W: the route the q_hall test replaced."""
+    dims = family.lattice.dims
+    kept, rank = [], 0
+    for x in family.members:
+        candidate = SubspaceFamily(family.spec, (*kept, x))
+        n = len(candidate)
+        r = min(n - j.bit_count() + family.spec.dim - dims[w] for w, j in candidate.meet_closure)
+        if r > rank:
+            kept.append(x)
+            rank = r
+    return tuple(kept)
+
+
+def test_reduce_presentation_matches_the_closed_formula_route():
+    # Every multiset of at most three members over GF(2)^<=3, then seeded
+    # families of up to nine members in a random order.
+    for n in (1, 2, 3):
+        spec = VectorSpaceSpec(field_make(2, 1), n)
+        for size in range(4):
+            for members in itertools.combinations_with_replacement(get_lattice(spec).subspaces, size):
+                family = SubspaceFamily(spec, members)
+                assert reduce_presentation(family).members == reduce_by_closed_formula(family)
+    rng = random.Random(27)
+    for p, e, n in [(2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 1, 5)]:
+        spec = VectorSpaceSpec(field_make(p, e), n)
+        subspaces = get_lattice(spec).subspaces
+        for _ in range(50):
+            family = SubspaceFamily(spec, tuple(rng.choices(subspaces, k=rng.randint(0, 9))))
+            assert reduce_presentation(family).members == reduce_by_closed_formula(family)
+
+
 def test_partial_equiv_examples():
     assert partial_equiv_check(bottom(GF2_2), fam2(L10, L01))
     assert partial_equiv_check(L11, fam2(L10, L01))

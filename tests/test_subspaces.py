@@ -390,16 +390,82 @@ def test_meet_rows_and_covers_match_rref(p, e, n):
 BUILD_SPACES = LATTICE_SPACES + [(2, 1, 5), (3, 1, 4)]
 
 
+def _dict_route_masks(spec, subspaces):
+    """Each subspace's point mask, with every vector's code read from a
+    dict over the vectors of V in lexicographic order; also the dict."""
+    codes = {v: c for c, v in enumerate(itertools.product(range(spec.field.order), repeat=spec.dim))}
+    masks = []
+    for s in subspaces:
+        digits = bytearray(b"0" * len(codes))
+        for v in subspace_vectors(s):
+            digits[len(codes) - 1 - codes[v]] = ord("1")
+        masks.append(int(digits, 2))
+    return tuple(masks), codes
+
+
+def _dict_route(spec):
+    """The lattice's tables by the routes the build replaced: the dict
+    route's masks, each atom's points looked up in the dict, each
+    complement read off its own RREF, every cover pair by mask
+    containment and every diamond's top by the RREF join."""
+    subs = tuple(enumerate_subspaces(spec))
+    by_rows = {s.rows: i for i, s in enumerate(subs)}
+    masks, codes = _dict_route_masks(spec, subs)
+    atom_of = [0] * len(codes)
+    for i, s in enumerate(subs):
+        if s.dim == 1:
+            for v in subspace_vectors(s)[1:]:  # the zero vector sorts first
+                atom_of[codes[v]] = i
+    perp = tuple(by_rows[_orthogonal_complement(s).rows] for s in subs)
+    pairs = [
+        (j, i)
+        for i, a in enumerate(subs)
+        for j, b in enumerate(subs)
+        if b.dim == a.dim - 1 and masks[j] & masks[i] == masks[j]
+    ]
+    upper_covers = [[i for j, i in pairs if j == x] for x in range(len(subs))]
+    quads = [
+        (x, y, z, by_rows[join(subs[y], subs[z]).rows])
+        for x in range(len(subs))
+        for y, z in itertools.combinations(upper_covers[x], 2)
+    ]
+    return masks, tuple(atom_of), perp, pairs, quads
+
+
 @pytest.mark.parametrize(
     "p,e,n", BUILD_SPACES, ids=[f"{p**e}-{n}" for p, e, n in BUILD_SPACES]
 )
 def test_lattice_build_matches_per_subspace_routes(p, e, n):
-    # The routes the parent-grown build replaced: every vector of each
-    # subspace, and each complement read off its own RREF.
-    lat = get_lattice(VectorSpaceSpec(field_make(p, e), n))
-    for i, s in enumerate(lat.subspaces):
-        assert lat.masks[i] == sum(1 << lat.codes[v] for v in subspace_vectors(s))
-        assert lat.perp[i] == lat.idx(_orthogonal_complement(s))
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    lat = get_lattice(spec)
+    masks, atom_of, perp, covers, diamonds = _dict_route(spec)
+    assert lat.masks == masks
+    assert lat.atom_of == atom_of
+    assert lat.perp == perp
+    assert list(zip(*lat.covers)) == covers
+    assert list(zip(*lat.diamonds)) == diamonds
+
+
+def test_lattice_masks_match_the_dict_route_on_gf421_2():
+    # 177,241-bit masks; built outside get_lattice, so nothing is cached.
+    from qtransversal.subspaces import Lattice
+
+    lat = Lattice(VectorSpaceSpec(field_make(421, 1), 2))
+    assert lat.masks == _dict_route_masks(lat.spec, lat.subspaces)[0]
+
+
+def test_contains_idx_rejects_malformed_vectors():
+    # A vector's code is computed from its entries, so a wrong length or
+    # entry would read another vector's bit: (0, 2, 0) has the code of
+    # (1, 0, 0) in GF(2)^3.
+    lat = get_lattice(GF2_3)
+    for vector in [(0, 1), (0, 1, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            lat.contains_idx(lat.top_index, vector)
+    for vector in [(0, 2, 0), (0, -1, 0), (0, 0.5, 0)]:
+        with pytest.raises(OutOfRange):
+            lat.contains_idx(lat.top_index, vector)
+    assert lat.contains_idx(lat.top_index, [1, 0, 1])
 
 
 def test_lattice_build_holds_one_square_table():
