@@ -8,14 +8,19 @@ deterministic: equal configurations produce identical reports, and
 wall-clock time is kept out of the canonical serialization.  The
 reverify_* replays decode a record with the decoders the CLI uses.
 
-The q-Rado scan decides a (matroid, family) pair with two integer ANDs.
+The q-Rado scan decides a (matroid, family) pair from four integers.
 Each pool matroid is read once per call into indep (bit X set iff X is
 independent) and viol (bit k*S + X set iff barnu(X) + k > barnu(V), S
-subspaces); each family once into tmask (bit T set iff T has dimension
-|fam| and the fast test passes it) and jmask (bit |J_W|*S + W for every
-meet W of the family, J_W its largest J).  The left side holds iff
-indep & tmask != 0, the right side iff viol & jmask == 0.  Only a pair
-whose sides mismatch is replayed through the witness route, which must
+subspaces); each family into tmask (bit T set iff T has dimension |fam|
+and the fast test passes it) and jmask (bit |J_W|*S + W for every meet W
+of the family, J_W its largest J).  The left side holds iff indep & tmask
+!= 0, the right side iff viol & jmask == 0.  The pool's masks are
+transposed once per dimension, one int per bit with bit i for pool
+matroid i, so a family meets the whole pool in one OR per set bit of
+tmask and of jmask.  Both sides are unchanged when the members are
+reordered, so a family's masks and join are computed once per multiset
+of members per call.  Only a pair whose sides mismatch is replayed,
+with its own ordered family, through the witness route, which must
 agree; so does reverify_q_rado.
 
 Both the pool and viol are read from meet-level bitsets: L_X[d] has bit
@@ -56,7 +61,7 @@ from dataclasses import dataclass, field
 from operator import ne
 
 from .classical import _mask_to_indices
-from .errors import InfeasibleScale, InvariantViolation, OutOfRange
+from .errors import InfeasibleScale, InvariantViolation, OutOfRange, SpecMismatch
 from .fields import prime_power
 from .qmatroids import QMatroid, free_matroid, rank_one, union
 from .qtransversals import (
@@ -81,6 +86,9 @@ from .subspaces import (
 
 #: Largest number of instances an exhaustive scan will walk.
 SCAN_INSTANCE_CAP = 200_000
+
+# Binary digits _pool_join writes out at once: a block of pool rows.
+_JOIN_BLOCK_CHARS = 1 << 20
 
 UNIQUENESS_NOTE = (
     "minimal presentations are compared as unordered multisets of members, "
@@ -409,18 +417,55 @@ def _family_masks(fam: SubspaceFamily) -> tuple[int, int]:
     return tmask, jmask
 
 
-def _q_rado_mismatches(pool_masks, family_masks) -> list[tuple[int, bool]]:
+def _bits(mask: int):
+    """The positions of mask's set bits, ascending."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def _pool_join(pool_masks, size: int, max_family: int) -> tuple[int, list[int], list[int]]:
+    """The pool's masks transposed for _q_rado_mismatches: (every, tcols,
+    jcols), where every has one bit per pool matroid, bit i of tcols[T]
+    is set iff T is independent in pool matroid i, and bit i of jcols[b]
+    iff bit b of matroid i's viol, for b < (max_family + 1)*S (S = size
+    subspaces).  pool_masks is read once, in blocks of rows: each row
+    indep | viol << S is written as binary text, last row first, and
+    column b of the block is every row's character at its bit b.  About
+    _JOIN_BLOCK_CHARS characters are held at once, never one per
+    (matroid, bit)."""
+    width = (max_family + 2) * size
+    cols = [0] * width
+    step = max(1, _JOIN_BLOCK_CHARS // width)
+    rows = iter(pool_masks)
+    start = 0
+    while block := list(itertools.islice(rows, step)):
+        text = "".join(format(indep | viol << size, f"0{width}b") for indep, viol in reversed(block))
+        for b in range(width):
+            cols[b] |= int(text[width - 1 - b :: width], 2) << start
+        start += len(block)
+    return (1 << start) - 1, cols[:size], cols[size:]
+
+
+def _q_rado_mismatches(join, family_masks) -> list[tuple[int, bool]]:
     """(position, lhs) of every pool matroid whose pair with the family
-    has mismatching sides, decided from their masks with two ANDs: lhs
+    has mismatching sides, ascending, from the pool's _pool_join: lhs
     (some independent T of dimension |fam| is a partial q-transversal)
-    is indep & tmask != 0, rhs (no J has barnu(X(J)) + |J| > barnu(V))
-    is viol & jmask == 0, and the sides mismatch when lhs != rhs."""
+    holds for the matroids in the OR of tcols over tmask's bits, and rhs
+    (no J has barnu(X(J)) + |J| > barnu(V)) fails for those in the OR of
+    jcols over jmask's bits; the sides mismatch where both or neither
+    hold, the complement of the XOR."""
+    every, tcols, jcols = join
     tmask, jmask = family_masks
-    return [
-        (i, indep & tmask != 0)
-        for i, (indep, viol) in enumerate(pool_masks)
-        if (indep & tmask != 0) == (viol & jmask != 0)
-    ]
+    lhs = 0
+    for t in _bits(tmask):
+        lhs |= tcols[t]
+    violated = 0
+    for b in _bits(jmask):
+        violated |= jcols[b]
+    return [(i, lhs >> i & 1 == 1) for i in _bits(every & ~(lhs ^ violated))]
 
 
 def _default_pool_build(cfg: ScanConfig, dim: int) -> int:
@@ -460,7 +505,8 @@ def _default_pool_floor(cfg: ScanConfig, dim: int) -> int:
 def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[QMatroid]]:
     """The matroid pool of every dimension the stream visits, guarded on
     the (matroid, family) pairs the scan will walk plus, for the default
-    source, the candidate tables its build computes.
+    source, the candidate tables its build computes.  A pool matroid
+    that does not live on that dimension's space raises SpecMismatch.
 
     A default pool is only built once its build and a closed-form lower
     bound on the pairs keep the scan under the cap: GF(2)^5's build
@@ -475,7 +521,16 @@ def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[Q
         floor = sum(families[dim] * _default_pool_floor(cfg, dim) for dim in families)
         _refuse_beyond(cap, built + floor)
     source = matroid_source or default_matroid_source
-    pools = {dim: list(source(get_lattice(cfg.space(dim)))) for dim in sorted(families)}
+    pools = {}
+    for dim in sorted(families):
+        spec = cfg.space(dim)
+        pools[dim] = list(source(get_lattice(spec)))
+        for i, m in enumerate(pools[dim]):
+            if m.lattice.spec != spec:
+                raise SpecMismatch(
+                    f"pool matroid {i} of dimension {dim} lives on {m.lattice.spec!r}, "
+                    f"not on {spec!r}"
+                )
     _refuse_beyond(cap, built + sum(families[dim] * len(pools[dim]) for dim in pools))
     return pools
 
@@ -485,24 +540,39 @@ def scan_q_rado(
 ) -> ScanReport:
     """Scan (matroid, family) pairs for q-Rado mismatches.
 
-    Each pair is decided from two ints per side, each built once: a pool
-    matroid's (indep, viol) per call and a family's (tmask, jmask) per
-    family, joined by _q_rado_mismatches.  Only a mismatching pair is
-    replayed through _q_rado_sides, which names its witnesses and must
-    agree.
+    Each pool matroid's (indep, viol) is built once per call and the pool
+    transposed by _pool_join once per dimension; a family's (tmask,
+    jmask) is joined to it by _q_rado_mismatches.  Both sides of q-Rado
+    are unchanged when the members are reordered, so the masks and the
+    join run once per (dimension, sorted member indices) per call, and
+    every later ordering reuses the mismatch list.  Each mismatching pair
+    is replayed through _q_rado_sides with its own ordered family, which
+    names its witnesses and must agree.
     """
     start = time.monotonic()
     pools = _q_rado_pools(cfg, matroid_source, instance_cap)
-    pool_masks = {}
+    joins = {}
     for dim, pool in pools.items():
-        levels = _meet_levels(get_lattice(cfg.space(dim)))
-        pool_masks[dim] = [_matroid_masks(m, cfg.max_family, levels) for m in pool]
+        lattice = get_lattice(cfg.space(dim))
+        levels = _meet_levels(lattice)
+        masks = (_matroid_masks(m, cfg.max_family, levels) for m in pool)
+        joins[dim] = _pool_join(masks, len(lattice), cfg.max_family)
+    # The mismatch list per (dimension, sorted member indices), for this
+    # call, () when there is none; a SubspaceFamily is built only for a
+    # multiset's first ordering or for an ordering with pairs to replay.
+    decided: dict[tuple, list | tuple] = {}
     counterexamples = []
     checked = 0
     for _, lattice, members in _family_stream(cfg):
-        fam = _family(lattice, members)
         dim = lattice.spec.dim
-        for i, lhs in _q_rado_mismatches(pool_masks[dim], _family_masks(fam)):
+        key = (dim, tuple(sorted(members)))
+        mismatches = decided.get(key)
+        if mismatches is None:
+            fam = _family(lattice, members)
+            mismatches = decided[key] = _q_rado_mismatches(joins[dim], _family_masks(fam)) or ()
+        elif mismatches:
+            fam = _family(lattice, members)
+        for i, lhs in mismatches:
             matroid = pools[dim][i]
             rhs = not lhs
             lhs_t, rhs_j = _q_rado_sides(matroid, fam)
@@ -546,10 +616,10 @@ def reverify_q_rado(record: dict) -> bool:
     matroid = QMatroid.from_jsonable(fam.lattice, record["matroid"])
     lhs_t, rhs_j = _q_rado_sides(matroid, fam)
     sides = (lhs_t is not None, rhs_j is None)
-    mismatches = _q_rado_mismatches(
-        [_matroid_masks(matroid, len(fam), _meet_levels(fam.lattice))], _family_masks(fam)
+    join = _pool_join(
+        [_matroid_masks(matroid, len(fam), _meet_levels(fam.lattice))], len(fam.lattice), len(fam)
     )
-    masks = [(lhs, not lhs) for _, lhs in mismatches]
+    masks = [(lhs, not lhs) for _, lhs in _q_rado_mismatches(join, _family_masks(fam))]
     recorded = (record["lhs_has_independent_transversal"], record["rhs_condition_holds"])
     return masks == [sides] == [recorded]
 

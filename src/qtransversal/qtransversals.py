@@ -93,13 +93,14 @@ def presentation_matroid(fam: SubspaceFamily) -> QMatroid:
     spaces X_i, by the union theorem of the module docstring.  f(B) =
     #{i : B not <= X_i} is summed from one pass over the point masks per
     member, and f needs no submodularity check, being a sum of rank
-    functions.  Each member charges S units (S subspaces) against
-    subspaces.SET_WALK_CAP and the family is refused past it.  The empty
-    family presents the rank-0 matroid."""
+    functions.  Each member charges S mask ANDs (S subspaces), each
+    subspaces.set_walk_unit units, against subspaces.SET_WALK_CAP and the
+    family is refused past it.  The empty family presents the rank-0
+    matroid."""
     lattice = fam.lattice
     masks = lattice.masks
     everything = masks[lattice.top_index]
-    units = len(fam) * len(lattice)
+    units = len(fam) * len(lattice) * subspaces.set_walk_unit(fam.spec)
     if units > subspaces.SET_WALK_CAP:
         raise InfeasibleScale(
             f"the presentation of {len(fam)} members over {len(lattice)} subspaces "

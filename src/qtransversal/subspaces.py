@@ -34,14 +34,16 @@ VECTOR_CAP = 2**20
 SUBSPACE_BLOCK_CAP = 10**6
 #: Largest number of vector bases enumerate_bases will yield.
 BASIS_CAP = 10**6
-#: Most units of set walking over one family.  SubspaceFamily.meet_closure
-#: charges each member the size of the closure it meets, about 280 ns a
-#: unit with 1,000 members of GF(2)^6 and 410 ns with 5,900, whose J masks
-#: are 5,900 bits wide, so 6.9 s and 23 MiB at the cap.  presentation_matroid
-#: charges each member the S subspaces it tests, about 115 ns a unit on
-#: GF(2)^6, GF(3)^5 and GF(7)^4, so 2 s and at most 30 MiB at the cap, but
-#: 1.8 us on the 177,241-bit point masks of GF(421)^2 (2-vCPU Xeon VM,
-#: Python 3.11).
+#: Most units of set walking over one family, each mask AND charged
+#: set_walk_unit(spec) = 1 + q^n // 2^14 units for its q^n-bit point masks.
+#: SubspaceFamily.meet_closure charges each member the size of the closure
+#: it meets, about 280 ns a unit with 1,000 members of GF(2)^6 and 410 ns
+#: with 5,900, whose J masks are 5,900 bits wide, so 6.9 s and 23 MiB at
+#: the cap.  presentation_matroid charges each member the S subspaces it
+#: tests, about 115 ns a unit on GF(2)^6, GF(3)^5 and GF(7)^4, so 2 s and at
+#: most 30 MiB at the cap; GF(421)^2 pays 11 units an AND of its 177,241-bit
+#: masks, 1.8 to 2.3 us, so 165 to 210 ns a unit (2-vCPU Xeon VM, Python
+#: 3.11).
 SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
 #: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a
@@ -50,6 +52,12 @@ SET_WALK_CAP = 2**24
 #: at 49 MiB RSS; the refused GF(31)^3 (4.7e10) takes 4.5 s and 67 MiB,
 #: GF(2)^7 (5.6e10) 3.9 s and 169 MiB (fresh processes, 2-vCPU Xeon VM).
 LATTICE_CAP = 2**35
+
+
+def set_walk_unit(spec: VectorSpaceSpec) -> int:
+    """What SET_WALK_CAP charges one AND of spec's q^n-bit point masks:
+    one unit, plus one per whole 2^14 vectors of mask width."""
+    return 1 + spec.num_vectors // 2**14
 
 
 @dataclass(frozen=True)
@@ -435,9 +443,9 @@ class SubspaceFamily:
         they first appear as J runs through the bitmasks ascending.  While
         they grow the entries are keyed by point mask, so that each meet is
         one AND of masks, and they are indexed once at the end.  Each pass
-        charges the closure it meets against SET_WALK_CAP and is refused
-        past it.  Members are looked up here, not through member_indices:
-        one attribute less per family."""
+        charges the closure it meets, set_walk_unit units an entry, against
+        SET_WALK_CAP and is refused past it.  Members are looked up here,
+        not through member_indices: one attribute less per family."""
         lattice = self.lattice
         masks = lattice.masks
         positions = {}
@@ -445,9 +453,10 @@ class SubspaceFamily:
             mi = masks[lattice.idx(m)]
             positions[mi] = positions.get(mi, 0) | 1 << i
         closure = {masks[lattice.top_index]: 0}
+        unit = set_walk_unit(self.spec)
         charged = 0
         for mi, bits in positions.items():
-            charged += len(closure)
+            charged += len(closure) * unit
             if charged > SET_WALK_CAP:
                 raise InfeasibleScale(
                     f"the meet-closure of {len(self.members)} members passes "

@@ -711,11 +711,17 @@ def test_q_rado_counterexample_record_names_its_dimension(monkeypatch):
     real_mismatches = conjectures._q_rado_mismatches
     real_sides = conjectures._q_rado_sides
 
-    def forced_mismatches(pool_masks, family_masks):
-        found = real_mismatches(pool_masks, family_masks)
+    def forced_mismatches(join, family_masks):
+        found = real_mismatches(join, family_masks)
         if family_masks != top_masks:
             return found
-        forced = [i for i, (indep, _) in enumerate(pool_masks) if indep == free_indep]
+        # Matroid i's indep, read back from bit i of the transposed columns.
+        every, tcols, _ = join
+        forced = [
+            i
+            for i in range(every.bit_length())
+            if sum((col >> i & 1) << t for t, col in enumerate(tcols)) == free_indep
+        ]
         return found + [(i, False) for i in forced]
 
     def forced_sides(matroid, fam):
@@ -762,4 +768,21 @@ def test_q_rado_scan_raises_when_the_witness_route_disagrees(monkeypatch):
     assert all("rhs_witness_J" not in r for r in records)
     monkeypatch.setattr(conjectures, "_q_rado_sides", lambda matroid, fam: (None, 1))
     with pytest.raises(InvariantViolation):
+        scan_q_rado(cfg, source)
+
+
+@pytest.mark.parametrize("q, dim", [(3, 1), (2, 2)], ids=["same-size-lattice", "larger-lattice"])
+def test_q_rado_refuses_pool_matroids_from_another_space(q, dim):
+    from qtransversal import free_matroid
+
+    # GF(3)^1 has as many subspaces as GF(2)^1, so its matroid would be
+    # joined silently; GF(2)^2's would index past the lattice.  Both are
+    # refused, naming the dimension, before any pair is walked.
+    foreign = free_matroid(VectorSpaceSpec(field_make(q, 1), dim))
+
+    def source(lattice):
+        return [free_matroid(lattice.spec), foreign]
+
+    cfg = ScanConfig(q=2, max_dim=1, max_family=2)
+    with pytest.raises(SpecMismatch, match=r"pool matroid 1 of dimension 1 lives on VectorSpaceSpec\(GF"):
         scan_q_rado(cfg, source)

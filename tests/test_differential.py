@@ -5,7 +5,9 @@ below a subspace, are compared with RREF orders and joins exhaustively,
 over every pool matroid.  The q-Rado scan's mask verdicts are compared
 with its witness route on the same families and exhaustively on
 GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
-q-matroids give it mismatches to record.  The meet-closure and the
+q-matroids give it mismatches to record, in exhaustive and random scans;
+its transposed join is compared with the row join it replaced on every
+family multiset there.  The meet-closure and the
 q-side routes that read it are compared with the 2^n table of every
 X(J) over every multiset of a few members of GF(2)^<=4, GF(3)^<=3 and
 GF(4)^<=2.  The presentation matroid, built by the union theorem over
@@ -17,6 +19,7 @@ the bar-nullity-table route they replace."""
 
 import itertools
 import json
+import math
 import random
 from functools import lru_cache
 from operator import add, eq, sub
@@ -51,8 +54,10 @@ from qtransversal.conjectures import (
     _matroid_masks,
     _meet_levels,
     _pair_keys,
+    _pool_join,
     _q_rado_mismatches,
     _q_rado_sides,
+    _random_draws,
     _rank_key,
     default_matroid_source,
 )
@@ -110,15 +115,59 @@ def mask_verdicts(pool_masks, family_masks):
     return [(indep & tmask != 0, viol & jmask == 0) for indep, viol in pool_masks]
 
 
+def row_mismatches(pool_masks, family_masks):
+    """(position, lhs) of every pool matroid whose pair with the family
+    has mismatching sides, one pool row at a time with two ANDs: lhs is
+    indep & tmask != 0, rhs is viol & jmask == 0, and the sides
+    mismatch when lhs != rhs.  The oracle of the scan's transposed join."""
+    tmask, jmask = family_masks
+    return [
+        (i, indep & tmask != 0)
+        for i, (indep, viol) in enumerate(pool_masks)
+        if (indep & tmask != 0) == (viol & jmask != 0)
+    ]
+
+
 def assert_masks_match_the_witness_route(matroids, fam, max_family):
     pool_masks = [_matroid_masks(m, max_family, levels(m.lattice)) for m in matroids]
     family_masks = _family_masks(fam)
     sides = [_q_rado_sides(m, fam) for m in matroids]
     expected = [(lhs_t is not None, rhs_j is None) for lhs_t, rhs_j in sides]
     assert mask_verdicts(pool_masks, family_masks) == expected
-    assert _q_rado_mismatches(pool_masks, family_masks) == [
+    join = _pool_join(pool_masks, len(fam.lattice), max_family)
+    assert _q_rado_mismatches(join, family_masks) == [
         (i, lhs) for i, (lhs, rhs) in enumerate(expected) if lhs != rhs
     ]
+
+
+# (p, e, n) for the exhaustive join check: every multiset of at most
+# three members against the pool and two seeds' scrambled tables.
+JOIN_SPACES = (
+    [(2, 1, n) for n in range(1, 4)] + [(3, 1, n) for n in range(1, 3)] + [(2, 2, n) for n in range(1, 3)]
+)
+
+
+@pytest.mark.parametrize("p,e,n", JOIN_SPACES, ids=[f"{p**e}-{n}" for p, e, n in JOIN_SPACES])
+def test_transposed_join_matches_the_row_join(p, e, n):
+    # For each max_family 0..3, the pool's masks built for that size, the
+    # transposed join of the whole pool and of the empty pool, against
+    # every family multiset of at most max_family members.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    matroids = pool(lattice) + scrambled_source(1)(lattice) + scrambled_source(2)(lattice)
+    mismatched = 0
+    for max_family in range(4):
+        pool_masks = [_matroid_masks(m, max_family, levels(lattice)) for m in matroids]
+        join = _pool_join(pool_masks, len(lattice), max_family)
+        empty = _pool_join([], len(lattice), max_family)
+        for k in range(max_family + 1):
+            for members in itertools.combinations_with_replacement(lattice.subspaces, k):
+                family_masks = _family_masks(SubspaceFamily(lattice.spec, members))
+                expected = row_mismatches(pool_masks, family_masks)
+                assert _q_rado_mismatches(join, family_masks) == expected
+                assert _q_rado_mismatches(empty, family_masks) == []
+                mismatched += bool(expected)
+    # Every space but GF(q)^1 gives the scrambled tables mismatches.
+    assert mismatched or n == 1
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -129,6 +178,31 @@ def test_q_rado_mask_verdicts_match_the_witness_route(drawn):
     # pairs whose sides mismatch.
     lattice, fam = drawn
     assert_masks_match_the_witness_route(pool(lattice) + scrambled(lattice), fam, 3)
+
+
+def test_transposed_join_matches_the_row_join_across_blocks():
+    # Seeded rows, not matroids: enough of them for _pool_join to write
+    # three blocks of text, with sparse and dense family masks.
+    from qtransversal.conjectures import _JOIN_BLOCK_CHARS
+
+    rng = random.Random(28)
+    size, max_family = 67, 3
+    width = (max_family + 2) * size
+    rows = 2 * (_JOIN_BLOCK_CHARS // width) + 17
+    pool_masks = [
+        (rng.getrandbits(size) & rng.getrandbits(size), rng.getrandbits(width - size))
+        for _ in range(rows)
+    ]
+    join = _pool_join(iter(pool_masks), size, max_family)
+    assert join[0] == (1 << rows) - 1
+    for _ in range(40):
+        family_masks = (
+            sum(1 << t for t in rng.sample(range(size), rng.choice((1, 3, 20)))),
+            sum(1 << b for b in rng.sample(range(width - size), rng.choice((1, 4, 12)))),
+        )
+        expected = row_mismatches(pool_masks, family_masks)
+        assert _q_rado_mismatches(join, family_masks) == expected
+        assert 0 < len(expected) < rows
 
 
 def scrambled_source(seed):
@@ -162,38 +236,53 @@ def scrambled_source(seed):
 scrambled = lru_cache(maxsize=None)(scrambled_source(1))
 
 
-def reference_scan(cfg, source):
-    """(pairs, records) of an exhaustive q-Rado scan that decides every
-    pair by _q_rado_sides alone, in the scan's order."""
-    records = []
-    index = 0
+def reference_families(cfg):
+    """(lattice, members) of every family a scan walks, in its order:
+    the ordered product per dimension and size, or the random draws."""
+    if cfg.mode == "random":
+        for dim, members in _random_draws(cfg):
+            lattice = get_lattice(cfg.space(dim))
+            yield lattice, tuple(lattice.subspaces[i] for i in members)
+        return
     for dim in range(1, cfg.max_dim + 1):
         lattice = get_lattice(cfg.space(dim))
-        matroids = source(lattice)
         for size in range(cfg.max_family + 1):
             for members in itertools.product(lattice.subspaces, repeat=size):
-                fam = SubspaceFamily(lattice.spec, members)
-                for matroid in matroids:
-                    lhs_t, rhs_j = _q_rado_sides(matroid, fam)
-                    lhs, rhs = lhs_t is not None, rhs_j is None
-                    if lhs != rhs:
-                        record = {
-                            "instance_index": index,
-                            "q": cfg.q,
-                            "dim": dim,
-                            "family": fam.to_rows(),
-                            "matroid": matroid.to_jsonable(),
-                            "lhs_has_independent_transversal": lhs,
-                            "rhs_condition_holds": rhs,
-                        }
-                        if lhs_t is not None:
-                            record["lhs_witness_T"] = lhs_t.to_rows()
-                        if rhs_j is not None:
-                            record["rhs_witness_J"] = [
-                                i + 1 for i in range(size) if rhs_j >> i & 1
-                            ]
-                        records.append(record)
-                    index += 1
+                yield lattice, members
+
+
+def reference_scan(cfg, source):
+    """(pairs, records) of a q-Rado scan that decides every pair by
+    _q_rado_sides alone, in the scan's order, with no memo."""
+    records = []
+    index = 0
+    matroids = {}
+    for lattice, members in reference_families(cfg):
+        fam = SubspaceFamily(lattice.spec, members)
+        dim = lattice.spec.dim
+        if dim not in matroids:
+            matroids[dim] = source(lattice)
+        for matroid in matroids[dim]:
+            lhs_t, rhs_j = _q_rado_sides(matroid, fam)
+            lhs, rhs = lhs_t is not None, rhs_j is None
+            if lhs != rhs:
+                record = {
+                    "instance_index": index,
+                    "q": cfg.q,
+                    "dim": dim,
+                    "family": fam.to_rows(),
+                    "matroid": matroid.to_jsonable(),
+                    "lhs_has_independent_transversal": lhs,
+                    "rhs_condition_holds": rhs,
+                }
+                if lhs_t is not None:
+                    record["lhs_witness_T"] = lhs_t.to_rows()
+                if rhs_j is not None:
+                    record["rhs_witness_J"] = [
+                        i + 1 for i in range(len(members)) if rhs_j >> i & 1
+                    ]
+                records.append(record)
+            index += 1
     return index, records
 
 
@@ -220,8 +309,16 @@ def test_q_rado_scan_matches_the_witness_route_on_every_pair(cfg):
     assert (report.instances_checked, report.counterexamples) == (pairs, records) == (pairs, [])
 
 
+RANDOM = [
+    ScanConfig(q=2, max_dim=3, max_family=3, mode="random", seed=5, count=150),
+    ScanConfig(q=2, max_dim=3, max_family=3, mode="random", seed=2, count=150),
+]
+SCRAMBLED = EXHAUSTIVE + RANDOM
+SCRAMBLED_IDS = EXHAUSTIVE_IDS + [f"random-{c.seed}" for c in RANDOM]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("cfg", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
+@pytest.mark.parametrize("cfg", SCRAMBLED, ids=SCRAMBLED_IDS)
 def test_q_rado_scan_records_match_the_reference_on_scrambled_tables(cfg, seed):
     source = scrambled_source(seed)
     pairs, records = reference_scan(cfg, source)
@@ -231,10 +328,53 @@ def test_q_rado_scan_records_match_the_reference_on_scrambled_tables(cfg, seed):
     assert records
     if cfg.max_dim == 3:
         assert any("lhs_witness_T" in record for record in records)
+    if cfg.mode == "random":
+        # Some mismatching multiset recurs in another order, so the scan
+        # replays a memoized mismatch list with a reordered family.
+        orders = {}
+        for record in records:
+            family = record["family"]
+            orders.setdefault((record["dim"], json.dumps(sorted(family))), set()).add(json.dumps(family))
+        assert any(len(seen) > 1 for seen in orders.values())
     report = scan_q_rado(cfg, source)
     assert report.instances_checked == pairs
     # Record by record, so that a failure names the first differing one.
     assert [json.dumps(r) for r in report.counterexamples] == [json.dumps(r) for r in records]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    EXHAUSTIVE + [ScanConfig(q=2, max_dim=3, max_family=3, mode="random", seed=3, count=400)],
+    ids=EXHAUSTIVE_IDS + ["2-3-3-random"],
+)
+def test_q_rado_scan_decides_each_multiset_once(monkeypatch, cfg):
+    # _family_masks and the join run, and a family is built, once per
+    # distinct (dimension, sorted member indices): on the default pool
+    # no ordering has a mismatch to replay.  Exhaustively that is
+    # sum over dim and k <= max_family of C(S_dim + k - 1, k).
+    from qtransversal import conjectures
+
+    calls = dict.fromkeys(["_family_masks", "_q_rado_mismatches", "_family"], 0)
+    for name in calls:
+        real = getattr(conjectures, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(conjectures, name, counted)
+    report = scan_q_rado(cfg)
+    if cfg.mode == "random":
+        multisets = len({(dim, tuple(sorted(members))) for dim, members in _random_draws(cfg)})
+        assert multisets < cfg.count
+    else:
+        multisets = sum(
+            math.comb(len(get_lattice(cfg.space(dim))) + k - 1, k)
+            for dim in range(1, cfg.max_dim + 1)
+            for k in range(cfg.max_family + 1)
+        )
+    assert report.counterexamples == []
+    assert calls == dict.fromkeys(calls, multisets)
 
 
 def two_loop_tables(lattice):

@@ -591,3 +591,33 @@ def test_presentation_matroid_refuses_past_its_walk_charge(monkeypatch):
         InfeasibleScale, match="presentation of 9 members over 5 subspaces charges 45 units, past the cap 40"
     ):
         presentation_matroid(SubspaceFamily(GF2_2, (L10,) * 9))
+
+
+def test_walk_charges_grow_with_the_mask_width(monkeypatch):
+    from qtransversal import InfeasibleScale, subspaces
+
+    # A mask AND costs 1 unit up to 2^14 vectors and one more per further
+    # 2^14.  GF(421)^2 has 177,241 vectors, so 11 units an AND: a member
+    # of the presentation tests its 424 subspaces for 4,664 units, and
+    # three distinct lines meet closures of 1, 2 and 4 entries, 77 units.
+    unit = subspaces.set_walk_unit
+    sizes = ((2, 6), (2, 13), (2, 14), (127, 2), (131, 2))
+    assert [unit(VectorSpaceSpec(field_make(p, 1), n)) for p, n in sizes] == [1, 1, 2, 1, 2]
+    spec = VectorSpaceSpec(field_make(421, 1), 2)
+    assert unit(spec) == 11
+    lattice = get_lattice(spec)
+    a, b, c = (lattice.subspaces[i] for i in lattice.by_dim[1][:3])
+    top = lattice.subspaces[lattice.top_index]
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 2 * 4_664)
+    assert presentation_matroid(SubspaceFamily(spec, (a, b))).rank(top) == 2
+    with pytest.raises(
+        InfeasibleScale,
+        match="presentation of 3 members over 424 subspaces charges 13992 units, past the cap 9328",
+    ):
+        presentation_matroid(SubspaceFamily(spec, (a, b, c)))
+    # Copies add no pass, so five members with three distinct fit 77.
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 77)
+    assert len(SubspaceFamily(spec, (a, b, a, c, b)).meet_closure) == 5
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 76)
+    with pytest.raises(InfeasibleScale, match="meet-closure of 3 members passes the cap 76 at member 3"):
+        SubspaceFamily(spec, (a, b, c)).meet_closure
