@@ -1,7 +1,8 @@
 """Instance scanners for the three open conjectures.
 
-Each scanner walks a deterministic instance stream (exhaustive in the
-fixed enumeration order, or seeded-random), evaluates both sides of the
+Each scanner walks a deterministic stream of family multisets, each
+once with its orderings' instance numbers (exhaustive in the fixed
+enumeration order, or seeded-random), evaluates both sides of the
 conjectured equivalence with the library's independent routes, and
 emits machine-checkable counterexample certificates.  Reports are
 deterministic: equal configurations produce identical reports, and
@@ -19,8 +20,8 @@ transposed once per dimension, one int per bit with bit i for pool
 matroid i, so a family meets the whole pool in one OR per set bit of
 tmask and of jmask.  Both sides are unchanged when the members are
 reordered, so a family's masks and join are computed once per multiset
-of members per call.  Only a pair whose sides mismatch is replayed,
-with its own ordered family, through the witness route, which must
+of members.  Only a pair whose sides mismatch is replayed, with each
+ordered family of its multiset, through the witness route, which must
 agree; so does reverify_q_rado.
 
 Both the pool and viol are read from meet-level bitsets: L_X[d] has bit
@@ -45,9 +46,9 @@ Readings pinned here (also echoed in the report notes):
     minimal presentation can be padded, e.g. (V) and (V, V) both
     present the rank-0 matroid minimally), so cross-size variety is
     reported as information, not as a counterexample.  The scan
-    decides each multiset of members once per call: union is
-    commutative, so every ordering presents the same matroid and has
-    the same cyclic members, and later orderings reuse the outcome.
+    decides each multiset of members once: union is commutative, so
+    every ordering presents the same matroid and has the same cyclic
+    members; a multiset is recorded at its first ordering's instance.
   * A representation search that comes up empty is inconclusive, never
     a counterexample; the search is bounded.
 """
@@ -57,8 +58,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import ne
+from operator import itemgetter, ne
 
 from .classical import _mask_to_indices
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange, SpecMismatch
@@ -189,10 +191,7 @@ def _families_per_dim(cfg: ScanConfig) -> dict[int, int]:
     """Families the stream yields at each dimension it visits, exactly;
     a random stream's draws are replayed without building a lattice."""
     if cfg.mode == "random":
-        counts: dict[int, int] = {}
-        for dim, _ in _random_draws(cfg):
-            counts[dim] = counts.get(dim, 0) + 1
-        return counts
+        return Counter(dim for dim, _ in _random_draws(cfg))
     return {
         dim: sum(_subspace_count(cfg, dim) ** s for s in range(cfg.max_family + 1))
         for dim in range(1, cfg.max_dim + 1)
@@ -217,25 +216,43 @@ def _random_draws(cfg: ScanConfig):
         yield dim, tuple(rng.randrange(sizes[dim]) for _ in range(size))
 
 
-def _family_stream(cfg: ScanConfig):
-    """Deterministic (index, lattice, members) triples covering the
-    configured ranges; members holds the lattice indices of a family's
-    members in family order, and _family builds the family itself."""
-    idx = 0
+def _multiset_stream(cfg: ScanConfig, weights: dict[int, int] | None = None):
+    """(lattice, multiset, orderings) per sorted multiset of member indices,
+    in order of first visit; orderings yields each visited ordered family's
+    (instance, members), ascending, a family of dimension d counting
+    weights[d] instances (1 without).  Exhaustively an instance is the
+    members' base-S value plus the families before its dimension and size
+    (S subspaces), times the weight; a random multiset's are its draws."""
+    weight = (weights or {}).get
+    start = 0
     if cfg.mode == "exhaustive":
         for dim in range(1, cfg.max_dim + 1):
             lattice = get_lattice(cfg.space(dim))
-            for size in range(cfg.max_family + 1):
-                for members in itertools.product(range(len(lattice)), repeat=size):
-                    yield idx, lattice, members
-                    idx += 1
+            size, w = len(lattice), weight(dim, 1)
+            for k in range(cfg.max_family + 1):
+                for multiset in itertools.combinations_with_replacement(range(size), k):
+                    yield lattice, multiset, _orderings(multiset, size, start, w)
+                start += size**k * w
     else:
-        lattices = {}
+        draws: dict[tuple, list] = {}
         for dim, members in _random_draws(cfg):
-            if dim not in lattices:
-                lattices[dim] = get_lattice(cfg.space(dim))
-            yield idx, lattices[dim], members
-            idx += 1
+            draws.setdefault((dim, tuple(sorted(members))), []).append((start, members))
+            start += weight(dim, 1)
+        for (dim, multiset), orderings in draws.items():
+            yield get_lattice(cfg.space(dim)), multiset, iter(orderings)
+
+
+def _orderings(multiset: tuple[int, ...], base: int, start: int, weight: int):
+    """(start + weight * value, members) for each distinct ordering of the
+    sorted multiset, ascending; value reads the members as base digits."""
+    if not multiset:
+        yield start, ()
+    for m in dict.fromkeys(multiset):
+        i = multiset.index(m)
+        rest = multiset[:i] + multiset[i + 1 :]
+        offset = m * weight * base ** len(rest)
+        for instance, members in _orderings(rest, base, start + offset, weight):
+            yield instance, (m, *members)
 
 
 def _family(lattice, members: tuple[int, ...]) -> SubspaceFamily:
@@ -502,11 +519,11 @@ def _default_pool_floor(cfg: ScanConfig, dim: int) -> int:
     return 2 * s - gb(dim, 1, q) - 1 + ordered_pairs // 2
 
 
-def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[QMatroid]]:
-    """The matroid pool of every dimension the stream visits, guarded on
-    the (matroid, family) pairs the scan will walk plus, for the default
-    source, the candidate tables its build computes.  A pool matroid
-    that does not live on that dimension's space raises SpecMismatch.
+def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> tuple[dict[int, list], int]:
+    """The pool of every dimension the stream visits and the (matroid,
+    family) pairs the scan walks, guarded on those pairs plus, for the
+    default source, the candidate tables its build computes.  A pool
+    matroid off its dimension's space raises SpecMismatch.
 
     A default pool is only built once its build and a closed-form lower
     bound on the pairs keep the scan under the cap: GF(2)^5's build
@@ -531,8 +548,9 @@ def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> dict[int, list[Q
                     f"pool matroid {i} of dimension {dim} lives on {m.lattice.spec!r}, "
                     f"not on {spec!r}"
                 )
-    _refuse_beyond(cap, built + sum(families[dim] * len(pools[dim]) for dim in pools))
-    return pools
+    pairs = sum(families[dim] * len(pools[dim]) for dim in pools)
+    _refuse_beyond(cap, built + pairs)
+    return pools, pairs
 
 
 def scan_q_rado(
@@ -544,62 +562,55 @@ def scan_q_rado(
     transposed by _pool_join once per dimension; a family's (tmask,
     jmask) is joined to it by _q_rado_mismatches.  Both sides of q-Rado
     are unchanged when the members are reordered, so the masks and the
-    join run once per (dimension, sorted member indices) per call, and
-    every later ordering reuses the mismatch list.  Each mismatching pair
-    is replayed through _q_rado_sides with its own ordered family, which
-    names its witnesses and must agree.
+    join run once per multiset of members.  Each pair of a mismatching
+    multiset's ordered families is replayed through _q_rado_sides, which
+    names its witnesses and must agree; records are sorted by instance.
     """
     start = time.monotonic()
-    pools = _q_rado_pools(cfg, matroid_source, instance_cap)
+    pools, pairs = _q_rado_pools(cfg, matroid_source, instance_cap)
     joins = {}
     for dim, pool in pools.items():
         lattice = get_lattice(cfg.space(dim))
         levels = _meet_levels(lattice)
         masks = (_matroid_masks(m, cfg.max_family, levels) for m in pool)
         joins[dim] = _pool_join(masks, len(lattice), cfg.max_family)
-    # The mismatch list per (dimension, sorted member indices), for this
-    # call, () when there is none; a SubspaceFamily is built only for a
-    # multiset's first ordering or for an ordering with pairs to replay.
-    decided: dict[tuple, list | tuple] = {}
     counterexamples = []
-    checked = 0
-    for _, lattice, members in _family_stream(cfg):
+    weights = {dim: len(pool) for dim, pool in pools.items()}
+    for lattice, multiset, orderings in _multiset_stream(cfg, weights):
         dim = lattice.spec.dim
-        key = (dim, tuple(sorted(members)))
-        mismatches = decided.get(key)
-        if mismatches is None:
+        mismatches = _q_rado_mismatches(joins[dim], _family_masks(_family(lattice, multiset)))
+        if not mismatches:
+            continue
+        for instance, members in orderings:
             fam = _family(lattice, members)
-            mismatches = decided[key] = _q_rado_mismatches(joins[dim], _family_masks(fam)) or ()
-        elif mismatches:
-            fam = _family(lattice, members)
-        for i, lhs in mismatches:
-            matroid = pools[dim][i]
-            rhs = not lhs
-            lhs_t, rhs_j = _q_rado_sides(matroid, fam)
-            if (lhs_t is not None, rhs_j is None) != (lhs, rhs):
-                raise InvariantViolation(
-                    "q-Rado mask verdicts and witness route disagree",
-                    payload={"family": fam.to_rows(), "matroid": matroid.to_jsonable()},
-                )
-            record = {
-                "instance_index": checked + i,
-                "q": cfg.q,
-                "dim": dim,
-                "family": fam.to_rows(),
-                "matroid": matroid.to_jsonable(),
-                "lhs_has_independent_transversal": lhs,
-                "rhs_condition_holds": rhs,
-            }
-            if lhs_t is not None:
-                record["lhs_witness_T"] = lhs_t.to_rows()
-            if rhs_j is not None:
-                record["rhs_witness_J"] = list(_mask_to_indices(rhs_j))
-            counterexamples.append(record)
-        checked += len(pools[dim])
+            for i, lhs in mismatches:
+                matroid = pools[dim][i]
+                rhs = not lhs
+                lhs_t, rhs_j = _q_rado_sides(matroid, fam)
+                if (lhs_t is not None, rhs_j is None) != (lhs, rhs):
+                    raise InvariantViolation(
+                        "q-Rado mask verdicts and witness route disagree",
+                        payload={"family": fam.to_rows(), "matroid": matroid.to_jsonable()},
+                    )
+                record = {
+                    "instance_index": instance + i,
+                    "q": cfg.q,
+                    "dim": dim,
+                    "family": fam.to_rows(),
+                    "matroid": matroid.to_jsonable(),
+                    "lhs_has_independent_transversal": lhs,
+                    "rhs_condition_holds": rhs,
+                }
+                if lhs_t is not None:
+                    record["lhs_witness_T"] = lhs_t.to_rows()
+                if rhs_j is not None:
+                    record["rhs_witness_J"] = list(_mask_to_indices(rhs_j))
+                counterexamples.append(record)
+    counterexamples.sort(key=itemgetter("instance_index"))
     return ScanReport(
         kind="q-rado",
         config=cfg.to_jsonable(),
-        instances_checked=checked,
+        instances_checked=pairs,
         counterexamples=counterexamples,
         details={"matroids_per_dim": {str(d): len(pool) for d, pool in pools.items()}},
         notes=("J ranges over all index subsets including the empty one",),
@@ -636,31 +647,22 @@ def _uniqueness_ranks(fam: SubspaceFamily) -> tuple | None:
 def scan_minimal_uniqueness(
     cfg: ScanConfig, *, instance_cap: int = SCAN_INSTANCE_CAP
 ) -> ScanReport:
-    """Group families by presentation matroid and look for two distinct
+    """Group family multisets by presentation matroid, each decided once
+    and kept at its first ordering's instance, and look for two distinct
     minimal presentations of the same size."""
-    _refuse_beyond(instance_cap, sum(_families_per_dim(cfg).values()))
+    families = sum(_families_per_dim(cfg).values())
+    _refuse_beyond(instance_cap, families)
     start = time.monotonic()
-    checked = 0
     groups: dict[tuple, dict] = {}
     cross_size: dict[tuple, set] = {}
-    # _uniqueness_ranks per (dimension, sorted member indices): every
-    # ordering of a multiset has the same matroid and cyclic members, so
-    # the first ordering met decides it for this call.
-    outcomes: dict[tuple, tuple | None] = {}
-    # One walk in stream order: groups and the multisets within a group
-    # are first met, and kept, at ascending instance indices.
-    for idx, lattice, members in _family_stream(cfg):
-        checked += 1
-        key = (lattice.spec.dim, tuple(sorted(members)))
-        if key in outcomes:
-            ranks = outcomes[key]
-        else:
-            ranks = outcomes[key] = _uniqueness_ranks(_family(lattice, members))
+    # Multisets come in order of first visit, so groups keep ascending instances.
+    for lattice, multiset, orderings in _multiset_stream(cfg):
+        ranks = _uniqueness_ranks(_family(lattice, multiset))
         if ranks is None:
             continue
-        dim, multiset = key
-        groups.setdefault((dim, ranks, len(members)), {}).setdefault(multiset, idx)
-        cross_size.setdefault((dim, ranks), set()).add(len(members))
+        dim = lattice.spec.dim
+        groups.setdefault((dim, ranks, len(multiset)), {})[multiset] = next(orderings)[0]
+        cross_size.setdefault((dim, ranks), set()).add(len(multiset))
     counterexamples = []
     for (dim, ranks, size), entry in groups.items():
         if len(entry) > 1:
@@ -684,7 +686,7 @@ def scan_minimal_uniqueness(
     return ScanReport(
         kind="minimal-uniqueness",
         config=cfg.to_jsonable(),
-        instances_checked=checked,
+        instances_checked=families,
         counterexamples=counterexamples,
         details={
             "matroid_groups": len(cross_size),
@@ -697,20 +699,16 @@ def scan_minimal_uniqueness(
 
 
 def reverify_minimal_uniqueness(record: dict) -> bool:
-    """Both presentations must be minimal, present the same matroid, and
-    differ as multisets."""
+    """At least two presentations, each of family_size members, must be
+    minimal, present the same matroid, and differ as multisets."""
     spec = VectorSpaceSpec.from_jsonable(record)
-    fams = [
-        family_from_rows(spec, entry["members"])
-        for entry in record["presentations"]
-    ]
-    tables = {presentation_matroid(f).ranks for f in fams}
-    if len(tables) != 1:
+    fams = [family_from_rows(spec, entry["members"]) for entry in record["presentations"]]
+    if len(fams) < 2 or any(len(f) != record["family_size"] for f in fams):
         return False
-    if not all(is_minimal_presentation(f).minimal for f in fams):
+    if len({presentation_matroid(f).ranks for f in fams}) != 1:
         return False
     multisets = {tuple(sorted(tuple(m.to_rows()) for m in f.members)) for f in fams}
-    return len(multisets) == len(fams)
+    return len(multisets) == len(fams) and all(is_minimal_presentation(f).minimal for f in fams)
 
 
 def scan_representability(
@@ -733,11 +731,13 @@ def scan_representability(
     families = sum(_families_per_dim(cfg).values())
     _refuse_beyond(instance_cap, families * attempts_per_degree)
     start = time.monotonic()
-    checked = 0
     instances = []
     seed_base = cfg.seed if cfg.seed is not None else 0
-    for idx, lattice, members in _family_stream(cfg):
-        checked += 1
+    for idx, lattice, members in sorted(
+        (idx, lattice, members)
+        for lattice, _, orderings in _multiset_stream(cfg)
+        for idx, members in orderings
+    ):
         fam = _family(lattice, members)
         aligned = aligned_from_family(fam)
         entry = {
@@ -774,7 +774,7 @@ def scan_representability(
             "max_ext_degree": max_ext_degree,
             "attempts_per_degree": attempts_per_degree,
         },
-        instances_checked=checked,
+        instances_checked=families,
         counterexamples=[],
         details={
             "found": found,

@@ -304,6 +304,7 @@ def test_reverify_minimal_uniqueness_on_synthetic_pair():
     record = {
         "q": 2,
         "dim": 2,
+        "family_size": 1,
         "presentations": [
             {"members": [l10.to_rows()]},
             {"members": [lattice.subspaces[1].to_rows()]},
@@ -318,17 +319,25 @@ def test_reverify_minimal_uniqueness_checks_minimality_and_multisets(monkeypatch
 
     # (0, 0) and (<10>, <01>) both present the free matroid of GF(2)^2;
     # only the first is minimal (either line of the second shrinks to 0).
-    def record(*families):
-        return {"q": 2, "dim": 2, "presentations": [{"members": f} for f in families]}
+    def record(*families, q=2, dim=2, size=2):
+        presentations = [{"members": f} for f in families]
+        return {"q": q, "dim": dim, "family_size": size, "presentations": presentations}
 
     zeros, lines = [[], []], [["10"], ["01"]]
     assert not reverify_minimal_uniqueness(record(zeros, lines))  # not minimal
     assert not reverify_minimal_uniqueness(record(zeros, zeros))  # one multiset
+    assert not reverify_minimal_uniqueness(record(zeros))  # one presentation
+    # (V) and (V, V) both present GF(2)^1's matroid minimally, at two
+    # sizes, which is padding and not a counterexample at either size.
+    for size in (1, 2):
+        assert not reverify_minimal_uniqueness(record([["1"]], [["1"], ["1"]], dim=1, size=size))
     # With minimality granted, two multisets presenting one matroid replay.
     minimal = MinimalityReport(True, None, None, None)
     monkeypatch.setattr(conjectures, "is_minimal_presentation", lambda fam: minimal)
     assert reverify_minimal_uniqueness(record(zeros, lines))
     assert not reverify_minimal_uniqueness(record(lines, [["01"], ["10"]]))
+    assert not reverify_minimal_uniqueness(record(zeros))
+    assert not reverify_minimal_uniqueness(record(zeros, lines, size=1))
 
 
 def test_scans_handle_q3_and_oversized_families():

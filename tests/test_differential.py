@@ -5,9 +5,11 @@ below a subspace, are compared with RREF orders and joins exhaustively,
 over every pool matroid.  The q-Rado scan's mask verdicts are compared
 with its witness route on the same families and exhaustively on
 GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
-q-matroids give it mismatches to record, in exhaustive and random scans;
-its transposed join is compared with the row join it replaced on every
-family multiset there.  The meet-closure and the
+q-matroids give it mismatches to record, in exhaustive and random scans
+and with up to 8 members of GF(2)^1; its transposed join is compared
+with the row join it replaced on every family multiset there.  The
+multiset stream's orderings, expanded, are compared with the ordered
+walk and its instance numbers, with weight 1 and per-dimension weights.  The meet-closure and the
 q-side routes that read it are compared with the 2^n table of every
 X(J) over every multiset of a few members of GF(2)^<=4, GF(3)^<=3 and
 GF(4)^<=2.  The presentation matroid, built by the union theorem over
@@ -53,6 +55,7 @@ from qtransversal.conjectures import (
     _family_masks,
     _matroid_masks,
     _meet_levels,
+    _multiset_stream,
     _pair_keys,
     _pool_join,
     _q_rado_mismatches,
@@ -313,8 +316,10 @@ RANDOM = [
     ScanConfig(q=2, max_dim=3, max_family=3, mode="random", seed=5, count=150),
     ScanConfig(q=2, max_dim=3, max_family=3, mode="random", seed=2, count=150),
 ]
-SCRAMBLED = EXHAUSTIVE + RANDOM
-SCRAMBLED_IDS = EXHAUSTIVE_IDS + [f"random-{c.seed}" for c in RANDOM]
+# Up to 8 equal or distinct members of GF(2)^1's 2 subspaces.
+LARGE_FAMILIES = ScanConfig(q=2, max_dim=1, max_family=8)
+SCRAMBLED = EXHAUSTIVE + RANDOM + [LARGE_FAMILIES]
+SCRAMBLED_IDS = EXHAUSTIVE_IDS + [f"random-{c.seed}" for c in RANDOM] + ["2-1-8"]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -324,13 +329,15 @@ def test_q_rado_scan_records_match_the_reference_on_scrambled_tables(cfg, seed):
     pairs, records = reference_scan(cfg, source)
     # The tables produce mismatches; on GF(2)^3 also ones where an
     # independent transversal exists and a J fails, which carry both
-    # witnesses (on GF(q)^<=2 the table's bases rule those out).
-    assert records
+    # witnesses (on GF(q)^<=2 the table's bases rule those out).  On
+    # GF(2)^1 every table with 0 <= r(X) <= dim X satisfies q-Rado, so
+    # there the pair count and the empty record list are compared.
+    assert records or cfg.max_dim == 1
     if cfg.max_dim == 3:
         assert any("lhs_witness_T" in record for record in records)
     if cfg.mode == "random":
         # Some mismatching multiset recurs in another order, so the scan
-        # replays a memoized mismatch list with a reordered family.
+        # replays one multiset's mismatch list with a reordered family.
         orders = {}
         for record in records:
             family = record["family"]
@@ -340,6 +347,47 @@ def test_q_rado_scan_records_match_the_reference_on_scrambled_tables(cfg, seed):
     assert report.instances_checked == pairs
     # Record by record, so that a failure names the first differing one.
     assert [json.dumps(r) for r in report.counterexamples] == [json.dumps(r) for r in records]
+
+
+STREAM = [
+    ScanConfig(q=2, max_dim=3, max_family=3),
+    ScanConfig(q=3, max_dim=2, max_family=3),
+    ScanConfig(q=4, max_dim=2, max_family=3),
+    LARGE_FAMILIES,
+    *RANDOM,
+]
+STREAM_IDS = [f"{c.q}-{c.max_dim}-{c.max_family}" for c in STREAM[:4]] + [
+    f"random-{c.seed}" for c in RANDOM
+]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["weight-1", "weighted"])
+@pytest.mark.parametrize("cfg", STREAM, ids=STREAM_IDS)
+def test_multiset_stream_expands_to_the_ordered_walk(cfg, weighted):
+    # The stream's orderings, expanded and put in instance order, are the
+    # ordered walk, with instances running on by each family's weight.
+    weights = {dim: 3 * dim + 1 for dim in range(1, cfg.max_dim + 1)} if weighted else None
+    expected, instance = [], 0
+    for lattice, members in reference_families(cfg):
+        dim = lattice.spec.dim
+        expected.append((instance, dim, tuple(map(lattice.idx, members))))
+        instance += weights[dim] if weighted else 1
+    walked, firsts = [], []
+    for lattice, multiset, orderings in _multiset_stream(cfg, weights):
+        dim = lattice.spec.dim
+        orderings = list(orderings)
+        assert list(multiset) == sorted(multiset)
+        assert all(sorted(members) == list(multiset) for _, members in orderings)
+        # Ascending within a multiset; exhaustively each ordering once.
+        assert orderings == sorted(orderings)
+        if cfg.mode == "exhaustive":
+            assert len(set(orderings)) == len(orderings)
+        firsts.append((dim, multiset, orderings[0][0]))
+        walked += [(i, dim, members) for i, members in orderings]
+    # Each multiset once, in order of its first visit.
+    assert len({(dim, m) for dim, m, _ in firsts}) == len(firsts)
+    assert [i for _, _, i in firsts] == sorted(i for _, _, i in firsts)
+    assert sorted(walked) == expected
 
 
 @pytest.mark.parametrize(
