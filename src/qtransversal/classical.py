@@ -5,13 +5,14 @@ decision procedures all return witnesses (a transversal, or a violating
 index set J, 1-based) so their verdicts can be re-checked without
 trusting the implementation.  Internally subsets travel as bitmasks over
 the ground tuple; the public surface speaks labels and frozensets.
-Hall and Rado are decided by one augmenting search, avoidance Rado is
-Rado on the complemented family, and no check walks the index sets J.
+One augmenting search decides Hall and Rado and finds every SDR,
+partial transversal and injection; avoidance Rado is Rado on the
+complemented family, and no check walks the index sets J.
 
 This module is both a standalone implementation of the classical
 theorems and the inner engine for the q-analog: the definitional
 q-transversal oracle reduces each vector basis to a partial-transversal
-check here, and the representability construction leans on Rado.
+check here, and a q-certificate's injections are matchings from here.
 """
 
 from __future__ import annotations
@@ -75,17 +76,21 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _first_failing(members: list[int], width: int, independent) -> HallVerdict:
-    """The first J, in ascending mask order, with rho(A(J)) < |J|, where
+def _first_failing(members: list[int], width: int, independent) -> tuple[HallVerdict, list[int]]:
+    """(verdict, owner) of Rado by matroid intersection: the verdict names
+    the first J, in ascending mask order, with rho(A(J)) < |J|, where
     members[u] is the label mask of A_(u+1) and `independent` accepts the
-    independent label masks of rho: Rado by matroid intersection.
+    independent label masks of rho; owner[a] is the member holding label
+    a, or -1, when the search stops.
 
     Members join in order, and the labels they own, `held`, stay
     independent.  Member k's search is breadth-first: a depth-first path
     can leave held dependent.  From a member it visits each unseen label
     a.  An owned a brings in its owner; an unowned a with held | a
     independent ends the search; any other a brings in the owners of its
-    circuit, the b with held - b + a independent.
+    circuit, the b with held - b + a independent.  If k's lowest unowned
+    label a0 keeps held independent, k takes it with no queue; else a
+    search runs and does not test a0 again.
 
     If the search fails, J is k with the members it reached, whose labels
     span A(J), so g(J) = rho(A(J)) - |J| = -1.  g is submodular and >= 0
@@ -95,85 +100,60 @@ def _first_failing(members: list[int], width: int, independent) -> HallVerdict:
     owner = [-1] * width
     held = 0
     for k in range(len(members)):
-        via = {k: None}  # member -> its step (u, a, b): u takes a, b is freed
-        queue, seen, step = [k], 0, None
-        for u in queue:
-            rest = members[u] & ~seen
-            seen |= rest
-            while rest:
-                a = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if owner[a] < 0 and independent(held | 1 << a):
-                    step = (u, a, a)
-                    break
-                circuit = [a] if owner[a] >= 0 else [
-                    b for b in range(width)
-                    if held >> b & 1 and owner[b] not in via and independent(held ^ 1 << b | 1 << a)
-                ]
-                for b in circuit:
-                    if owner[b] not in via:
-                        via[owner[b]] = (u, a, b)
-                        queue.append(owner[b])
-            if step is not None:
-                break
+        free = members[k] & ~held
+        a0 = (free & -free).bit_length() - 1  # -1 if k has no unowned label
+        if a0 >= 0 and independent(held | 1 << a0):
+            owner[a0] = k
+            held |= 1 << a0
         else:
-            return HallVerdict(False, _mask_to_indices(sum(1 << w for w in via)))
-        while step is not None:
-            u, a, b = step
-            owner[b] = -1
-            owner[a] = u
-            held = held & ~(1 << b) | 1 << a
-            step = via[u]
+            via = {k: None}  # member -> its step (u, a, b): u takes a, b is freed
+            queue, seen, step = [k], 0, None
+            for u in queue:
+                rest = members[u] & ~seen
+                seen |= rest
+                while rest:
+                    a = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    if owner[a] < 0 and a != a0 and independent(held | 1 << a):
+                        step = (u, a, a)
+                        break
+                    circuit = [a] if owner[a] >= 0 else [
+                        b for b in range(width)
+                        if held >> b & 1 and owner[b] not in via and independent(held ^ 1 << b | 1 << a)
+                    ]
+                    for b in circuit:
+                        if owner[b] not in via:
+                            via[owner[b]] = (u, a, b)
+                            queue.append(owner[b])
+                if step is not None:
+                    break
+            else:
+                return HallVerdict(False, _mask_to_indices(sum(1 << w for w in via))), owner
+            while step is not None:
+                u, a, b = step
+                owner[b] = -1
+                owner[a] = u
+                held = held & ~(1 << b) | 1 << a
+                step = via[u]
         if held.bit_count() != k + 1 or not independent(held):
             raise InvariantViolation(f"member {k + 1}'s search left held = {held:#b} dependent")
-    return HallVerdict(True, None)
+    return HallVerdict(True, None), owner
 
 
 def hall_check(fam: SetFamily) -> HallVerdict:
     """Hall: |A[J]| >= |J| for every J, Rado over the free matroid; witness on failure."""
-    return _first_failing(fam.masks(), len(fam.ground), lambda mask: True)
-
-
-def _augment(adj: list[int], owner: list[int], u: int) -> bool:
-    # Depth-first augmenting path over element bits, updating owner in
-    # place; returns whether one was found.  The search keeps its path on
-    # a list, not the call stack, so a long path cannot overflow it.  Each
-    # vertex on the path tries its unseen labels in ascending order, the
-    # lowest bit of adj & ~seen: labels it tried before are seen by then,
-    # so this is the order of a recursive search.
-    path = [u]  # left vertices from u to the current one
-    via = []  # via[k]: the label by which path[k] reached path[k + 1]
-    seen = 0
-    while path:
-        rest = adj[path[-1]] & ~seen
-        if not rest:
-            path.pop()
-            if via:
-                via.pop()
-            continue
-        bit = rest & -rest
-        seen |= bit
-        v = bit.bit_length() - 1
-        via.append(v)
-        if owner[v] < 0:
-            for w, x in zip(path, via):
-                owner[x] = w
-            return True
-        path.append(owner[v])
-    return False
+    return _first_failing(fam.masks(), len(fam.ground), lambda mask: True)[0]
 
 
 def maximum_matching(adj: list[int], n_right: int) -> list[int]:
-    """Left-to-right matching by augmenting paths.
+    """Left vertices join in order by hall_check's augmenting search.
 
     adj[u] is a bitmask of right vertices reachable from left vertex u.
-    Returns match[u] = right index or -1, deterministically.
+    Returns match[u] = right index or -1, deterministically; from the
+    first left vertex the search cannot match on, every match is -1.
     """
-    owner = [-1] * n_right
-    for u in range(len(adj)):
-        _augment(adj, owner, u)
     match = [-1] * len(adj)
-    for v, u in enumerate(owner):
+    for v, u in enumerate(_first_failing(adj, n_right, lambda mask: True)[1]):
         if u >= 0:
             match[u] = v
     return match
@@ -262,7 +242,7 @@ def rado_check(matroid: ClassicalMatroid, fam: SetFamily) -> HallVerdict:
     def independent(mask):
         subset = frozenset(x for i, x in enumerate(fam.ground) if mask >> i & 1)
         return matroid.rank(subset) == mask.bit_count()
-    return _first_failing(fam.masks(), len(fam.ground), independent)
+    return _first_failing(fam.masks(), len(fam.ground), independent)[0]
 
 
 def _complement(fam: SetFamily) -> SetFamily:

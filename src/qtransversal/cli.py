@@ -112,9 +112,9 @@ def _q_family(doc: dict) -> SubspaceFamily:
 
 
 def _cmd_hall(doc, args):
-    """The matching decides: an SDR is re-checked and reported; without
-    one, hall_check names J from the failed augmenting search, and
-    |A[J]| < |J| is re-checked from the sets."""
+    """One augmenting search decides: an SDR from find_transversal is
+    re-checked and reported; without one, hall_check names J from the
+    same search's failure, and |A[J]| < |J| is re-checked from the sets."""
     fam = _set_family(doc)
     transversal = find_transversal(fam)
     if transversal is not None:
@@ -123,14 +123,14 @@ def _cmd_hall(doc, args):
             label not in member for label, member in zip(labels, fam.members)
         ):
             raise InvariantViolation(
-                "maximum matching returned a set that is not a transversal",
+                "the augmenting search returned a set that is not a transversal",
                 payload=fam.to_jsonable(),
             )
         return {"verdict": True, "transversal": labels}, fam.to_jsonable()
     j = hall_check(fam).witness_J or ()
     if len(frozenset().union(*(fam.members[i - 1] for i in j))) >= len(j):
         raise InvariantViolation(
-            "maximum matching found no transversal but the Hall witness J does not violate",
+            "the augmenting search found no transversal but the Hall witness J does not violate",
             payload=fam.to_jsonable(),
         )
     return {"verdict": False, "witness_J": list(j)}, fam.to_jsonable()

@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter, ne
@@ -187,11 +188,11 @@ def _subspace_count(cfg: ScanConfig, dim: int) -> int:
     return sum(gaussian_binomial(dim, k, cfg.q) for k in range(dim + 1))
 
 
-def _families_per_dim(cfg: ScanConfig) -> dict[int, int]:
+def _families_per_dim(cfg: ScanConfig, draws: dict | None) -> dict[int, int]:
     """Families the stream yields at each dimension it visits, exactly;
-    a random stream's draws are replayed without building a lattice."""
+    a random stream's are counted off its grouped draws."""
     if cfg.mode == "random":
-        return Counter(dim for dim, _ in _random_draws(cfg))
+        return Counter(dim for (dim, _), group in draws.items() for _ in group)
     return {
         dim: sum(_subspace_count(cfg, dim) ** s for s in range(cfg.max_family + 1))
         for dim in range(1, cfg.max_dim + 1)
@@ -216,13 +217,26 @@ def _random_draws(cfg: ScanConfig):
         yield dim, tuple(rng.randrange(sizes[dim]) for _ in range(size))
 
 
-def _multiset_stream(cfg: ScanConfig, weights: dict[int, int] | None = None):
+def _grouped_draws(cfg: ScanConfig, cap: int) -> dict | None:
+    """A random stream's (draw number, members), grouped by (dimension,
+    sorted members) in order of first visit; None for an exhaustive one.
+    Every scan walks each draw, so more than cap draws are refused first."""
+    if cfg.mode != "random":
+        return None
+    _refuse_beyond(cap, cfg.count)
+    draws: dict[tuple, list] = {}
+    for i, (dim, members) in enumerate(_random_draws(cfg)):
+        draws.setdefault((dim, tuple(sorted(members))), []).append((i, members))
+    return draws
+
+
+def _multiset_stream(cfg: ScanConfig, draws: dict | None, weights: dict[int, int] | None = None):
     """(lattice, multiset, orderings) per sorted multiset of member indices,
     in order of first visit; orderings yields each visited ordered family's
     (instance, members), ascending, a family of dimension d counting
     weights[d] instances (1 without).  Exhaustively an instance is the
     members' base-S value plus the families before its dimension and size
-    (S subspaces), times the weight; a random multiset's are its draws."""
+    (S subspaces), times the weight; a random draw's, the draws' weight before it."""
     weight = (weights or {}).get
     start = 0
     if cfg.mode == "exhaustive":
@@ -234,12 +248,13 @@ def _multiset_stream(cfg: ScanConfig, weights: dict[int, int] | None = None):
                     yield lattice, multiset, _orderings(multiset, size, start, w)
                 start += size**k * w
     else:
-        draws: dict[tuple, list] = {}
-        for dim, members in _random_draws(cfg):
-            draws.setdefault((dim, tuple(sorted(members))), []).append((start, members))
-            start += weight(dim, 1)
-        for (dim, multiset), orderings in draws.items():
-            yield get_lattice(cfg.space(dim)), multiset, iter(orderings)
+        starts = array("q", [0]) * (cfg.count + 1)
+        for (dim, _), group in draws.items():
+            for i, _ in group:
+                starts[i + 1] = weight(dim, 1)
+        starts = array("q", itertools.accumulate(starts))
+        for (dim, multiset), group in draws.items():
+            yield get_lattice(cfg.space(dim)), multiset, ((starts[i], m) for i, m in group)
 
 
 def _orderings(multiset: tuple[int, ...], base: int, start: int, weight: int):
@@ -519,7 +534,7 @@ def _default_pool_floor(cfg: ScanConfig, dim: int) -> int:
     return 2 * s - gb(dim, 1, q) - 1 + ordered_pairs // 2
 
 
-def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> tuple[dict[int, list], int]:
+def _q_rado_pools(cfg: ScanConfig, draws, matroid_source, cap: int) -> tuple[dict[int, list], int]:
     """The pool of every dimension the stream visits and the (matroid,
     family) pairs the scan walks, guarded on those pairs plus, for the
     default source, the candidate tables its build computes.  A pool
@@ -531,7 +546,7 @@ def _q_rado_pools(cfg: ScanConfig, matroid_source, cap: int) -> tuple[dict[int, 
     (2-vCPU Xeon VM) in union on the 30,972 kept pair tables, GF(2)^6's
     some 4M keys.  Each candidate table is charged as one instance.
     """
-    families = _families_per_dim(cfg)
+    families = _families_per_dim(cfg, draws)
     built = 0
     if matroid_source is None:
         built = sum(_default_pool_build(cfg, dim) for dim in families)
@@ -567,7 +582,8 @@ def scan_q_rado(
     names its witnesses and must agree; records are sorted by instance.
     """
     start = time.monotonic()
-    pools, pairs = _q_rado_pools(cfg, matroid_source, instance_cap)
+    draws = _grouped_draws(cfg, instance_cap)
+    pools, pairs = _q_rado_pools(cfg, draws, matroid_source, instance_cap)
     joins = {}
     for dim, pool in pools.items():
         lattice = get_lattice(cfg.space(dim))
@@ -576,7 +592,7 @@ def scan_q_rado(
         joins[dim] = _pool_join(masks, len(lattice), cfg.max_family)
     counterexamples = []
     weights = {dim: len(pool) for dim, pool in pools.items()}
-    for lattice, multiset, orderings in _multiset_stream(cfg, weights):
+    for lattice, multiset, orderings in _multiset_stream(cfg, draws, weights):
         dim = lattice.spec.dim
         mismatches = _q_rado_mismatches(joins[dim], _family_masks(_family(lattice, multiset)))
         if not mismatches:
@@ -650,13 +666,14 @@ def scan_minimal_uniqueness(
     """Group family multisets by presentation matroid, each decided once
     and kept at its first ordering's instance, and look for two distinct
     minimal presentations of the same size."""
-    families = sum(_families_per_dim(cfg).values())
+    draws = _grouped_draws(cfg, instance_cap)
+    families = sum(_families_per_dim(cfg, draws).values())
     _refuse_beyond(instance_cap, families)
     start = time.monotonic()
     groups: dict[tuple, dict] = {}
     cross_size: dict[tuple, set] = {}
     # Multisets come in order of first visit, so groups keep ascending instances.
-    for lattice, multiset, orderings in _multiset_stream(cfg):
+    for lattice, multiset, orderings in _multiset_stream(cfg, draws):
         ranks = _uniqueness_ranks(_family(lattice, multiset))
         if ranks is None:
             continue
@@ -728,14 +745,15 @@ def scan_representability(
         raise OutOfRange("max_ext_degree must be at least 1")
     if attempts_per_degree < 1:
         raise OutOfRange("attempts_per_degree must be at least 1")
-    families = sum(_families_per_dim(cfg).values())
+    draws = _grouped_draws(cfg, instance_cap)
+    families = sum(_families_per_dim(cfg, draws).values())
     _refuse_beyond(instance_cap, families * attempts_per_degree)
     start = time.monotonic()
     instances = []
     seed_base = cfg.seed if cfg.seed is not None else 0
     for idx, lattice, members in sorted(
         (idx, lattice, members)
-        for lattice, _, orderings in _multiset_stream(cfg)
+        for lattice, _, orderings in _multiset_stream(cfg, draws)
         for idx, members in orderings
     ):
         fam = _family(lattice, members)

@@ -48,10 +48,10 @@ SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
 #: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a
 #: join's fixed cost (about 1.5 us) plus the q^n-bit masks it intersects.
-#: GF(7)^4 (1.6e10) builds with its covers and diamonds in 1.0 s and peaks
-#: at 49 MiB RSS; the refused GF(31)^3 (4.7e10) takes 4.5 s and 67 MiB,
-#: GF(2)^7 (5.6e10) 3.9 s and 169 MiB (fresh processes, 2-vCPU Xeon VM).
-LATTICE_CAP = 2**35
+#: GF(8)^4 (4.0e10), GF(31)^3 (4.7e10) and GF(2)^7 (5.6e10) build, with covers,
+#: diamonds and check_submodular, in 2.9 to 4.5 s at 68 to 170 MiB RSS; the
+#: refused GF(37)^3 (1.4e11) takes 12 s (fresh processes, 2-vCPU Xeon VM).
+LATTICE_CAP = 2**36
 
 
 def set_walk_unit(spec: VectorSpaceSpec) -> int:
@@ -346,7 +346,7 @@ def enumerate_bases(t: Subspace):
     code's atom.  Dependent prefixes are skipped, not filtered afterwards.
 
     The coordinate lattice is built after the guard.  Only a raised
-    BASIS_CAP reaches one above LATTICE_CAP (GF(2)^7 has about 10^11
+    BASIS_CAP reaches one above LATTICE_CAP (GF(2)^8 has about 1.3 * 10^14
     bases); there get_lattice raises InfeasibleScale.
     """
     r = t.dim

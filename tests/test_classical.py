@@ -394,12 +394,14 @@ def recursive_augment(adj, owner, u, seen):
 
 
 def test_matching_matches_the_recursive_search_on_seeded_families():
-    # The Hall families of the test below: the same found flag and the
-    # same matching after every member, and after a search from the first
-    # unmatched one.
-    from qtransversal.classical import _augment, maximum_matching
+    # The Hall families of the test below.  The recursive search, run
+    # left to right, decides which vertices can join: maximum_matching
+    # matches exactly those before the first it cannot augment, each to
+    # an adjacent right vertex, none used twice.
+    from qtransversal.classical import maximum_matching
 
     rng = random.Random(22)
+    stopped = 0
     for _ in range(2000):
         width = rng.randint(0, 8)
         density = rng.random()
@@ -407,23 +409,27 @@ def test_matching_matches_the_recursive_search_on_seeded_families():
             sum(1 << v for v in range(width) if rng.random() < density)
             for _ in range(rng.randint(0, 9))
         ]
-        owner, reference = [-1] * width, [-1] * width
-        found = []
-        for u in range(len(adj)):
-            found.append(recursive_augment(adj, reference, u, 0)[0])
-            assert _augment(adj, owner, u) == found[-1]
-            assert owner == reference
-        match = [-1] * len(adj)
-        for v, u in enumerate(reference):
-            if u >= 0:
-                match[u] = v
-        assert maximum_matching(adj, width) == match
-        stuck = [u for u, ok in enumerate(found) if not ok]
-        if stuck:
-            assert _augment(adj, owner, stuck[0]) == recursive_augment(
-                adj, reference, stuck[0], 0
-            )[0]
-            assert owner == reference
+        reference = [-1] * width
+        joined = 0
+        while joined < len(adj) and recursive_augment(adj, reference, joined, 0)[0]:
+            joined += 1
+        stopped += joined < len(adj)
+        match = maximum_matching(adj, width)
+        assert len(match) == len(adj)
+        assert all(v >= 0 for v in match[:joined])
+        assert all(v == -1 for v in match[joined:])
+        assert all(adj[u] >> v & 1 for u, v in enumerate(match[:joined]))
+        assert len(set(match[:joined])) == joined
+    assert stopped > 500, stopped
+
+
+def test_matching_leaves_later_vertices_unmatched_after_the_first_failure():
+    # Left vertex 1 reaches only right vertex 0, which vertex 0 holds;
+    # vertex 2 could still take right vertex 1, but the search stopped at 1.
+    from qtransversal.classical import maximum_matching
+
+    assert maximum_matching([0b01, 0b01, 0b10], 2) == [0, -1, -1]
+    assert maximum_matching([0b01, 0b10], 2) == [0, 1]
 
 
 def rado_oracles(matroid, family):
@@ -572,3 +578,20 @@ def test_the_augmenting_search_rejects_an_oracle_that_contradicts_itself():
     answers = iter([True, False])
     with pytest.raises(InvariantViolation, match="member 1's search left held = 0b1 dependent"):
         _first_failing([0b1], 1, lambda mask: next(answers))
+
+
+def test_the_search_asks_the_oracle_once_about_a_dependent_first_label():
+    # Labels 0 and 1 are parallel.  Member 2's only label, 1, is dependent
+    # on member 1's, found so before its search runs; the search goes on
+    # to 1's circuit without asking about held | 1 again.
+    from qtransversal.classical import _first_failing
+
+    asked = []
+
+    def parallel(mask):
+        asked.append(mask)
+        return mask.bit_count() <= 1
+
+    verdict, owner = _first_failing([0b01, 0b10], 2, parallel)
+    assert verdict == (False, (1, 2)) and owner == [0, -1]
+    assert asked.count(0b11) == 1

@@ -511,6 +511,55 @@ def test_minimal_uniqueness_decides_each_multiset_once(monkeypatch):
     assert calls == {"is_minimal_presentation": 1_035, "presentation_matroid": 1_035}
 
 
+def test_each_scan_draws_its_random_stream_once(monkeypatch):
+    # The guard's per-dimension counts and the multiset stream both read
+    # one grouped draw.
+    from qtransversal import conjectures
+
+    calls = []
+    real = conjectures._random_draws
+
+    def counted(cfg):
+        calls.append(cfg.seed)
+        return real(cfg)
+
+    monkeypatch.setattr(conjectures, "_random_draws", counted)
+    cfg = ScanConfig(q=2, max_dim=2, max_family=2, mode="random", seed=4, count=30)
+    scans = [
+        scan_q_rado,
+        scan_minimal_uniqueness,
+        lambda cfg: scan_representability(cfg, max_ext_degree=1, attempts_per_degree=1),
+    ]
+    for scan in scans:
+        calls.clear()
+        assert scan(cfg).instances_checked > 0
+        assert calls == [4]
+
+
+def test_random_scans_refuse_a_huge_count_before_drawing(monkeypatch):
+    # Every scan walks each draw, so a count beyond the cap is refused
+    # before the stream is drawn or grouped.
+    from qtransversal import conjectures
+
+    real = conjectures._random_draws
+
+    def bounded(cfg):
+        for i, draw in enumerate(real(cfg)):
+            assert i < 5, "the stream was drawn past its guard"
+            yield draw
+
+    monkeypatch.setattr(conjectures, "_random_draws", bounded)
+    cfg = ScanConfig(q=2, max_dim=2, max_family=2, mode="random", seed=4, count=10**9)
+    scans = [
+        scan_q_rado,
+        scan_minimal_uniqueness,
+        lambda cfg: scan_representability(cfg, max_ext_degree=1, attempts_per_degree=1),
+    ]
+    for scan in scans:
+        with pytest.raises(InfeasibleScale):
+            scan(cfg)
+
+
 # -- the q-Rado guard --------------------------------------------------------
 
 

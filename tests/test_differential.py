@@ -52,7 +52,9 @@ from qtransversal import (
     zero_matroid,
 )
 from qtransversal.conjectures import (
+    SCAN_INSTANCE_CAP,
     _family_masks,
+    _grouped_draws,
     _matroid_masks,
     _meet_levels,
     _multiset_stream,
@@ -373,7 +375,7 @@ def test_multiset_stream_expands_to_the_ordered_walk(cfg, weighted):
         expected.append((instance, dim, tuple(map(lattice.idx, members))))
         instance += weights[dim] if weighted else 1
     walked, firsts = [], []
-    for lattice, multiset, orderings in _multiset_stream(cfg, weights):
+    for lattice, multiset, orderings in _multiset_stream(cfg, _grouped_draws(cfg, SCAN_INSTANCE_CAP), weights):
         dim = lattice.spec.dim
         orderings = list(orderings)
         assert list(multiset) == sorted(multiset)

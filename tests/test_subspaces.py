@@ -252,9 +252,9 @@ def test_enumerate_bases_guard_counts_bases(monkeypatch):
 def test_enumerate_bases_beyond_lattice_cap(monkeypatch):
     from qtransversal import subspaces
 
-    # A raised cap lets the guard pass; the coordinate lattice of GF(2)^7
-    # (29,212 subspaces) is then refused instead.
-    full = top(VectorSpaceSpec(field_make(2, 1), 7))
+    # A raised cap lets the guard pass; the coordinate lattice of GF(2)^8
+    # (417,199 subspaces) is then refused instead.
+    full = top(VectorSpaceSpec(field_make(2, 1), 8))
     monkeypatch.setattr(subspaces, "BASIS_CAP", count_bases(full))
     with pytest.raises(InfeasibleScale, match="lattice"):
         next(enumerate_bases(full))
@@ -529,10 +529,11 @@ def build_probe(monkeypatch):
     return subspaces.Lattice
 
 
-@pytest.mark.parametrize("q, n", [(43, 3), (1021, 2)])
+@pytest.mark.parametrize("q, n", [(43, 3), (37, 3), (1021, 2)])
 def test_lattice_guard_refuses_before_building(build_probe, q, n):
-    # GF(43)^3 has 3,581,556 diamonds, and GF(1021)^2 (within VECTOR_CAP)
-    # 521,731 on 2^20-bit masks: the guard charges every diamond's join.
+    # GF(43)^3 has 3,581,556 diamonds, GF(37)^3 (a 12 s build) 1,978,242,
+    # and GF(1021)^2 (within VECTOR_CAP) 521,731 on 2^20-bit masks: the
+    # guard charges every diamond's join.
     spec = VectorSpaceSpec.from_jsonable({"q": q, "dim": n})
     before = get_lattice.cache_info().currsize
     with pytest.raises(InfeasibleScale, match="lattice"):
@@ -542,7 +543,10 @@ def test_lattice_guard_refuses_before_building(build_probe, q, n):
     assert get_lattice.cache_info().currsize == before
 
 
-@pytest.mark.parametrize("q, n", [(2, 6), (3, 5), (23, 3), (7, 4), (4, 4), (3, 4), (2, 5)])
+@pytest.mark.parametrize(
+    "q, n",
+    [(2, 7), (31, 3), (8, 4), (4, 5), (2, 6), (3, 5), (23, 3), (7, 4), (4, 4), (3, 4), (2, 5)],
+)
 def test_lattice_guard_admits_builds_of_seconds(build_probe, q, n):
     with pytest.raises(_BuildStarted):
         build_probe(VectorSpaceSpec.from_jsonable({"q": q, "dim": n}))
