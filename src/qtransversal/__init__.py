@@ -23,7 +23,7 @@ from .errors import (
     SpecMismatch,
     WrongNullity,
 )
-from .fields import FieldElement, FieldSpec, field_make, prime_power
+from .fields import FieldSpec, field_make, prime_power
 from .subspaces import (
     Lattice,
     Subspace,
@@ -68,7 +68,6 @@ from .qtransversals import (
     is_minimal_presentation,
     is_partial_q_transversal,
     is_q_transversal,
-    partial_equiv_check,
     presentation_matroid,
     q_hall,
     q_transversal_by_definition,

@@ -23,15 +23,14 @@ from . import conjectures
 from .classical import (
     ClassicalMatroid,
     SetFamily,
+    _first_failing,
     avoid_rado_check,
     avoiding_transversal_by_injections,
     avoiding_transversal_check,
-    find_transversal,
-    hall_check,
     rado_check,
 )
-from .errors import Error, InfeasibleScale, InvariantViolation
-from .fields import field_make, prime_power
+from .errors import Error, InfeasibleScale, InvariantViolation, OutOfRange
+from .fields import field_make, json_int, prime_power
 from .qmatroids import QMatroid
 from .qtransversals import (
     is_minimal_presentation,
@@ -74,9 +73,17 @@ def _load(path: str) -> dict:
     return doc
 
 
+def _array(value, name: str) -> list:
+    """value, if it is a JSON array; a string is not read as its characters."""
+    if not isinstance(value, list):
+        raise OutOfRange(f"{name} must be an array, got {value!r}")
+    return value
+
+
 def _set_family(doc: dict) -> SetFamily:
     return SetFamily(
-        tuple(doc["ground"]), tuple(frozenset(m) for m in doc["members"])
+        tuple(_array(doc["ground"], "ground")),
+        tuple(frozenset(_array(m, "member")) for m in _array(doc["members"], "members")),
     )
 
 
@@ -86,7 +93,7 @@ def _classical_matroid(doc: dict, ground) -> ClassicalMatroid:
     if kind == "free":
         return ClassicalMatroid.free(ground)
     if kind == "linear":
-        p, e = prime_power(int(block["q"]))
+        p, e = prime_power(json_int(block["q"], "q"))
         fieldspec = field_make(p, e)
         columns = [
             [fieldspec.parse_code(digit) for digit in _chunks(col, fieldspec.e)]
@@ -112,22 +119,23 @@ def _q_family(doc: dict) -> SubspaceFamily:
 
 
 def _cmd_hall(doc, args):
-    """One augmenting search decides: an SDR from find_transversal is
-    re-checked and reported; without one, hall_check names J from the
-    same search's failure, and |A[J]| < |J| is re-checked from the sets."""
+    """One augmenting search decides.  On success the SDR is read from the
+    labels' owners and re-checked: every member holds exactly one label,
+    from its own set.  On failure |A(J)| < |J| is re-checked from the sets."""
     fam = _set_family(doc)
-    transversal = find_transversal(fam)
-    if transversal is not None:
-        labels = [transversal[i + 1] for i in range(len(fam))]
-        if len(set(labels)) != len(labels) or any(
-            label not in member for label, member in zip(labels, fam.members)
-        ):
+    verdict, owner = _first_failing(fam.masks(), len(fam.ground), lambda mask: True)
+    if verdict.ok:
+        held = [[] for _ in fam.members]
+        for label, u in zip(fam.ground, owner):
+            if u >= 0:
+                held[u].append(label)
+        if any(len(h) != 1 or h[0] not in member for h, member in zip(held, fam.members)):
             raise InvariantViolation(
                 "the augmenting search returned a set that is not a transversal",
                 payload=fam.to_jsonable(),
             )
-        return {"verdict": True, "transversal": labels}, fam.to_jsonable()
-    j = hall_check(fam).witness_J or ()
+        return {"verdict": True, "transversal": [h[0] for h in held]}, fam.to_jsonable()
+    j = verdict.witness_J or ()
     if len(frozenset().union(*(fam.members[i - 1] for i in j))) >= len(j):
         raise InvariantViolation(
             "the augmenting search found no transversal but the Hall witness J does not violate",
@@ -149,7 +157,7 @@ def _cmd_rado(check, doc, args):
 
 def _cmd_check_transversal(doc, args):
     fam = _set_family(doc)
-    t = frozenset(doc["T"])
+    t = frozenset(_array(doc["T"], "T"))
     verdict = avoiding_transversal_check(t, fam)
     payload = {"verdict": verdict}
     if args.oracle:
@@ -267,8 +275,10 @@ def _cmd_scan(doc, args):
     elif kind == "representability":
         report = conjectures.scan_representability(
             cfg,
-            max_ext_degree=int(block["max_ext_degree"]),
-            attempts_per_degree=int(block.get("attempts_per_degree", 200)),
+            max_ext_degree=json_int(block["max_ext_degree"], "max_ext_degree"),
+            attempts_per_degree=json_int(
+                block.get("attempts_per_degree", 200), "attempts_per_degree"
+            ),
         )
     else:
         raise ValueError(f"unknown scan kind {kind!r}")

@@ -65,7 +65,7 @@ from operator import itemgetter, ne
 
 from .classical import _mask_to_indices
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange, SpecMismatch
-from .fields import prime_power
+from .fields import json_int, prime_power
 from .qmatroids import QMatroid, free_matroid, rank_one, union
 from .qtransversals import (
     is_minimal_presentation,
@@ -149,9 +149,9 @@ class ScanConfig:
         """The config a CLI scan block or a report's "config" holds; other
         keys, such as "kind" or a stale "shards", are ignored."""
         return cls(
-            q=int(block["q"]),
-            max_dim=int(block["max_dim"]),
-            max_family=int(block["max_family"]),
+            q=json_int(block["q"], "q"),
+            max_dim=json_int(block["max_dim"], "max_dim"),
+            max_family=json_int(block["max_family"], "max_family"),
             mode=block.get("mode", "exhaustive"),
             seed=block.get("seed"),
             count=block.get("count"),

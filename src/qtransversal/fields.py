@@ -4,8 +4,7 @@ Field elements are coefficient vectors over GF(p), lowest degree first,
 reduced modulo a monic irreducible polynomial of degree e.  A vector
 (c0, c1, ..., c_{e-1}) also travels in packed form as the integer code
 c0 + c1*p + ... + c_{e-1}*p^(e-1); codes are what the linear-algebra
-layers store and what FieldSpec's *_codes methods operate on, while
-FieldElement is the public value type at the API edge.
+layers store and what FieldSpec's *_codes methods operate on.
 
 Serialization is the little-endian digit string of the coefficient
 vector, so alpha + 1 in GF(4) reads "11" and zero in GF(8) reads "000".
@@ -42,7 +41,6 @@ from .errors import (
     NonPrimeCharacteristic,
     OutOfRange,
     ReducibleModulus,
-    SpecMismatch,
 )
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -301,30 +299,7 @@ class FieldSpec:
             return g1
         return self.encode(_poly_inverse(self.decode(a), self.modulus, p))
 
-    def div_codes(self, a: int, b: int) -> int:
-        return self.mul_codes(a, self.inv_code(b))
-
-    # -- elements and serialization --------------------------------------
-
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, tuple(coeffs))
-
-    def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.order:
-            raise OutOfRange(f"element code {code} outside [0, {self.order})")
-        return FieldElement(self, self.decode(code))
-
-    def zero(self) -> "FieldElement":
-        return self.from_code(0)
-
-    def one(self) -> "FieldElement":
-        return self.from_code(1)
-
-    def gen(self) -> "FieldElement":
-        """The class of x; only defined for proper extensions (e >= 2)."""
-        if self.e < 2:
-            raise OutOfRange("prime fields have no polynomial generator x")
-        return self.from_code(self.p)
+    # -- serialization ---------------------------------------------------
 
     def format_code(self, code: int) -> str:
         if self.p > len(_DIGIT_CHARS):
@@ -351,62 +326,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.e}))" if self.e > 1 else f"FieldSpec(GF({self.p}))"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: its FieldSpec and coefficient vector over GF(p)."""
-
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.spec.e:
-            raise OutOfRange(
-                f"coefficient vector must have length {self.spec.e}, got {len(coeffs)}"
-            )
-        if any(not 0 <= c < self.spec.p for c in coeffs):
-            raise OutOfRange("coefficients must lie in [0, p)")
-
-    @property
-    def code(self) -> int:
-        return self.spec.encode(self.coeffs)
-
-    def _peer(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise SpecMismatch(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise SpecMismatch("operands live in different fields")
-
-    def __add__(self, other):
-        self._peer(other)
-        return self.spec.from_code(self.spec.add_codes(self.code, other.code))
-
-    def __sub__(self, other):
-        self._peer(other)
-        return self.spec.from_code(self.spec.sub_codes(self.code, other.code))
-
-    def __neg__(self):
-        return self.spec.from_code(self.spec.neg_code(self.code))
-
-    def __mul__(self, other):
-        self._peer(other)
-        return self.spec.from_code(self.spec.mul_codes(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._peer(other)
-        return self.spec.from_code(self.spec.div_codes(self.code, other.code))
-
-    def __pow__(self, m: int):
-        return self.spec.from_code(self.spec.pow_code(self.code, m))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __str__(self):
-        return self.spec.format_code(self.code)
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -472,3 +391,12 @@ def prime_power(q: int) -> tuple[int, int]:
     if rem != 1 or not _is_prime(p):
         raise OutOfRange(f"{q} is not a prime power")
     return p, e
+
+
+def json_int(value, name: str) -> int:
+    """value, if it is a JSON integer; a bool, float, string or any other
+    value raises OutOfRange naming the field, rather than being truncated
+    or read digit by digit."""
+    if type(value) is not int:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    return value

@@ -47,6 +47,7 @@ from .errors import (
     SpecMismatch,
     WrongNullity,
 )
+from .fields import json_int
 from .subspaces import Lattice, Subspace, VectorSpaceSpec, get_lattice
 
 SubmodularReport = namedtuple("SubmodularReport", "ok failure witness")
@@ -236,7 +237,7 @@ class QMatroid:
         cover every subspace of the lattice (else IncompleteTable) and list
         each once, with no other entry (else InvalidRankTable)."""
         entries = block["rank_table"]
-        table = {tuple(entry["subspace"]): entry["rank"] for entry in entries}
+        table = {tuple(entry["subspace"]): json_int(entry["rank"], "rank") for entry in entries}
         ranks = []
         for s in lattice.subspaces:
             rows = tuple(s.to_rows())
@@ -259,15 +260,9 @@ class _IntTable:
 
 
 def _dense_values(lattice: Lattice, values) -> list[int]:
+    """values, a sequence of one int per lattice index, as a list."""
     if type(values) is _IntTable:
         return values.ints
-    if isinstance(values, Mapping):
-        out = []
-        for s in lattice.subspaces:
-            if s not in values:
-                raise IncompleteTable(f"no value for subspace {s.to_rows()}")
-            out.append(int(values[s]))
-        return out
     values = list(map(int, values))
     if len(values) != len(lattice):
         raise IncompleteTable(

@@ -47,7 +47,6 @@ honestly rather than hiding it.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -337,22 +336,6 @@ def reduce_presentation(fam: SubspaceFamily) -> SubspaceFamily:
             payload={"family": fam.to_rows(), "reduced": reduced.to_rows()},
         )
     return reduced
-
-
-def partial_equiv_check(t: Subspace, fam: SubspaceFamily) -> bool:
-    """Subsystem route: T is a full q-transversal of some subfamily with
-    exactly dim T members.  Must agree with the fast test."""
-    n = len(fam)
-    if n > 20:
-        raise InfeasibleScale(f"2^{n} subsystems is beyond desk scale")
-    m = t.dim
-    if m > n:
-        return False
-    for combo in itertools.combinations(range(n), m):
-        sub = SubspaceFamily(fam.spec, tuple(fam.members[i] for i in combo))
-        if is_q_transversal(t, sub):
-            return True
-    return False
 
 
 def is_minimal_presentation(

@@ -45,7 +45,7 @@ from .errors import (
     OutOfRange,
     SpecMismatch,
 )
-from .fields import FieldSpec, field_make, modulus_from_string
+from .fields import FieldSpec, field_make, json_int, modulus_from_string
 from .qmatroids import QMatroid
 from .qtransversals import presentation_matroid
 from .subspaces import (
@@ -145,7 +145,9 @@ class QRepresentation:
         """The representation a serialized block holds over base_spec; a
         matrix row of other than dim * e digits raises SpecMismatch."""
         info = block["ext"]
-        ext = field_make(int(info["p"]), int(info["e"]), modulus_from_string(info["modulus"]))
+        ext = field_make(
+            json_int(info["p"], "p"), json_int(info["e"], "e"), modulus_from_string(info["modulus"])
+        )
         width = base_spec.dim * ext.e
         matrix = []
         for row in block["matrix"]:
@@ -256,7 +258,7 @@ class AlignedFamily:
     index_sets: tuple[frozenset, ...]
 
     def __post_init__(self):
-        sets = tuple(frozenset(int(i) for i in s) for s in self.index_sets)
+        sets = tuple(frozenset(json_int(i, "index") for i in s) for s in self.index_sets)
         object.__setattr__(self, "index_sets", sets)
         for s in sets:
             if any(not 1 <= i <= self.spec.dim for i in s):

@@ -26,7 +26,7 @@ from .errors import (
     OutOfRange,
     SpecMismatch,
 )
-from .fields import FieldSpec, field_make, prime_power
+from .fields import FieldSpec, field_make, json_int, prime_power
 
 #: Largest q^n the vector-level enumerators will walk.
 VECTOR_CAP = 2**20
@@ -83,8 +83,8 @@ class VectorSpaceSpec:
     @classmethod
     def from_jsonable(cls, doc) -> VectorSpaceSpec:
         """The space a record, scan config or CLI instance names by "q" and "dim"."""
-        p, e = prime_power(int(doc["q"]))
-        return cls(field_make(p, e), int(doc["dim"]))
+        p, e = prime_power(json_int(doc["q"], "q"))
+        return cls(field_make(p, e), json_int(doc["dim"], "dim"))
 
     def __repr__(self):
         q = self.field.order
@@ -490,6 +490,8 @@ def vector_from_string(spec: VectorSpaceSpec, text: str) -> tuple[int, ...]:
 
 
 def subspace_from_rows(spec: VectorSpaceSpec, rows) -> Subspace:
+    if isinstance(rows, str):
+        raise OutOfRange(f"rows must be an array of row strings, got {rows!r}")
     return canonicalize(spec, [vector_from_string(spec, r) for r in rows])
 
 

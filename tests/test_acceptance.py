@@ -29,7 +29,6 @@ from qtransversal import (
     hall_check,
     is_minimal_presentation,
     is_partial_q_transversal,
-    partial_equiv_check,
     presentation_matroid,
     q_hall,
     q_transversal_by_definition,
@@ -50,6 +49,7 @@ from qtransversal.conjectures import (
     reverify_representation_entry,
 )
 from test_classical import co_nullity
+from test_qtransversals import partial_equiv_check
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
 GF2_3 = VectorSpaceSpec(field_make(2, 1), 3)

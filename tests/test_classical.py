@@ -432,6 +432,19 @@ def test_matching_leaves_later_vertices_unmatched_after_the_first_failure():
     assert maximum_matching([0b01, 0b10], 2) == [0, 1]
 
 
+def seeded_families(rng, count):
+    """count families of up to 9 members on up to 8 labels "a".."h", each
+    member holding each label at one density drawn per family."""
+    for _ in range(count):
+        ground = tuple("abcdefgh"[: rng.randint(0, 8)])
+        density = rng.random()
+        members = [
+            frozenset(x for x in ground if rng.random() < density)
+            for _ in range(rng.randint(0, 9))
+        ]
+        yield SetFamily(ground, tuple(members))
+
+
 def rado_oracles(matroid, family):
     """The first failing J of Rado and of avoidance Rado, by the per-J loop,
     with each rank and co-nullity read once per distinct set."""
@@ -460,20 +473,13 @@ def test_hall_and_avoid_rado_match_the_first_failing_mask_on_seeded_families():
     # failing mask, or pass with it.
     rng = random.Random(22)
     failing = {"hall": 0, "rado": 0, "avoid": 0}
-    for _ in range(2000):
-        width = rng.randint(0, 8)
-        ground = tuple("abcdefgh"[:width])
-        density = rng.random()
-        members = [
-            frozenset(x for x in ground if rng.random() < density)
-            for _ in range(rng.randint(0, 9))
-        ]
-        family = SetFamily(ground, tuple(members))
+    for family in seeded_families(rng, 2000):
+        ground = family.ground
         witness = first_failing_J(family, lambda J: len(union_of(family, J)) < len(J))
         failing["hall"] += witness is not None
         assert_verdict(hall_check(family), witness)
         matroid = ClassicalMatroid.free(ground)
-        if width and rng.random() < 0.5:
+        if ground and rng.random() < 0.5:
             q = rng.choice([2, 3])
             rows = rng.randint(1, 4)
             columns = [tuple(rng.randrange(q) for _ in range(rows)) for _ in ground]

@@ -250,30 +250,102 @@ def test_build_matroid_past_its_walk_charge_exits_3(monkeypatch, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "matching",
-    [None, {1: "a", 2: "a"}, {1: "b", 2: "a"}],
+    "owner",
+    [[-1, -1], [0, 0], [1, 0]],
     ids=["none-on-a-passing-family", "repeated-label", "label-outside-its-member"],
 )
-def test_hall_rejects_a_matching_it_cannot_confirm(tmp_path, capsys, monkeypatch, matching):
-    # The matching decides first; an SDR it returns is re-checked, and a
-    # missing one must come with a J that violates Hall.
+def test_hall_rejects_a_matching_it_cannot_confirm(tmp_path, capsys, monkeypatch, owner):
+    # The one search passes, and the SDR read from its owners is re-checked:
+    # every member must hold exactly one label, from its own set.  owner[a]
+    # is the member holding label a: no member holds one, member 1 holds
+    # both (once per label), or label a goes to member 2, which is {b}.
     from qtransversal import cli as cli_mod
+    from qtransversal.classical import HallVerdict
 
-    monkeypatch.setattr(cli_mod, "find_transversal", lambda fam: matching)
+    monkeypatch.setattr(cli_mod, "_first_failing", lambda *a: (HallVerdict(True, None), owner))
     doc = {"ground": ["a", "b"], "members": [["a", "b"], ["b"]]}
     code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
     assert code == 4 and out["error"] == "invariant-violation"
 
 
 def test_hall_rejects_a_witness_that_does_not_violate(tmp_path, capsys, monkeypatch):
-    # Without a matching, the Hall witness is re-checked from the sets.
+    # When the one search fails, its J is re-checked from the sets.
     from qtransversal import cli as cli_mod
     from qtransversal.classical import HallVerdict
 
-    monkeypatch.setattr(cli_mod, "hall_check", lambda fam: HallVerdict(False, (1,)))
+    monkeypatch.setattr(cli_mod, "_first_failing", lambda *a: (HallVerdict(False, (1,)), [0]))
     doc = {"ground": ["a"], "members": [["a"], ["a"]]}
     code, out = run_cli(capsys, "hall", write(tmp_path, "i.json", doc))
     assert code == 4 and out["error"] == "invariant-violation"
+
+
+def test_hall_command_matches_the_library_on_seeded_families(tmp_path, capsys):
+    # One search answers the command; its verdict and witness J are
+    # hall_check's, and its SDR is find_transversal's labels.
+    import random
+
+    from qtransversal import find_transversal, hall_check
+    from test_classical import seeded_families
+
+    path = tmp_path / "i.json"
+    failing = 0
+    for fam in seeded_families(random.Random(31), 500):
+        path.write_text(json.dumps(fam.to_jsonable()))
+        code, out = run_cli(capsys, "hall", str(path))
+        verdict = hall_check(fam)
+        assert code == 0 and out["verdict"] is verdict.ok
+        if verdict.ok:
+            sdr = find_transversal(fam)
+            assert out["transversal"] == [sdr[i + 1] for i in range(len(fam))]
+        else:
+            assert out["witness_J"] == list(verdict.witness_J)
+            failing += 1
+    assert 100 < failing < 400, failing
+
+
+_GF2_1_REPRESENTATION = {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("q-hall", {"q": 2, "dim": 2.9, "family": [["10"]]}),
+        ("q-hall", {"q": 2, "dim": True, "family": [["1"]]}),
+        ("q-hall", {"q": 2.5, "dim": 2, "family": [["10"]]}),
+        ("scan", {"scan": {"kind": "q-rado", "q": 2, "max_dim": 2.7, "max_family": 1.9}}),
+        ("represent-aligned", {"q": 2, "dim": 2, "index_sets": [[1.7, 2]]}),
+        (
+            "rado",
+            {"ground": ["a", "b"], "members": [["a"], ["b"]],
+             "matroid": {"kind": "linear", "q": 2.9, "columns": ["1", "1"]}},
+        ),
+        (
+            "verify-representation",
+            {"q": 2, "dim": 1, "representation": _GF2_1_REPRESENTATION,
+             "matroid": {"rank_table": [{"subspace": [], "rank": 0.4},
+                                        {"subspace": ["1"], "rank": 1.4}]}},
+        ),
+        ("hall", {"ground": "ab", "members": ["ab", "b"]}),
+        ("check-transversal", {"ground": ["a", "b"], "members": [["a"]], "T": "ab"}),
+        ("q-hall", {"q": 2, "dim": 1, "family": ["10"]}),
+        ("check-q-transversal", {"q": 2, "dim": 1, "family": [["1"]], "subspace": "10"}),
+        (
+            "scan",
+            {"scan": {"kind": "representability", "q": 2, "max_dim": 1, "max_family": 1,
+                      "max_ext_degree": 1.5}},
+        ),
+    ],
+    ids=[
+        "float-dim", "bool-dim", "float-q", "float-scan-bounds", "float-index",
+        "float-linear-q", "float-ranks", "string-sets", "string-T", "string-member",
+        "string-subspace", "float-ext-degree",
+    ],
+)
+def test_json_numbers_and_arrays_are_read_exactly(tmp_path, capsys, command, doc):
+    # A float, bool or string is not truncated to an int or read as its
+    # characters: the input is malformed.
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
+    assert code == 2 and out["error"] == "malformed-input", out
 
 
 _CLASSICAL = {"ground": ["a", "b", "c"], "members": [["a"], ["a", "b"]]}

@@ -105,8 +105,10 @@ def test_check_submodular_other_failures():
     assert report.failure == "monotone"
     with pytest.raises(IncompleteTable):
         check_submodular(LAT2, [0, 1])
-    with pytest.raises(IncompleteTable):
-        check_submodular(LAT2, {bottom(GF2_2): 0})
+    # A table is one int per lattice index; a dict keyed by subspace is
+    # refused even when it names every subspace.
+    with pytest.raises(TypeError):
+        check_submodular(LAT2, dict(zip(LAT2.subspaces, LAT2.dims)))
 
 
 def test_induce_examples():
