@@ -41,6 +41,9 @@ class SetFamily:
     members: tuple[frozenset, ...]
 
     def __post_init__(self):
+        # A string would be read as the set of its characters.
+        if any(isinstance(m, str) for m in self.members):
+            raise GroundMismatch("a member must be a collection of labels, not a string")
         object.__setattr__(
             self, "members", tuple(frozenset(m) for m in self.members)
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -338,7 +339,12 @@ def main(argv=None) -> int:
         code, body = 3, {"error": "infeasible-scale", "message": str(exc)}
     except (Error, ValueError, KeyError, TypeError, OSError) as exc:
         code, body = 2, {"error": "malformed-input", "message": f"{type(exc).__name__}: {exc}"}
-    print(json.dumps({"schema": SCHEMA, **body}, sort_keys=True, indent=2))
+    try:
+        sys.stdout.write(json.dumps({"schema": SCHEMA, **body}, sort_keys=True, indent=2) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; devnull keeps the flush at exit from raising.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

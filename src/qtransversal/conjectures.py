@@ -31,10 +31,10 @@ viol is one OR over the bases per k.
 
 The default matroid pool is the free matroid, every rank-1 matroid and
 every union of two of them, compared by rank levels (bit A of level k
-set iff r(A) >= k).  A pair's levels come from the closed two-member
-formula as a few ANDs of the meet-level bitsets, and decide whether it
-repeats an earlier table; union builds and checks each table that is
-kept, and its levels must equal the pair's.
+set iff r(A) >= k).  Every candidate's levels come in closed form, as
+a few ANDs of the meet-level bitsets; their distinct keys size the pool
+before the guard admits it, and decide which candidates are built and
+checked against their keys.
 
 Readings pinned here (also echoed in the report notes):
 
@@ -82,6 +82,7 @@ from .representation import (
 from .subspaces import (
     SubspaceFamily,
     VectorSpaceSpec,
+    _levels,
     family_from_rows,
     gaussian_binomial,
     get_lattice,
@@ -274,22 +275,6 @@ def _family(lattice, members: tuple[int, ...]) -> SubspaceFamily:
     return SubspaceFamily(lattice.spec, tuple(lattice.subspaces[i] for i in members))
 
 
-def _levels(values: bytes, top: int) -> list[int]:
-    """[m_0, ..., m_top]: bit i of m_d is set iff values[i] <= d.  The
-    values, one byte per lattice index, are read last index first as
-    binary digits, one translate and one parse per level."""
-    digits = values[::-1]
-    return [int(digits.translate(b"1" * (d + 1) + b"0" * (255 - d)), 2) for d in range(top + 1)]
-
-
-def _meet_levels(lattice) -> list[list[int]]:
-    """L_X[d] for every subspace X and d = 0..n: bit A of L_X[d] is set
-    iff dim(A meet X) <= d, read once from lattice.meet_row(X)."""
-    dims = lattice.dims
-    n = lattice.spec.dim
-    return [_levels(bytes(map(dims.__getitem__, lattice.meet_row(x))), n) for x in range(len(dims))]
-
-
 def _rank_key(ranks) -> tuple[int, ...]:
     """A rank table as its levels: bit A of entry k - 1 is set iff
     r(A) >= k, for k = 1..max r.  Tables with equal keys are equal."""
@@ -297,19 +282,23 @@ def _rank_key(ranks) -> tuple[int, ...]:
     return tuple(full ^ m for m in _levels(bytes(ranks), max(ranks) - 1))
 
 
-def _pair_keys(lattice, levels):
-    """(i, j, key) for every pair i <= j of lattice indices, in the pool's
-    order: the _rank_key of union(rank_one(X_i), rank_one(X_j)), by the
-    closed form
+def _pool_keys(lattice):
+    """(build, members, key) for every candidate of the default pool, in
+    its order, key its _rank_key and members the lattice indices of the
+    family it presents: the free matroid ("free", dim V zero subspaces),
+    rank_one(X_i) ("rank_one", (i,)), and then the union of rank_one(X_i)
+    and rank_one(X_j) ("union", (i, j)) for every pair i <= j.  With
+    c_X(A) = dim A - dim(A meet X), the free matroid's levels are dim's,
+    rank_one(X)'s one level is c_X(A) >= 1 (none when X = V), and a pair's
+    table is the closed form
 
         r(A) = min(2, 1 + c_i(A), 1 + c_j(A), c_(X_i meet X_j)(A)),
 
-    with c_X(A) = dim A - dim(A meet X).  It is the presentation formula
-    of qtransversals at n = 2 (J = empty, {i}, {j}, {i, j}).  With m the
-    meet of X_i and X_j, level 1 is c_m(A) >= 1 (A not below m), and
-    level 2 is c_i(A) >= 1, c_j(A) >= 1 and c_m(A) >= 2.  The set of A
-    with c_X(A) >= t is the union over d of the dimension-d subspaces in
-    L_X[d - t] (levels, from _meet_levels)."""
+    the presentation formula of qtransversals at n = 2 (J = empty, {i},
+    {j}, {i, j}).  With m the meet of X_i and X_j, level 1 is c_m(A) >= 1
+    (A not below m), and level 2 is c_i(A) >= 1, c_j(A) >= 1 and
+    c_m(A) >= 2.  The set of A with c_X(A) >= t is the union over d of
+    the dimension-d subspaces in lattice.meet_levels[X][d - t]."""
     dims = lattice.dims
     size = len(dims)
     at_most = _levels(bytes(dims), lattice.spec.dim)
@@ -318,56 +307,54 @@ def _pair_keys(lattice, levels):
     def c_at_least(t):
         # The dimension classes are disjoint: their sum is their union.
         return [
-            sum(of_dim[d] & row[d - t] for d in range(t, len(of_dim))) for row in levels
+            sum(of_dim[d] & row[d - t] for d in range(t, len(of_dim))) for row in lattice.meet_levels
         ]
 
     c1, c2 = c_at_least(1), c_at_least(2)
+    full = (1 << size) - 1
+    yield "free", (0,) * lattice.spec.dim, tuple(full ^ m for m in at_most[:-1])
+    for i in range(size):
+        yield "rank_one", (i,), (c1[i],) if c1[i] else ()
+    # Union is commutative: (j, i) repeats (i, j), which came earlier.
     for i in range(size):
         meets = lattice.meet_row(i)
         c1_i = c1[i]
         for j in range(i, size):
             m = meets[j]
             two = c1_i & c1[j] & c2[m]
-            yield i, j, (c1[m], two) if two else (c1[m],) if c1[m] else ()
+            yield "union", (i, j), (c1[m], two) if two else (c1[m],) if c1[m] else ()
 
 
 def default_matroid_source(lattice) -> list[QMatroid]:
     """Free matroid, every rank-1 matroid, and every union of two rank-1
     matroids, deduplicated by rank table in enumeration order.
 
-    Tables are compared by _rank_key.  A pair's key comes from the
-    closed form of _pair_keys, a few ANDs of the meet-level bitsets,
-    which decides whether the pair repeats an earlier table; only a new
-    table is built by union, and the levels of union's ranks must equal
-    the key, else InvariantViolation with the pair as a build-matroid
+    Tables are compared by their keys from _pool_keys; only a new table
+    is built, and its _rank_key must equal the key, else
+    InvariantViolation with the candidate's family as a build-matroid
     instance."""
-    out = []
-    seen = set()
-
-    def push(m, key):
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-
-    free = free_matroid(lattice.spec)
-    push(free, _rank_key(free.ranks))
-    singles = [rank_one(s) for s in lattice.subspaces]
-    for m in singles:
-        push(m, _rank_key(m.ranks))
-    # Union is commutative: (j, i) repeats (i, j), which came earlier.
-    for i, j, key in _pair_keys(lattice, _meet_levels(lattice)):
+    out, seen, singles = [], set(), []
+    for build, members, key in _pool_keys(lattice):
+        if build == "rank_one":
+            singles.append(rank_one(lattice.subspaces[members[0]]))
         if key in seen:
             continue
-        m = union([singles[i], singles[j]])
+        seen.add(key)
+        if build == "free":
+            m = free_matroid(lattice.spec)
+        elif build == "rank_one":
+            m = singles[-1]
+        else:
+            m = union([singles[i] for i in members])
         if _rank_key(m.ranks) != key:
             raise InvariantViolation(
-                "closed-form union of two rank-1 matroids and union route disagree",
+                f"closed-form rank levels and the {build} route disagree",
                 payload={
                     **lattice.spec.to_jsonable(),
-                    "family": [lattice.subspaces[i].to_rows(), lattice.subspaces[j].to_rows()],
+                    "family": [lattice.subspaces[i].to_rows() for i in members],
                 },
             )
-        push(m, key)
+        out.append(m)
     return out
 
 
@@ -403,7 +390,7 @@ def _q_rado_sides(matroid: QMatroid, fam: SubspaceFamily):
     return lhs_witness, rhs_witness
 
 
-def _matroid_masks(matroid: QMatroid, max_family: int, levels) -> tuple[int, int]:
+def _matroid_masks(matroid: QMatroid, max_family: int) -> tuple[int, int]:
     """The matroid's half of every q-Rado pair with at most max_family
     members: (indep, viol), where bit i of indep is set iff subspace i is
     independent, and bit k*S + x of viol (S subspaces) iff
@@ -411,9 +398,10 @@ def _matroid_masks(matroid: QMatroid, max_family: int, levels) -> tuple[int, int
 
     barnu(X) > t exactly when no basis B meets X in t or fewer
     dimensions, so viol's block k is the complement of the union of
-    L_B[barnu(V) - k] over the bases (levels, from _meet_levels), and all
-    of it when barnu(V) < k."""
+    L_B[barnu(V) - k] over the bases (lattice.meet_levels), and all of it
+    when barnu(V) < k."""
     lattice = matroid.lattice
+    levels = lattice.meet_levels
     size = len(lattice)
     full = (1 << size) - 1
     # r(X) != dim X is False, 0, exactly at the independent subspaces.
@@ -508,50 +496,28 @@ def _default_pool_build(cfg: ScanConfig, dim: int) -> int:
     return 1 + s + s * (s + 1) // 2
 
 
-def _default_pool_floor(cfg: ScanConfig, dim: int) -> int:
-    """A lower bound on the default pool's size, in closed form.
-
-    It counts distinct rank tables (S subspaces, H hyperplanes, n = dim):
-    rank_one(X) for all S spaces X; the union of rank_one(X) with itself
-    for the S - H - 1 spaces X of codimension at least 2; and the union
-    of rank_one(X) and rank_one(Y) for each pair {X, Y} whose dimensions
-    a and b exceed c = dim(X & Y) by at least 2 each.  Such a union has
-    rank 2, its rank-0 spaces are those below X & Y, and X and Y are its
-    only maximal rank-<=1 spaces of dimension c + 2 or more, so the pair
-    can be read back from the table; a self-union has no such space.
-    For a fixed X, [a, c] [n - a, b - c] q^((a - c)(b - c)) spaces Y
-    meet it in dimension c.
-    """
-    q = cfg.q
-    gb = gaussian_binomial
-    ordered_pairs = sum(
-        gb(dim, a, q) * gb(a, c, q) * gb(dim - a, b - c, q) * q ** ((a - c) * (b - c))
-        for a in range(2, dim + 1)
-        for c in range(a - 1)
-        for b in range(c + 2, dim - a + c + 1)
-    )
-    s = _subspace_count(cfg, dim)
-    return 2 * s - gb(dim, 1, q) - 1 + ordered_pairs // 2
-
-
 def _q_rado_pools(cfg: ScanConfig, draws, matroid_source, cap: int) -> tuple[dict[int, list], int]:
     """The pool of every dimension the stream visits and the (matroid,
     family) pairs the scan walks, guarded on those pairs plus, for the
     default source, the candidate tables its build computes.  A pool
     matroid off its dimension's space raises SpecMismatch.
 
-    A default pool is only built once its build and a closed-form lower
-    bound on the pairs keep the scan under the cap: GF(2)^5's build
-    reads 70,500 candidate keys in 0.05 s and then spends about 26 s
-    (2-vCPU Xeon VM) in union on the 30,972 kept pair tables, GF(2)^6's
-    some 4M keys.  Each candidate table is charged as one instance.
+    A default pool is charged before it is built: its candidate tables,
+    one instance each, before a key is read (GF(2)^6 has some 4M), then
+    the pairs, from the distinct keys of _pool_keys.  GF(2)^5's 30,973
+    matroids are counted in 0.1 s and built in about 26 s (2-vCPU Xeon
+    VM).  A custom source is charged its pairs once it is built.
     """
     families = _families_per_dim(cfg, draws)
     built = 0
     if matroid_source is None:
         built = sum(_default_pool_build(cfg, dim) for dim in families)
-        floor = sum(families[dim] * _default_pool_floor(cfg, dim) for dim in families)
-        _refuse_beyond(cap, built + floor)
+        _refuse_beyond(cap, built)
+        pairs = sum(
+            families[dim] * len({key for *_, key in _pool_keys(get_lattice(cfg.space(dim)))})
+            for dim in families
+        )
+        _refuse_beyond(cap, built + pairs)
     source = matroid_source or default_matroid_source
     pools = {}
     for dim in sorted(families):
@@ -586,10 +552,8 @@ def scan_q_rado(
     pools, pairs = _q_rado_pools(cfg, draws, matroid_source, instance_cap)
     joins = {}
     for dim, pool in pools.items():
-        lattice = get_lattice(cfg.space(dim))
-        levels = _meet_levels(lattice)
-        masks = (_matroid_masks(m, cfg.max_family, levels) for m in pool)
-        joins[dim] = _pool_join(masks, len(lattice), cfg.max_family)
+        masks = (_matroid_masks(m, cfg.max_family) for m in pool)
+        joins[dim] = _pool_join(masks, _subspace_count(cfg, dim), cfg.max_family)
     counterexamples = []
     weights = {dim: len(pool) for dim, pool in pools.items()}
     for lattice, multiset, orderings in _multiset_stream(cfg, draws, weights):
@@ -643,9 +607,7 @@ def reverify_q_rado(record: dict) -> bool:
     matroid = QMatroid.from_jsonable(fam.lattice, record["matroid"])
     lhs_t, rhs_j = _q_rado_sides(matroid, fam)
     sides = (lhs_t is not None, rhs_j is None)
-    join = _pool_join(
-        [_matroid_masks(matroid, len(fam), _meet_levels(fam.lattice))], len(fam.lattice), len(fam)
-    )
+    join = _pool_join([_matroid_masks(matroid, len(fam))], len(fam.lattice), len(fam))
     masks = [(lhs, not lhs) for _, lhs in _q_rado_mismatches(join, _family_masks(fam))]
     recorded = (record["lhs_has_independent_transversal"], record["rhs_condition_holds"])
     return masks == [sides] == [recorded]

@@ -260,10 +260,15 @@ class _IntTable:
 
 
 def _dense_values(lattice: Lattice, values) -> list[int]:
-    """values, a sequence of one int per lattice index, as a list."""
+    """values, a sequence of one int per lattice index, as a list; a bool
+    or float entry raises InvalidRankTable, a dict TypeError."""
     if type(values) is _IntTable:
         return values.ints
-    values = list(map(int, values))
+    if not isinstance(values, Sequence):
+        raise TypeError("a value table is a sequence of one int per lattice index")
+    values = list(values)
+    if not {int}.issuperset(map(type, values)):
+        raise InvalidRankTable("value table entries must be ints")
     if len(values) != len(lattice):
         raise IncompleteTable(
             f"value table has {len(values)} entries for a lattice of size {len(lattice)}"

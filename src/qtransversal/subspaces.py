@@ -552,6 +552,14 @@ def _spread_adder(p: int, digits: int):
     return spreads, add
 
 
+def _levels(values: bytes, top: int) -> list[int]:
+    """[m_0, ..., m_top]: bit i of m_d is set iff values[i] <= d.  The
+    values, one byte per lattice index, are read last index first as
+    binary digits, one translate and one parse per level."""
+    digits = values[::-1]
+    return [int(digits.translate(b"1" * (d + 1) + b"0" * (255 - d)), 2) for d in range(top + 1)]
+
+
 class Lattice:
     """Fully materialized subspace lattice, its order read from point masks.
 
@@ -578,14 +586,14 @@ class Lattice:
     ``atom_of[c]`` indexes the atom through the nonzero vector of code c.
 
     The masks, both indexes, ``perp`` and ``atom_of`` are built eagerly;
-    none of them is S x S (S subspaces).  Three tables of the lattice
+    none of them is S x S (S subspaces).  Four tables of the lattice
     itself are built on first use and kept: the cover columns
     (``covers``), which the axiom checks, induction, the presentation
     matroid and circuits walk; the diamonds (``diamonds``), which the
-    axiom checks walk; and ``below``, which only fundamental circuits and
-    the ordered scan naming a failed axiom read.  Nothing a caller asks
-    about one subspace or family is kept: ``meet_row`` builds its row on
-    every call.
+    axiom checks walk; ``below``, which only fundamental circuits and
+    the ordered scan naming a failed axiom read; and the q-Rado scan's
+    ``meet_levels``, S x S x (n + 1) bits.  Nothing a caller asks about
+    one subspace or family is kept: ``meet_row`` builds its row anew.
     """
 
     def __init__(self, spec: VectorSpaceSpec):
@@ -700,6 +708,14 @@ class Lattice:
         zs = tuple(z for ups in upper_covers for _, z in itertools.combinations(ups, 2))
         return xs, ys, zs, tuple(map(self.join_idx, ys, zs))
 
+    @cached_property
+    def meet_levels(self) -> tuple[list[int], ...]:
+        """meet_levels[X][d] for every subspace X and d = 0..n: bit A is
+        set iff dim(A meet X) <= d, read once from meet_row(X)."""
+        dims, n = self.dims, self.spec.dim
+        rows = (bytes(map(dims.__getitem__, self.meet_row(x))) for x in range(len(dims)))
+        return tuple(_levels(row, n) for row in rows)
+
     def __len__(self):
         return len(self.subspaces)
 
@@ -748,6 +764,7 @@ class Lattice:
         return self.masks[i] >> self.code(v) & 1 == 1
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that an evicted lattice is freed: a scan or certify run meets nine.
+@lru_cache(maxsize=16)
 def get_lattice(spec: VectorSpaceSpec) -> Lattice:
     return Lattice(spec)

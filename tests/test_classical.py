@@ -275,6 +275,13 @@ def test_set_family_validation():
         avoiding_transversal_check({"z"}, fam("ab", {"a"}))
 
 
+def test_set_family_refuses_a_string_member():
+    # frozenset("ab") would read the member "ab" as {a, b}.
+    with pytest.raises(GroundMismatch):
+        SetFamily(("a", "b"), ("ab",))
+    assert SetFamily(("a", "b"), (("a", "b"),)).members == (frozenset("ab"),)
+
+
 def test_linear_matroid_axiom_spot_check_rejects_bad_columns():
     # Construction itself verifies the axioms on small grounds; a healthy
     # matrix passes.

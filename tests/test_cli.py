@@ -1,8 +1,14 @@
 """CLI behavior: golden verdicts, exit codes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qtransversal
 
 from qtransversal import ScanConfig, errors
 from qtransversal.cli import _COMMANDS, main
@@ -692,3 +698,24 @@ def test_scan_config_round_trips(cfg):
     # A CLI scan block carries the kind and may carry a stale "shards".
     block = {"kind": "q-rado", "shards": 3, **cfg.to_jsonable()}
     assert ScanConfig.from_jsonable(block) == cfg
+
+
+def test_a_closed_stdout_ends_with_an_exit_code_not_a_traceback(tmp_path):
+    # The read end of the child's stdout pipe is closed before the child
+    # writes, so its write of the JSON body fails with EPIPE.
+    doc = {"q": 2, "dim": 2, "family": [["10"], ["01"]], "subspace": ["11"]}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(qtransversal.__file__).parents[1])}
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "qtransversal.cli", "check-q-transversal", write(tmp_path, "i.json", doc), "--oracle"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode in (0, 2, 3, 4)
+    assert b"Traceback" not in child.stderr

@@ -573,6 +573,45 @@ def test_q_rado_guard_counts_true_pairs():
         scan_q_rado(ScanConfig(q=2, max_dim=4, max_family=1), instance_cap=38_258 + 2_525)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScanConfig(q=2, max_dim=4, max_family=1),
+        ScanConfig(q=2, max_dim=3, max_family=2),
+        ScanConfig(q=3, max_dim=3, max_family=1),
+        ScanConfig(q=4, max_dim=2, max_family=2),
+        ScanConfig(q=2, max_dim=4, max_family=2, mode="random", seed=5, count=40),
+    ],
+    ids=["2-4-1", "2-3-2", "3-3-1", "4-2-2", "random-2-4-2"],
+)
+def test_q_rado_guard_is_exact_and_refuses_before_building(monkeypatch, cfg):
+    # The default pool's charge is its candidate tables plus the pairs,
+    # counted from the keys: the scan runs at exactly that cap, and one
+    # below it is refused before any matroid is built.
+    from qtransversal import conjectures
+
+    report = scan_q_rado(cfg)
+    candidates = sum(conjectures._default_pool_build(cfg, int(d)) for d in report.details["matroids_per_dim"])
+    exact = candidates + report.instances_checked
+    assert scan_q_rado(cfg, instance_cap=exact).to_jsonable() == report.to_jsonable()
+
+    def unbuilt(*args):
+        raise AssertionError("a pool matroid was built")
+
+    for name in ("free_matroid", "rank_one", "union"):
+        monkeypatch.setattr(conjectures, name, unbuilt)
+    with pytest.raises(InfeasibleScale, match=f"about {exact} instances"):
+        scan_q_rado(cfg, instance_cap=exact - 1)
+
+
+def test_q_rado_refusal_names_the_counted_pairs():
+    # 73,026 candidate tables on GF(2)^1..5, and 11,653,133 pairs: the
+    # 375 families of GF(2)^5 meet its 30,973 pool matroids, and 37,672 +
+    # 544 + 36 + 6 pairs come from the smaller spaces.
+    with pytest.raises(InfeasibleScale, match="about 11726159 instances"):
+        scan_q_rado(ScanConfig(q=2, max_dim=5, max_family=1))
+
+
 def test_q_rado_guard_charges_a_custom_source_its_size():
     from qtransversal import free_matroid, rank_one
 
@@ -588,14 +627,14 @@ def test_q_rado_guard_charges_a_custom_source_its_size():
 @pytest.mark.parametrize(
     "cfg, cap",
     [
-        # 375 families on GF(2)^5 times at least 27,996 matroids.
+        # 375 families on GF(2)^5 times 30,973 matroids.
         (ScanConfig(q=2, max_dim=5, max_family=1), SCAN_INSTANCE_CAP),
         # The GF(2)^6 pool alone builds about 4M matroids.
         (ScanConfig(q=2, max_dim=6, max_family=0), SCAN_INSTANCE_CAP),
         (ScanConfig(q=2, max_dim=6, max_family=3, mode="random", seed=1, count=10), SCAN_INSTANCE_CAP),
         # 19 of the 100 draws land on GF(2)^5.
         (ScanConfig(q=2, max_dim=5, max_family=1, mode="random", seed=1, count=100), SCAN_INSTANCE_CAP),
-        # At least 28,426 pairs, but 73,026 matroids built.
+        # 31,567 pairs, and 73,026 candidate tables.
         (ScanConfig(q=2, max_dim=5, max_family=0), 100_000),
     ],
     ids=["2-5-1", "2-6-0", "random-2-6-3", "random-2-5-1", "2-5-0"],
@@ -626,7 +665,7 @@ def test_default_pool_holds_its_guard_floor(monkeypatch, p, e, dim):
         for y in lattice.subspaces[i + 1:]
         if min(x.dim, y.dim) - lattice.dims[lattice.meet_idx(lattice.idx(x), lattice.idx(y))] >= 2
     ]
-    made = dict.fromkeys(("free_matroid", "rank_one", "_pair_keys", "union"), 0)
+    made = dict.fromkeys(("free_matroid", "rank_one", "_pool_keys", "union"), 0)
 
     def counted(name):
         fn = getattr(conjectures, name)
@@ -637,24 +676,24 @@ def test_default_pool_holds_its_guard_floor(monkeypatch, p, e, dim):
 
         return wrapper
 
-    def counted_keys(lat, levels, keys=conjectures._pair_keys):
-        for item in keys(lat, levels):
-            made["_pair_keys"] += 1
+    def counted_keys(lat, keys=conjectures._pool_keys):
+        for item in keys(lat):
+            made["_pool_keys"] += 1
             yield item
 
     for name in ("free_matroid", "rank_one", "union"):
         monkeypatch.setattr(conjectures, name, counted(name))
-    monkeypatch.setattr(conjectures, "_pair_keys", counted_keys)
+    monkeypatch.setattr(conjectures, "_pool_keys", counted_keys)
     pool = default_matroid_source(lattice)
     assert {m.ranks for m in named + pairs} <= {m.ranks for m in pool}
     assert len({m.ranks for m in pairs}) == len(pairs)
-    assert len({m.ranks for m in named + pairs}) >= conjectures._default_pool_floor(cfg, dim)
-    # The build charge counts candidate tables, each read as a key: the
-    # free one, S rank-1 ones and S(S+1)/2 closed-form pair keys; union
-    # runs once per kept pair table.
+    # The build charge counts candidate tables, each read as one key: the
+    # free one, S rank-1 ones and S(S+1)/2 closed-form pair keys.  The free
+    # matroid is built once, rank_one once per subspace, and union once
+    # per kept pair table.
     s = len(lattice)
-    assert made["free_matroid"] + made["rank_one"] + made["_pair_keys"] == conjectures._default_pool_build(cfg, dim)
-    assert (made["free_matroid"], made["rank_one"], made["_pair_keys"]) == (1, s, s * (s + 1) // 2)
+    assert made["_pool_keys"] == conjectures._default_pool_build(cfg, dim) == 1 + s + s * (s + 1) // 2
+    assert (made["free_matroid"], made["rank_one"]) == (1, s)
     assert made["union"] == sum(m.provenance == "union" for m in pool)
 
 
@@ -764,7 +803,7 @@ def test_q_rado_counterexample_record_names_its_dimension(monkeypatch):
     lattice = get_lattice(spec)
     free = free_matroid(spec)
     top = SubspaceFamily(spec, (lattice.subspaces[lattice.top_index],))
-    free_indep = conjectures._matroid_masks(free, 1, conjectures._meet_levels(lattice))[0]
+    free_indep = conjectures._matroid_masks(free, 1)[0]
     top_masks = conjectures._family_masks(top)
     real_mismatches = conjectures._q_rado_mismatches
     real_sides = conjectures._q_rado_sides

@@ -56,9 +56,8 @@ from qtransversal.conjectures import (
     _family_masks,
     _grouped_draws,
     _matroid_masks,
-    _meet_levels,
     _multiset_stream,
-    _pair_keys,
+    _pool_keys,
     _pool_join,
     _q_rado_mismatches,
     _q_rado_sides,
@@ -108,11 +107,6 @@ def pool(lattice):
     return default_matroid_source(lattice)
 
 
-@lru_cache(maxsize=None)
-def levels(lattice):
-    return _meet_levels(lattice)
-
-
 def mask_verdicts(pool_masks, family_masks):
     """(lhs, rhs) of every pool matroid against one family, read from
     the masks as the scan reads them."""
@@ -134,7 +128,7 @@ def row_mismatches(pool_masks, family_masks):
 
 
 def assert_masks_match_the_witness_route(matroids, fam, max_family):
-    pool_masks = [_matroid_masks(m, max_family, levels(m.lattice)) for m in matroids]
+    pool_masks = [_matroid_masks(m, max_family) for m in matroids]
     family_masks = _family_masks(fam)
     sides = [_q_rado_sides(m, fam) for m in matroids]
     expected = [(lhs_t is not None, rhs_j is None) for lhs_t, rhs_j in sides]
@@ -161,7 +155,7 @@ def test_transposed_join_matches_the_row_join(p, e, n):
     matroids = pool(lattice) + scrambled_source(1)(lattice) + scrambled_source(2)(lattice)
     mismatched = 0
     for max_family in range(4):
-        pool_masks = [_matroid_masks(m, max_family, levels(lattice)) for m in matroids]
+        pool_masks = [_matroid_masks(m, max_family) for m in matroids]
         join = _pool_join(pool_masks, len(lattice), max_family)
         empty = _pool_join([], len(lattice), max_family)
         for k in range(max_family + 1):
@@ -477,14 +471,34 @@ SPACE_IDS = [f"{p**e}-{n}" for p, e, n in SPACES]
 
 @pytest.mark.parametrize("p,e,n", SPACES, ids=SPACE_IDS)
 def test_bitset_pool_matches_the_tuple_route(p, e, n):
-    # Every pair's key is the levels of its closed-form table, and the
-    # pool keeps the same matroids, in the same order and provenance.
+    # Every candidate's key is the levels of its table: the free matroid's,
+    # each rank-1 matroid's, and each pair's closed-form table.  The pool
+    # keeps the same matroids, in the same order and provenance, and has as
+    # many as the stream has distinct keys, which the scan's guard charges.
     lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
-    assert list(_pair_keys(lattice, levels(lattice))) == [
-        (i, j, _rank_key(table)) for i, j, table in two_loop_tables(lattice)
+    keys = list(_pool_keys(lattice))
+    assert keys == [
+        ("free", (0,) * n, _rank_key(free_matroid(lattice.spec).ranks)),
+        *(("rank_one", (i,), _rank_key(rank_one(x).ranks)) for i, x in enumerate(lattice.subspaces)),
+        *(("union", (i, j), _rank_key(table)) for i, j, table in two_loop_tables(lattice)),
     ]
     expected = [(m.provenance, m.ranks) for m in tuple_route_pool(lattice)]
     assert [(m.provenance, m.ranks) for m in pool(lattice)] == expected
+    assert len({key for *_, key in keys}) == len(pool(lattice))
+
+
+@pytest.mark.parametrize("p,e,n", SPACES, ids=SPACE_IDS)
+def test_meet_levels_match_the_meet_dimensions(p, e, n):
+    # Bit A of meet_levels[X][d] is set iff dim(A meet X) <= d, for every
+    # A, X and d = 0..n, read one meet at a time.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    assert len(lattice.meet_levels) == len(lattice)
+    for x, row in enumerate(lattice.meet_levels):
+        assert len(row) == n + 1
+        for d, level in enumerate(row):
+            assert level == sum(
+                1 << a for a in range(len(lattice)) if lattice.dims[lattice.meet_idx(a, x)] <= d
+            )
 
 
 def table_route_masks(matroid, max_family):
@@ -509,7 +523,7 @@ def test_bitset_matroid_masks_match_the_bar_nullity_table_route(p, e, n):
     matroids = pool(lattice) + scrambled_source(1)(lattice) + scrambled_source(2)(lattice)
     for matroid in matroids:
         for max_family in range(4):
-            assert _matroid_masks(matroid, max_family, levels(lattice)) == table_route_masks(
+            assert _matroid_masks(matroid, max_family) == table_route_masks(
                 matroid, max_family
             )
 

@@ -425,6 +425,13 @@ def test_matroid_from_table_validation():
     assert m == free_matroid(GF2_2)
 
 
+def test_matroid_from_table_refuses_entries_that_are_not_ints():
+    # int() would read the rank 1.7 as 1 and True as 1.
+    for values in ([0, 1.7, 1, 1, 2], [0, True, 1, 1, 2], [0, "1", 1, 1, 2]):
+        with pytest.raises(InvalidRankTable):
+            matroid_from_table(LAT2, values)
+
+
 def test_serialization_shape():
     doc = rank_one(L10).to_jsonable()
     assert doc["spec"]["q"] == 2 and doc["spec"]["dim"] == 2

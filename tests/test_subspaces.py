@@ -543,6 +543,22 @@ def test_lattice_guard_refuses_before_building(build_probe, q, n):
     assert get_lattice.cache_info().currsize == before
 
 
+def test_get_lattice_frees_an_evicted_lattice():
+    # Fill the bounded cache with other spaces: the first lattice, held
+    # by nothing else, is then freed.
+    import gc
+    import weakref
+
+    spec = VectorSpaceSpec.from_jsonable({"q": 53, "dim": 1})
+    held = weakref.ref(get_lattice(spec))
+    assert get_lattice(spec) is held()
+    others = [q for q in range(2, 200) if q != 53 and all(q % d for d in range(2, q))]
+    for q in others[: get_lattice.cache_info().maxsize]:
+        get_lattice(VectorSpaceSpec.from_jsonable({"q": q, "dim": 1}))
+    gc.collect()
+    assert held() is None
+
+
 @pytest.mark.parametrize(
     "q, n",
     [(2, 7), (31, 3), (8, 4), (4, 5), (2, 6), (3, 5), (23, 3), (7, 4), (4, 4), (3, 4), (2, 5)],
