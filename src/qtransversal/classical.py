@@ -42,8 +42,8 @@ class SetFamily:
 
     def __post_init__(self):
         # A string would be read as the set of its characters.
-        if any(isinstance(m, str) for m in self.members):
-            raise GroundMismatch("a member must be a collection of labels, not a string")
+        if any(isinstance(x, str) for x in (self.ground, *self.members)):
+            raise GroundMismatch("the ground and the members must be label collections, not strings")
         object.__setattr__(
             self, "members", tuple(frozenset(m) for m in self.members)
         )

@@ -30,8 +30,8 @@ from .classical import (
     avoiding_transversal_check,
     rado_check,
 )
-from .errors import Error, InfeasibleScale, InvariantViolation, OutOfRange
-from .fields import field_make, json_int, prime_power
+from .errors import Error, InfeasibleScale, InvariantViolation
+from .fields import field_make, json_array, json_int, prime_power
 from .qmatroids import QMatroid
 from .qtransversals import (
     is_minimal_presentation,
@@ -74,17 +74,10 @@ def _load(path: str) -> dict:
     return doc
 
 
-def _array(value, name: str) -> list:
-    """value, if it is a JSON array; a string is not read as its characters."""
-    if not isinstance(value, list):
-        raise OutOfRange(f"{name} must be an array, got {value!r}")
-    return value
-
-
 def _set_family(doc: dict) -> SetFamily:
     return SetFamily(
-        tuple(_array(doc["ground"], "ground")),
-        tuple(frozenset(_array(m, "member")) for m in _array(doc["members"], "members")),
+        tuple(json_array(doc["ground"], "ground")),
+        tuple(frozenset(json_array(m, "member")) for m in json_array(doc["members"], "members")),
     )
 
 
@@ -96,18 +89,9 @@ def _classical_matroid(doc: dict, ground) -> ClassicalMatroid:
     if kind == "linear":
         p, e = prime_power(json_int(block["q"], "q"))
         fieldspec = field_make(p, e)
-        columns = [
-            [fieldspec.parse_code(digit) for digit in _chunks(col, fieldspec.e)]
-            for col in block["columns"]
-        ]
+        columns = [fieldspec.parse_codes(col) for col in json_array(block["columns"], "columns")]
         return ClassicalMatroid.linear(ground, fieldspec, columns)
     raise ValueError(f"unknown classical matroid kind {kind!r}")
-
-
-def _chunks(text: str, width: int) -> list[str]:
-    if len(text) % width:
-        raise ValueError(f"column string {text!r} is not a multiple of {width} digits")
-    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def _q_family(doc: dict) -> SubspaceFamily:
@@ -158,7 +142,7 @@ def _cmd_rado(check, doc, args):
 
 def _cmd_check_transversal(doc, args):
     fam = _set_family(doc)
-    t = frozenset(_array(doc["T"], "T"))
+    t = frozenset(json_array(doc["T"], "T"))
     verdict = avoiding_transversal_check(t, fam)
     payload = {"verdict": verdict}
     if args.oracle:
@@ -231,9 +215,8 @@ def _cmd_check_minimal(doc, args):
 def _cmd_represent_aligned(doc, args):
     spec = VectorSpaceSpec.from_jsonable(doc)
     if "index_sets" in doc:
-        aligned = AlignedFamily(
-            spec, tuple(frozenset(s) for s in doc["index_sets"])
-        )
+        sets = json_array(doc["index_sets"], "index_sets")
+        aligned = AlignedFamily(spec, tuple(frozenset(json_array(s, "index set")) for s in sets))
     else:
         aligned = aligned_from_family(_q_family(doc))
         if aligned is None:

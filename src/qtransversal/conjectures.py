@@ -56,6 +56,7 @@ Readings pinned here (also echoed in the report notes):
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from array import array
@@ -86,6 +87,7 @@ from .subspaces import (
     family_from_rows,
     gaussian_binomial,
     get_lattice,
+    refuse_beyond_vector_cap,
 )
 
 #: Largest number of instances an exhaustive scan will walk.
@@ -117,6 +119,10 @@ class ScanConfig:
     count: int | None = None
 
     def __post_init__(self):
+        for name in ("q", "max_dim", "max_family"):
+            json_int(getattr(self, name), name)
+        if self.seed is not None:
+            json_int(self.seed, "seed")
         prime_power(self.q)
         if self.max_dim < 1:
             raise OutOfRange("max_dim must be at least 1")
@@ -150,9 +156,9 @@ class ScanConfig:
         """The config a CLI scan block or a report's "config" holds; other
         keys, such as "kind" or a stale "shards", are ignored."""
         return cls(
-            q=json_int(block["q"], "q"),
-            max_dim=json_int(block["max_dim"], "max_dim"),
-            max_family=json_int(block["max_family"], "max_family"),
+            q=block["q"],
+            max_dim=block["max_dim"],
+            max_family=block["max_family"],
             mode=block.get("mode", "exhaustive"),
             seed=block.get("seed"),
             count=block.get("count"),
@@ -186,18 +192,40 @@ class ScanReport:
 
 
 def _subspace_count(cfg: ScanConfig, dim: int) -> int:
+    """S, the subspaces of GF(q)^dim; a space beyond VECTOR_CAP, whose
+    lattice the scan could not build, is refused before they are counted."""
+    refuse_beyond_vector_cap(cfg.q, dim)
     return sum(gaussian_binomial(dim, k, cfg.q) for k in range(dim + 1))
 
 
-def _families_per_dim(cfg: ScanConfig, draws: dict | None) -> dict[int, int]:
-    """Families the stream yields at each dimension it visits, exactly;
-    a random stream's are counted off its grouped draws."""
+def _families_per_dim(
+    cfg: ScanConfig, draws: dict | None, cap, *, multisets: bool = False, unit: int = 1
+) -> dict[int, int]:
+    """Families the stream yields at each dimension it visits, exactly, or
+    with multisets their distinct multisets of members: S^k families or
+    C(S + k - 1, k) multisets of k members (S subspaces), or a random
+    stream's draws or groups.  Each is charged unit instances, and the
+    count is refused as soon as that charge passes cap, so neither a huge
+    max_dim nor a huge max_family is summed out first."""
     if cfg.mode == "random":
-        return Counter(dim for (dim, _), group in draws.items() for _ in group)
-    return {
-        dim: sum(_subspace_count(cfg, dim) ** s for s in range(cfg.max_family + 1))
-        for dim in range(1, cfg.max_dim + 1)
-    }
+        counts = Counter()
+        for (dim, _), group in draws.items():
+            counts[dim] += 1 if multisets else len(group)
+        _refuse_beyond(cap, sum(counts.values()) * unit)
+        return counts
+    counts, charged = {}, 0
+    for dim in range(1, cfg.max_dim + 1):
+        size = _subspace_count(cfg, dim)
+        counts[dim] = 0
+        for k in range(cfg.max_family + 1):
+            n = math.comb(size + k - 1, k) if multisets else size**k
+            counts[dim] += n
+            charged += n * unit
+            if charged > cap:
+                raise InfeasibleScale(
+                    f"scan would walk at least {charged} instances, beyond the cap {cap}"
+                )
+    return counts
 
 
 def _refuse_beyond(cap: int, total: int) -> None:
@@ -209,13 +237,15 @@ def _refuse_beyond(cap: int, total: int) -> None:
 
 def _random_draws(cfg: ScanConfig):
     """A random stream's (dimension, member indices) draws in order;
-    indices count subspaces in lattice order."""
+    indices count subspaces in lattice order, counted for a dimension
+    when it is first drawn."""
     rng = random.Random(cfg.seed)
-    sizes = {dim: _subspace_count(cfg, dim) for dim in range(1, cfg.max_dim + 1)}
+    sizes = {}
     for _ in range(cfg.count):
         dim = rng.randint(1, cfg.max_dim)
         size = rng.randint(0, cfg.max_family)
-        yield dim, tuple(rng.randrange(sizes[dim]) for _ in range(size))
+        subspaces = sizes.get(dim) or sizes.setdefault(dim, _subspace_count(cfg, dim))
+        yield dim, tuple(rng.randrange(subspaces) for _ in range(size))
 
 
 def _grouped_draws(cfg: ScanConfig, cap: int) -> dict | None:
@@ -506,9 +536,10 @@ def _q_rado_pools(cfg: ScanConfig, draws, matroid_source, cap: int) -> tuple[dic
     one instance each, before a key is read (GF(2)^6 has some 4M), then
     the pairs, from the distinct keys of _pool_keys.  GF(2)^5's 30,973
     matroids are counted in 0.1 s and built in about 26 s (2-vCPU Xeon
-    VM).  A custom source is charged its pairs once it is built.
+    VM).  A custom source is charged its pairs once it is built.  The
+    families are counted first, and refused as soon as they alone pass cap.
     """
-    families = _families_per_dim(cfg, draws)
+    families = _families_per_dim(cfg, draws, cap)
     built = 0
     if matroid_source is None:
         built = sum(_default_pool_build(cfg, dim) for dim in families)
@@ -627,10 +658,11 @@ def scan_minimal_uniqueness(
 ) -> ScanReport:
     """Group family multisets by presentation matroid, each decided once
     and kept at its first ordering's instance, and look for two distinct
-    minimal presentations of the same size."""
+    minimal presentations of the same size.  The guard charges the
+    multisets it decides; instances_checked counts the ordered families."""
     draws = _grouped_draws(cfg, instance_cap)
-    families = sum(_families_per_dim(cfg, draws).values())
-    _refuse_beyond(instance_cap, families)
+    _families_per_dim(cfg, draws, instance_cap, multisets=True)
+    families = sum(_families_per_dim(cfg, draws, math.inf).values())
     start = time.monotonic()
     groups: dict[tuple, dict] = {}
     cross_size: dict[tuple, set] = {}
@@ -708,8 +740,7 @@ def scan_representability(
     if attempts_per_degree < 1:
         raise OutOfRange("attempts_per_degree must be at least 1")
     draws = _grouped_draws(cfg, instance_cap)
-    families = sum(_families_per_dim(cfg, draws).values())
-    _refuse_beyond(instance_cap, families * attempts_per_degree)
+    families = sum(_families_per_dim(cfg, draws, instance_cap, unit=attempts_per_degree).values())
     start = time.monotonic()
     instances = []
     seed_base = cfg.seed if cfg.seed is not None else 0

@@ -8,6 +8,8 @@ layers store and what FieldSpec's *_codes methods operate on.
 
 Serialization is the little-endian digit string of the coefficient
 vector, so alpha + 1 in GF(4) reads "11" and zero in GF(8) reads "000".
+A vector travels as its elements' strings run together (format_codes,
+parse_codes); json_int and json_array read the other outside values.
 
 When no modulus is given, construction picks the least irreducible
 monic polynomial of degree e in counting order of the coefficient
@@ -37,13 +39,20 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import (
+    DimensionMismatch,
     DivisionByZero,
+    ExtensionTooLarge,
     NonPrimeCharacteristic,
     OutOfRange,
     ReducibleModulus,
 )
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+#: Largest field allowed at all, as a bit size of its order: GF(p^e) needs
+#: p^e < 2^(FIELD_BITS_CAP + 1).  Read before any trial division or
+#: modulus search, so a huge order is refused at once.
+FIELD_BITS_CAP = 30
 
 
 def _is_prime(n: int) -> bool:
@@ -187,11 +196,8 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise NonPrimeCharacteristic(f"characteristic {self.p!r} is not prime")
-        if not isinstance(self.e, int) or self.e < 1:
-            raise OutOfRange(f"extension degree must be a positive integer, got {self.e!r}")
-        mod = tuple(int(c) for c in self.modulus)
+        _check_field(self.p, self.e)
+        mod = tuple(json_int(c, "modulus coefficient") for c in self.modulus)
         object.__setattr__(self, "modulus", mod)
         if len(mod) != self.e + 1 or mod[-1] != 1:
             raise OutOfRange(f"modulus must be monic of degree {self.e}")
@@ -301,6 +307,10 @@ class FieldSpec:
 
     # -- serialization ---------------------------------------------------
 
+    def format_codes(self, codes) -> str:
+        """The element string of a sequence of codes, e digits each."""
+        return "".join(map(self.format_code, codes))
+
     def format_code(self, code: int) -> str:
         if self.p > len(_DIGIT_CHARS):
             raise OutOfRange(f"digit serialization supports p <= {len(_DIGIT_CHARS)}")
@@ -308,18 +318,23 @@ class FieldSpec:
             return _DIGIT_CHARS[code]
         return "".join(_DIGIT_CHARS[d] for d in self.decode(code))
 
+    def parse_codes(self, text, count: int | None = None) -> tuple[int, ...]:
+        """The codes of an element string of count elements, e digits each,
+        or of any whole number of them when count is None; another length
+        raises DimensionMismatch, a non-string or a bad digit OutOfRange."""
+        if not isinstance(text, str):
+            raise OutOfRange(f"an element string must be a string, got {text!r}")
+        digits = modulus_from_string(text)
+        if any(d >= self.p for d in digits):
+            raise OutOfRange(f"element string {text!r} has a digit outside GF({self.p})")
+        e = self.e
+        if len(text) % e if count is None else len(text) != count * e:
+            want = f"a multiple of {e}" if count is None else count * e
+            raise DimensionMismatch(f"element string {text!r} has {len(text)} digits, not {want}")
+        return tuple(self.encode(digits[i : i + e]) for i in range(0, len(text), e))
+
     def parse_code(self, text: str) -> int:
-        if len(text) != self.e:
-            raise OutOfRange(
-                f"element string {text!r} must have exactly {self.e} digits"
-            )
-        digits = []
-        for ch in text:
-            d = _DIGIT_CHARS.find(ch.lower())
-            if d < 0 or d >= self.p:
-                raise OutOfRange(f"bad digit {ch!r} for characteristic {self.p}")
-            digits.append(d)
-        return self.encode(digits)
+        return self.parse_codes(text, 1)[0]
 
     def to_jsonable(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": "".join(_DIGIT_CHARS[c] for c in self.modulus)}
@@ -338,13 +353,25 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     raise ReducibleModulus(f"no irreducible monic polynomial of degree {e} over GF({p})")
 
 
+def _check_field(p, e) -> None:
+    """p must be a prime and e a positive integer, with p^e below
+    2^(FIELD_BITS_CAP + 1); the size is read before p is trial-divided,
+    and p^e is not computed for a huge e."""
+    if not isinstance(p, int):
+        raise NonPrimeCharacteristic(f"characteristic {p!r} is not prime")
+    if not isinstance(e, int) or e < 1:
+        raise OutOfRange(f"extension degree must be a positive integer, got {e!r}")
+    limit = 1 << FIELD_BITS_CAP + 1
+    if p >= limit or p ** min(e, FIELD_BITS_CAP + 1) >= limit:
+        raise ExtensionTooLarge(f"GF({p}^{e}) exceeds the {FIELD_BITS_CAP}-bit field cap")
+    if not _is_prime(p):
+        raise NonPrimeCharacteristic(f"characteristic {p!r} is not prime")
+
+
 @lru_cache(maxsize=None)
 def _field_make_cached(p: int, e: int, modulus: tuple[int, ...] | None) -> FieldSpec:
     if modulus is None:
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"characteristic {p!r} is not prime")
-        if not isinstance(e, int) or e < 1:
-            raise OutOfRange(f"extension degree must be a positive integer, got {e!r}")
+        _check_field(p, e)
         modulus = _canonical_modulus(p, e)
     return FieldSpec(p, e, modulus)
 
@@ -357,17 +384,18 @@ def field_make(p: int, e: int, modulus=None) -> FieldSpec:
     deterministic given (p, e).
     """
     if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(json_int(c, "modulus coefficient") for c in modulus)
     return _field_make_cached(p, e, modulus)
 
 
 def modulus_from_string(text: str) -> tuple[int, ...]:
-    """Parse a little-endian modulus digit string back to coefficients."""
+    """The digits of a little-endian digit string: a modulus's
+    coefficients, or the digits of an element string."""
     out = []
     for ch in text:
         d = _DIGIT_CHARS.find(ch.lower())
         if d < 0:
-            raise OutOfRange(f"bad modulus digit {ch!r}")
+            raise OutOfRange(f"bad digit {ch!r} in {text!r}")
         out.append(d)
     return tuple(out)
 
@@ -376,6 +404,8 @@ def prime_power(q: int) -> tuple[int, int]:
     """Split a prime power q into (p, e); rejects everything else."""
     if not isinstance(q, int) or q < 2:
         raise OutOfRange(f"field order must be an integer >= 2, got {q!r}")
+    if q >= 1 << FIELD_BITS_CAP + 1:
+        raise ExtensionTooLarge(f"GF({q}) exceeds the {FIELD_BITS_CAP}-bit field cap")
     p = q
     for f in range(2, q + 1):
         if f * f > q:
@@ -399,4 +429,12 @@ def json_int(value, name: str) -> int:
     or read digit by digit."""
     if type(value) is not int:
         raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_array(value, name: str) -> list:
+    """value, if it is a JSON array (list or tuple); a string or any other
+    value raises OutOfRange naming the field, not read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise OutOfRange(f"{name} must be an array, got {value!r}")
     return value

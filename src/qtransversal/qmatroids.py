@@ -47,7 +47,7 @@ from .errors import (
     SpecMismatch,
     WrongNullity,
 )
-from .fields import json_int
+from .fields import json_array, json_int
 from .subspaces import Lattice, Subspace, VectorSpaceSpec, get_lattice
 
 SubmodularReport = namedtuple("SubmodularReport", "ok failure witness")
@@ -57,7 +57,7 @@ class QMatroid:
     """A rank oracle on the full subspace lattice, materialized as a table.
 
     ranks is stored as given, one int per lattice index; user tables go
-    through matroid_from_table, which coerces them to int.
+    through matroid_from_table, which refuses an entry that is not an int.
     """
 
     __slots__ = ("lattice", "ranks", "provenance", "_bases", "_circuits", "_bar_nullity")
@@ -236,8 +236,9 @@ class QMatroid:
         """The validated q-matroid of a serialized rank table, which must
         cover every subspace of the lattice (else IncompleteTable) and list
         each once, with no other entry (else InvalidRankTable)."""
-        entries = block["rank_table"]
-        table = {tuple(entry["subspace"]): json_int(entry["rank"], "rank") for entry in entries}
+        entries = json_array(block["rank_table"], "rank_table")
+        table = {tuple(json_array(e["subspace"], "subspace")): json_int(e["rank"], "rank")
+                 for e in entries}
         ranks = []
         for s in lattice.subspaces:
             rows = tuple(s.to_rows())

@@ -39,13 +39,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    ExtensionTooLarge,
     InfeasibleScale,
     InvariantViolation,
     OutOfRange,
     SpecMismatch,
 )
-from .fields import FieldSpec, field_make, json_int, modulus_from_string
+from .fields import FieldSpec, field_make, json_array, json_int, modulus_from_string
 from .qmatroids import QMatroid
 from .qtransversals import presentation_matroid
 from .subspaces import (
@@ -58,8 +57,6 @@ from .subspaces import (
 
 #: Largest extension field (element count) the embeddings will scan.
 EMBED_SCAN_CAP = 2**20
-#: Largest extension field allowed at all, as a bit size of its order.
-FIELD_BITS_CAP = 30
 
 
 def subfield_embedding(base: FieldSpec, ext: FieldSpec) -> tuple[int, ...]:
@@ -112,7 +109,7 @@ class QRepresentation:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        matrix = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        matrix = tuple(tuple(json_int(v, "matrix entry") for v in row) for row in self.matrix)
         object.__setattr__(self, "matrix", matrix)
         if self.ext.p != self.base_spec.field.p:
             raise SpecMismatch("representation field has the wrong characteristic")
@@ -137,24 +134,19 @@ class QRepresentation:
         return {
             "base": self.base_spec.to_jsonable(),
             "ext": self.ext.to_jsonable(),
-            "matrix": ["".join(self.ext.format_code(v) for v in row) for row in self.matrix],
+            "matrix": [self.ext.format_codes(row) for row in self.matrix],
         }
 
     @classmethod
     def from_jsonable(cls, base_spec: VectorSpaceSpec, block: dict) -> QRepresentation:
         """The representation a serialized block holds over base_spec; a
-        matrix row of other than dim * e digits raises SpecMismatch."""
+        matrix row of other than dim elements raises DimensionMismatch."""
         info = block["ext"]
         ext = field_make(
             json_int(info["p"], "p"), json_int(info["e"], "e"), modulus_from_string(info["modulus"])
         )
-        width = base_spec.dim * ext.e
-        matrix = []
-        for row in block["matrix"]:
-            if len(row) != width:
-                raise SpecMismatch(f"matrix row {row!r} has {len(row)} digits, not {width}")
-            matrix.append(tuple(ext.parse_code(row[i : i + ext.e]) for i in range(0, width, ext.e)))
-        return cls(base_spec, ext, tuple(matrix))
+        rows = json_array(block["matrix"], "matrix")
+        return cls(base_spec, ext, tuple(ext.parse_codes(row, base_spec.dim) for row in rows))
 
 
 def _image(rep: QRepresentation, row: tuple[int, ...]) -> list[int]:
@@ -289,15 +281,6 @@ def aligned_from_family(fam: SubspaceFamily) -> AlignedFamily | None:
     return AlignedFamily(fam.spec, tuple(sets))
 
 
-def _extension(base: FieldSpec, degree: int) -> FieldSpec:
-    total = base.e * degree
-    if base.p**total >= 1 << (FIELD_BITS_CAP + 1):
-        raise ExtensionTooLarge(
-            f"GF({base.p}^{total}) exceeds the {FIELD_BITS_CAP}-bit field cap"
-        )
-    return field_make(base.p, total)
-
-
 def build_aligned_representation(
     fam: AlignedFamily, *, minimize_degree: bool = False
 ) -> QRepresentation:
@@ -316,7 +299,7 @@ def build_aligned_representation(
     guaranteed = n**k
     degrees = range(1, guaranteed + 1) if minimize_degree else (guaranteed,)
     for degree in degrees:
-        ext = _extension(base, degree)
+        ext = field_make(base.p, base.e * degree)
         # The class of x generates the whole extension over any subfield;
         # when the "extension" is the base field itself fall back to 1.
         alpha = ext.p if ext.e >= 2 else 1
@@ -363,7 +346,7 @@ def find_representation(
     rows = matroid.space_rank
     rng = random.Random(seed)
     for degree in range(1, max_ext_degree + 1):
-        ext = _extension(base, degree)
+        ext = field_make(base.p, base.e * degree)
         for _ in range(attempts_per_degree):
             matrix = tuple(
                 tuple(rng.randrange(ext.order) for _ in range(n)) for _ in range(rows)

@@ -26,7 +26,7 @@ from .errors import (
     OutOfRange,
     SpecMismatch,
 )
-from .fields import FieldSpec, field_make, json_int, prime_power
+from .fields import FieldSpec, field_make, json_array, json_int, prime_power
 
 #: Largest q^n the vector-level enumerators will walk.
 VECTOR_CAP = 2**20
@@ -43,7 +43,9 @@ BASIS_CAP = 10**6
 #: tests, about 115 ns a unit on GF(2)^6, GF(3)^5 and GF(7)^4, so 2 s and at
 #: most 30 MiB at the cap; GF(421)^2 pays 11 units an AND of its 177,241-bit
 #: masks, 1.8 to 2.3 us, so 165 to 210 ns a unit (2-vCPU Xeon VM, Python
-#: 3.11).
+#: 3.11).  Lattice.meet_levels charges its S^2 ANDs (S subspaces) before it
+#: builds: GF(2)^6 pays 7,980,625 units and builds in about 2 s and 7 MiB;
+#: GF(2)^7 would pay 853,340,944 for some 850 MB of levels and is refused.
 SET_WALK_CAP = 2**24
 #: Largest lattice, charged before building with one unit per subspace,
 #: cover pair and diamond (closed-form counts), each 2^14 + q^n bits: a
@@ -52,6 +54,13 @@ SET_WALK_CAP = 2**24
 #: diamonds and check_submodular, in 2.9 to 4.5 s at 68 to 170 MiB RSS; the
 #: refused GF(37)^3 (1.4e11) takes 12 s (fresh processes, 2-vCPU Xeon VM).
 LATTICE_CAP = 2**36
+
+
+def refuse_beyond_vector_cap(q: int, n: int) -> None:
+    """InfeasibleScale if GF(q)^n has more than VECTOR_CAP vectors; q^n is
+    not computed for a huge n, so a huge space is refused at once."""
+    if q ** min(n, VECTOR_CAP.bit_length()) > VECTOR_CAP:
+        raise InfeasibleScale(f"GF({q})^{n} has more vectors than the vector cap {VECTOR_CAP}")
 
 
 def set_walk_unit(spec: VectorSpaceSpec) -> int:
@@ -302,11 +311,8 @@ def enumerate_subspaces(spec: VectorSpaceSpec):
     Order is deterministic: ascending dimension, then lexicographic
     RREF.  Counts per dimension equal the Gaussian binomial.
     """
-    if spec.num_vectors > VECTOR_CAP:
-        raise InfeasibleScale(
-            f"q^n = {spec.num_vectors} exceeds the vector cap {VECTOR_CAP}"
-        )
     q = spec.field.order
+    refuse_beyond_vector_cap(q, spec.dim)
     for k in range(spec.dim + 1):
         count = gaussian_binomial(spec.dim, k, q)
         if count > SUBSPACE_BLOCK_CAP:
@@ -474,30 +480,20 @@ class SubspaceFamily:
 
 
 def vector_to_string(spec: VectorSpaceSpec, vector) -> str:
-    f = spec.field
-    return "".join(f.format_code(v) for v in vector)
+    return spec.field.format_codes(vector)
 
 
 def vector_from_string(spec: VectorSpaceSpec, text: str) -> tuple[int, ...]:
-    e = spec.field.e
-    if len(text) != spec.dim * e:
-        raise DimensionMismatch(
-            f"row {text!r} must have {spec.dim * e} digits for this space"
-        )
-    return tuple(
-        spec.field.parse_code(text[i * e : (i + 1) * e]) for i in range(spec.dim)
-    )
+    return spec.field.parse_codes(text, spec.dim)
 
 
 def subspace_from_rows(spec: VectorSpaceSpec, rows) -> Subspace:
-    if isinstance(rows, str):
-        raise OutOfRange(f"rows must be an array of row strings, got {rows!r}")
-    return canonicalize(spec, [vector_from_string(spec, r) for r in rows])
+    return canonicalize(spec, [vector_from_string(spec, r) for r in json_array(rows, "rows")])
 
 
 def family_from_rows(spec: VectorSpaceSpec, member_rows) -> SubspaceFamily:
     return SubspaceFamily(
-        spec, tuple(subspace_from_rows(spec, rows) for rows in member_rows)
+        spec, tuple(subspace_from_rows(spec, rows) for rows in json_array(member_rows, "family"))
     )
 
 
@@ -600,6 +596,7 @@ class Lattice:
         field = spec.field
         q = field.order
         n = spec.dim
+        refuse_beyond_vector_cap(q, n)
         # A k-dim subspace has [n-k 1]_q upper covers, and each pair of
         # them spans one diamond.
         units = 0
@@ -711,8 +708,16 @@ class Lattice:
     @cached_property
     def meet_levels(self) -> tuple[list[int], ...]:
         """meet_levels[X][d] for every subspace X and d = 0..n: bit A is
-        set iff dim(A meet X) <= d, read once from meet_row(X)."""
+        set iff dim(A meet X) <= d, read once from meet_row(X).  Its S^2
+        mask ANDs (S subspaces) are charged against SET_WALK_CAP,
+        set_walk_unit units each, and refused before any is made."""
         dims, n = self.dims, self.spec.dim
+        work = len(dims) ** 2 * set_walk_unit(self.spec)
+        if work > SET_WALK_CAP:
+            raise InfeasibleScale(
+                f"the meet levels of {len(dims)} subspaces ({work} units of mask ANDs) "
+                f"exceed the cap {SET_WALK_CAP}"
+            )
         rows = (bytes(map(dims.__getitem__, self.meet_row(x))) for x in range(len(dims)))
         return tuple(_levels(row, n) for row in rows)
 

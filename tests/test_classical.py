@@ -282,6 +282,12 @@ def test_set_family_refuses_a_string_member():
     assert SetFamily(("a", "b"), (("a", "b"),)).members == (frozenset("ab"),)
 
 
+def test_set_family_refuses_a_string_ground():
+    # tuple("ab") would read the ground "ab" as (a, b).
+    with pytest.raises(GroundMismatch):
+        SetFamily("ab", (frozenset("a"), frozenset("b")))
+
+
 def test_linear_matroid_axiom_spot_check_rejects_bad_columns():
     # Construction itself verifies the axioms on small grounds; a healthy
     # matrix passes.

@@ -310,6 +310,7 @@ def test_hall_command_matches_the_library_on_seeded_families(tmp_path, capsys):
 
 
 _GF2_1_REPRESENTATION = {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": ["1"]}
+_RANDOM_SCAN = {"kind": "q-rado", "q": 2, "max_dim": 2, "max_family": 1, "mode": "random", "count": 3}
 
 
 @pytest.mark.parametrize(
@@ -340,11 +341,23 @@ _GF2_1_REPRESENTATION = {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": ["1
             {"scan": {"kind": "representability", "q": 2, "max_dim": 1, "max_family": 1,
                       "max_ext_degree": 1.5}},
         ),
+        (
+            "rado",
+            {"ground": ["a", "b", "c", "d"], "members": [["a"], ["b"]],
+             "matroid": {"kind": "linear", "q": 2, "columns": "0101"}},
+        ),
+        ("scan", {"scan": {**_RANDOM_SCAN, "seed": 1.5}}),
+        ("scan", {"scan": {**_RANDOM_SCAN, "seed": True}}),
+        (
+            "verify-representation",
+            {"q": 2, "dim": 1, "family": [[]], "representation": {**_GF2_1_REPRESENTATION, "matrix": "1"}},
+        ),
     ],
     ids=[
         "float-dim", "bool-dim", "float-q", "float-scan-bounds", "float-index",
         "float-linear-q", "float-ranks", "string-sets", "string-T", "string-member",
-        "string-subspace", "float-ext-degree",
+        "string-subspace", "float-ext-degree", "string-columns", "float-seed", "bool-seed",
+        "string-matrix",
     ],
 )
 def test_json_numbers_and_arrays_are_read_exactly(tmp_path, capsys, command, doc):
@@ -543,6 +556,41 @@ def test_exit_code_infeasible(tmp_path, capsys):
     assert code == 3 and out["error"] == "infeasible-scale"
 
 
+_P61 = 2**61 - 1  # a prime
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("q-hall", {"q": _P61, "dim": 1, "family": [["1"]]}),
+        (
+            "rado",
+            {"ground": ["a"], "members": [["a"]],
+             "matroid": {"kind": "linear", "q": _P61, "columns": ["1"]}},
+        ),
+        (
+            "verify-representation",
+            {"q": 2, "dim": 1, "family": [[]],
+             "representation": {"ext": {"p": _P61, "e": 1, "modulus": "01"}, "matrix": ["1"]}},
+        ),
+        ("q-hall", {"q": 2, "dim": 100_000, "family": [[]]}),
+        ("scan", {"scan": {"kind": "minimal-uniqueness", "q": 2, "max_dim": 100_000, "max_family": 1}}),
+        ("scan", {"scan": {"kind": "minimal-uniqueness", "q": 2, "max_dim": 2, "max_family": 10**8}}),
+    ],
+    ids=["huge-q", "huge-linear-q", "huge-ext-p", "huge-dim", "huge-max-dim", "huge-max-family"],
+)
+def test_guards_refuse_before_the_work_they_bound(command, doc):
+    # Each cap is read before the trial division, count or sum it bounds,
+    # so the refusal comes at once; a fresh process, so a hang times out.
+    env = {**os.environ, "PYTHONPATH": str(Path(qtransversal.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "qtransversal.cli", command, "-"],
+        input=json.dumps(doc), capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert run.returncode == 3 and json.loads(run.stdout)["error"] == "infeasible-scale"
+    assert "Traceback" not in run.stderr
+
+
 def test_missing_file_is_malformed(capsys):
     code, out = run_cli(capsys, "q-hall", "/nonexistent/path.json")
     assert code == 2
@@ -573,7 +621,7 @@ def test_verify_representation_rejects_extra_digits(tmp_path, capsys):
     assert code == 0 and out["verdict"] is True
     representation["matrix"] = ["11111"]
     code, out = run_cli(capsys, "verify-representation", write(tmp_path, "t.json", doc))
-    assert code == 2 and out["message"].startswith("SpecMismatch: ")
+    assert code == 2 and out["message"].startswith("DimensionMismatch: ")
 
 
 def test_verify_representation_names_a_missing_subspace(tmp_path, capsys):

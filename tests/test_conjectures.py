@@ -6,6 +6,7 @@ import json
 import pytest
 
 from qtransversal import (
+    DimensionMismatch,
     IncompleteTable,
     InfeasibleScale,
     OutOfRange,
@@ -272,7 +273,7 @@ def test_reverify_representation_rejects_extra_digits():
     entry = found_gf2_1_entry()
     assert reverify_representation_entry(entry)
     entry["representation"]["matrix"] = ["11111"]
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(DimensionMismatch):
         reverify_representation_entry(entry)
 
 
@@ -355,6 +356,48 @@ def test_scan_scale_guard():
         scan_q_rado(ScanConfig(q=2, max_dim=4, max_family=3))
     with pytest.raises(InfeasibleScale):
         scan_minimal_uniqueness(ScanConfig(q=2, max_dim=2, max_family=2), instance_cap=10)
+
+
+def test_scan_config_refuses_a_seed_that_is_not_an_int():
+    # The report echoes its config: a seed of 1.5 or true would be echoed too.
+    for seed in (1.5, True, "1"):
+        with pytest.raises(OutOfRange, match="seed"):
+            ScanConfig(q=2, max_dim=2, max_family=1, mode="random", seed=seed, count=3)
+
+
+def test_uniqueness_guard_charges_the_multisets_it_decides(monkeypatch):
+    # (2, 3, 3) walks 4,540 ordered families and decides 10 + 56 + 969 =
+    # 1,035 multisets of members, one presentation matroid each.
+    from qtransversal import conjectures
+
+    decided = []
+    real = conjectures._uniqueness_ranks
+    monkeypatch.setattr(conjectures, "_uniqueness_ranks", lambda fam: decided.append(fam) or real(fam))
+    cfg = ScanConfig(q=2, max_dim=3, max_family=3)
+    assert scan_minimal_uniqueness(cfg, instance_cap=1_035).instances_checked == 4_540
+    assert len(decided) == 1_035
+    with pytest.raises(InfeasibleScale):
+        scan_minimal_uniqueness(cfg, instance_cap=1_034)
+
+
+def test_meet_levels_are_charged_before_they_are_built(monkeypatch):
+    # GF(2)^4 has 67 subspaces, so its meet levels cost 67^2 mask ANDs of
+    # one unit each; the custom source's scan reads them.
+    from qtransversal import free_matroid, subspaces
+
+    lattice = get_lattice(VectorSpaceSpec(field_make(2, 1), 4))
+    cfg = ScanConfig(q=2, max_dim=4, max_family=0)
+
+    def source(lat):
+        return [free_matroid(lat.spec)]
+
+    lattice.__dict__.pop("meet_levels", None)  # not built yet
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 67**2 - 1)
+    with pytest.raises(InfeasibleScale, match="meet levels of 67 subspaces"):
+        scan_q_rado(cfg, source)
+    assert "meet_levels" not in lattice.__dict__
+    monkeypatch.setattr(subspaces, "SET_WALK_CAP", 67**2)
+    assert scan_q_rado(cfg, source).instances_checked == 4
 
 
 def test_default_matroid_source_is_deduplicated():

@@ -6,7 +6,10 @@ import random
 import pytest
 
 from qtransversal import (
+    DimensionMismatch,
     DivisionByZero,
+    ExtensionTooLarge,
+    FieldSpec,
     NonPrimeCharacteristic,
     OutOfRange,
     ReducibleModulus,
@@ -182,6 +185,54 @@ def test_digit_string_round_trip():
         f4.parse_code("2")  # wrong length and bad digit
     with pytest.raises(OutOfRange):
         f4.parse_code("21")
+
+
+def test_element_string_codec():
+    f4 = field_make(2, 2)
+    assert f4.format_codes((0, 1, 2, 3)) == "00100111"
+    assert f4.parse_codes("00100111") == f4.parse_codes("00100111", 4) == (0, 1, 2, 3)
+    # One length rule and one error: count elements of e digits each, or a
+    # whole number of them when no count is given.
+    for text, count in (("0010011", None), ("001001", 4), ("0010011100", 4)):
+        with pytest.raises(DimensionMismatch):
+            f4.parse_codes(text, count)
+    with pytest.raises(OutOfRange):
+        f4.parse_codes(["00", "10"], 2)  # an array is not an element string
+    with pytest.raises(OutOfRange):
+        f4.parse_codes("0021", 2)  # 2 is no digit of GF(2)
+
+
+def test_field_constructors_refuse_coefficients_that_are_not_ints():
+    # int() would read 1.0 and True as 1 and build GF(4) from them.
+    with pytest.raises(OutOfRange):
+        field_make(2, 2, (1.0, 1.0, 1))
+    with pytest.raises(OutOfRange):
+        FieldSpec(2, 2, (True, 1, 1))
+
+
+def test_the_field_cap_is_read_before_any_trial_division(monkeypatch):
+    # GF(2^31) and the prime field of 2^61 - 1 are refused at once: neither
+    # a trial division up to sqrt(q) nor a modulus search runs first.
+    from qtransversal import fields
+
+    def trial_division(n):
+        raise AssertionError(f"{n} was trial-divided")
+
+    monkeypatch.setattr(fields, "_is_prime", trial_division)
+    oversized = [
+        lambda: prime_power(2**31),
+        lambda: field_make(2, 31),
+        lambda: field_make(2, 10**9),
+        lambda: field_make(2**61 - 1, 1),
+        lambda: FieldSpec(2**61 - 1, 1, (0, 1)),
+        lambda: prime_power(2**61 - 1),
+    ]
+    for make in oversized:
+        with pytest.raises(ExtensionTooLarge, match="30-bit field cap"):
+            make()
+    monkeypatch.undo()
+    # The largest field the cap admits, a prime one.
+    assert prime_power(2**31 - 1) == (2**31 - 1, 1)
 
 
 def test_prime_power_decomposition():

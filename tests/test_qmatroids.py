@@ -11,6 +11,8 @@ from qtransversal import (
     InvalidRankTable,
     InvariantViolation,
     NotSubmodular,
+    OutOfRange,
+    QMatroid,
     VectorSpaceSpec,
     WrongNullity,
     canonicalize,
@@ -430,6 +432,16 @@ def test_matroid_from_table_refuses_entries_that_are_not_ints():
     for values in ([0, 1.7, 1, 1, 2], [0, True, 1, 1, 2], [0, "1", 1, 1, 2]):
         with pytest.raises(InvalidRankTable):
             matroid_from_table(LAT2, values)
+
+
+def test_rank_table_arrays_are_not_read_as_strings():
+    doc = rank_one(L10).to_jsonable()
+    entry = next(e for e in doc["rank_table"] if e["subspace"] == ["10"])
+    entry["subspace"] = "10"  # tuple() would read it as ("1", "0")
+    with pytest.raises(OutOfRange):
+        QMatroid.from_jsonable(LAT2, doc)
+    with pytest.raises(OutOfRange):
+        QMatroid.from_jsonable(LAT2, {"rank_table": "[]"})
 
 
 def test_serialization_shape():

@@ -7,6 +7,7 @@ import pytest
 
 from qtransversal import (
     AlignedFamily,
+    OutOfRange,
     QMatroid,
     QRepresentation,
     SpecMismatch,
@@ -323,3 +324,13 @@ def test_representation_serialization_round_trip():
         for row in doc["matrix"]
     )
     assert QRepresentation(GF2_3, ext, matrix) == rep
+
+
+def test_representation_refuses_entries_that_are_not_ints():
+    # int() would store 1.7 as 1 and 0.0 as 0.
+    with pytest.raises(OutOfRange):
+        QRepresentation(GF2_2, field_make(2, 2), ((1.7, 0.0),))
+    # A matrix string is not read as its characters, one row each.
+    block = {"ext": {"p": 2, "e": 1, "modulus": "01"}, "matrix": "10"}
+    with pytest.raises(OutOfRange):
+        QRepresentation.from_jsonable(VectorSpaceSpec(field_make(2, 1), 1), block)

@@ -513,6 +513,30 @@ def test_serialization_round_trip():
         vector_from_string(gf4, "011")
 
 
+def test_rows_must_be_an_array_of_element_strings():
+    from qtransversal.subspaces import family_from_rows, subspace_from_rows
+
+    # A string is not read as its characters, nor an array as a row's digits.
+    with pytest.raises(OutOfRange):
+        subspace_from_rows(GF2_3, "101")
+    with pytest.raises(OutOfRange):
+        family_from_rows(GF2_3, "101")
+    with pytest.raises(OutOfRange):
+        subspace_from_rows(GF2_3, [["1", "0", "1"]])
+
+
+def test_the_vector_cap_is_read_before_the_lattice_is_counted(monkeypatch):
+    from qtransversal import subspaces
+
+    def count(*args):
+        raise AssertionError("the subspaces were counted")
+
+    monkeypatch.setattr(subspaces, "gaussian_binomial", count)
+    for n in (21, 100_000):
+        with pytest.raises(InfeasibleScale, match="vector cap"):
+            subspaces.Lattice(VectorSpaceSpec(field_make(2, 1), n))
+
+
 class _BuildStarted(Exception):
     pass
 
