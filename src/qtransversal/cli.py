@@ -252,20 +252,12 @@ def _cmd_scan(doc, args):
     block = doc["scan"]
     cfg = conjectures.ScanConfig.from_jsonable(block)
     kind = block["kind"]
-    if kind == "q-rado":
-        report = conjectures.scan_q_rado(cfg)
-    elif kind == "minimal-uniqueness":
-        report = conjectures.scan_minimal_uniqueness(cfg)
-    elif kind == "representability":
-        report = conjectures.scan_representability(
-            cfg,
-            max_ext_degree=json_int(block["max_ext_degree"], "max_ext_degree"),
-            attempts_per_degree=json_int(
-                block.get("attempts_per_degree", 200), "attempts_per_degree"
-            ),
-        )
-    else:
+    if kind not in conjectures.SCAN_KINDS:
         raise ValueError(f"unknown scan kind {kind!r}")
+    scan, _, names = conjectures.SCAN_KINDS[kind]
+    # Only the parameters the block holds: a missing one takes the scan's default.
+    params = {name: json_int(block[name], name) for name in names if name in block}
+    report = getattr(conjectures, scan)(cfg, **params)
     return {"report": report.to_jsonable(include_timing=args.timing)}, doc
 
 

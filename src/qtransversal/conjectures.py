@@ -83,7 +83,9 @@ from .representation import (
 from .subspaces import (
     SubspaceFamily,
     VectorSpaceSpec,
+    _bits,
     _levels,
+    _rank_key,
     family_from_rows,
     gaussian_binomial,
     get_lattice,
@@ -305,13 +307,6 @@ def _family(lattice, members: tuple[int, ...]) -> SubspaceFamily:
     return SubspaceFamily(lattice.spec, tuple(lattice.subspaces[i] for i in members))
 
 
-def _rank_key(ranks) -> tuple[int, ...]:
-    """A rank table as its levels: bit A of entry k - 1 is set iff
-    r(A) >= k, for k = 1..max r.  Tables with equal keys are equal."""
-    full = (1 << len(ranks)) - 1
-    return tuple(full ^ m for m in _levels(bytes(ranks), max(ranks) - 1))
-
-
 def _pool_keys(lattice):
     """(build, members, key) for every candidate of the default pool, in
     its order, key its _rank_key and members the lattice indices of the
@@ -328,21 +323,11 @@ def _pool_keys(lattice):
     {j}, {i, j}).  With m the meet of X_i and X_j, level 1 is c_m(A) >= 1
     (A not below m), and level 2 is c_i(A) >= 1, c_j(A) >= 1 and
     c_m(A) >= 2.  The set of A with c_X(A) >= t is the union over d of
-    the dimension-d subspaces in lattice.meet_levels[X][d - t]."""
-    dims = lattice.dims
-    size = len(dims)
-    at_most = _levels(bytes(dims), lattice.spec.dim)
-    of_dim = [m ^ lower for m, lower in zip(at_most, [0, *at_most])]
-
-    def c_at_least(t):
-        # The dimension classes are disjoint: their sum is their union.
-        return [
-            sum(of_dim[d] & row[d - t] for d in range(t, len(of_dim))) for row in lattice.meet_levels
-        ]
-
-    c1, c2 = c_at_least(1), c_at_least(2)
-    full = (1 << size) - 1
-    yield "free", (0,) * lattice.spec.dim, tuple(full ^ m for m in at_most[:-1])
+    the dimension-d subspaces in lattice.meet_levels[X][d - t]
+    (Lattice.codim_levels)."""
+    size = len(lattice)
+    c1, c2 = lattice.codim_levels(1), lattice.codim_levels(2)
+    yield "free", (0,) * lattice.spec.dim, _rank_key(lattice.dims)
     for i in range(size):
         yield "rank_one", (i,), (c1[i],) if c1[i] else ()
     # Union is commutative: (j, i) repeats (i, j), which came earlier.
@@ -465,15 +450,6 @@ def _family_masks(fam: SubspaceFamily) -> tuple[int, int]:
     for w, j in fam.meet_closure:
         jmask |= 1 << (j.bit_count() * size + w)
     return tmask, jmask
-
-
-def _bits(mask: int):
-    """The positions of mask's set bits, ascending."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 def _pool_join(pool_masks, size: int, max_family: int) -> tuple[int, list[int], list[int]]:
@@ -807,3 +783,19 @@ def reverify_representation_entry(entry: dict) -> bool:
     rep = QRepresentation.from_jsonable(spec, entry["representation"])
     ok, _ = verify_representation(rep, presentation_matroid(fam))
     return ok
+
+
+
+#: Every scan kind: (scan, replay of one record it emits, the integer
+#: parameters the scan takes beyond its ScanConfig).  The functions are
+#: named, and read from this module when called, so that one rebound here
+#: by a test or a tracer is the one run.
+SCAN_KINDS = {
+    "q-rado": ("scan_q_rado", "reverify_q_rado", ()),
+    "minimal-uniqueness": ("scan_minimal_uniqueness", "reverify_minimal_uniqueness", ()),
+    "representability": (
+        "scan_representability",
+        "reverify_representation_entry",
+        ("max_ext_degree", "attempts_per_degree"),
+    ),
+}

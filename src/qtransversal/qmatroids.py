@@ -277,40 +277,6 @@ def _dense_values(lattice: Lattice, values) -> list[int]:
     return values
 
 
-def _locally_submodular(lattice: Lattice, f: Sequence[int]) -> bool:
-    """The verdict of check_submodular, from the bottom, the covers and
-    the diamonds alone (see the module docstring)."""
-    if f[lattice.bottom_index] != 0:
-        return False
-    for lo, hi in zip(*lattice.covers):
-        if f[lo] > f[hi]:
-            return False
-    for x, y, z, w in zip(*lattice.diamonds):
-        if f[x] + f[w] > f[y] + f[z]:
-            return False
-    return True
-
-
-def _first_failure(lattice: Lattice, f: Sequence[int]) -> SubmodularReport:
-    # The ordered scan that names the failure: the bottom, then every
-    # pair j <= i in index order, then every pair i < j.
-    subspaces = lattice.subspaces
-    if f[lattice.bottom_index] != 0:
-        return SubmodularReport(False, "bottom", (subspaces[lattice.bottom_index],))
-    for i, row in enumerate(lattice.below):
-        fi = f[i]
-        for j in row:
-            if f[j] > fi:
-                return SubmodularReport(False, "monotone", (subspaces[j], subspaces[i]))
-    size = len(lattice)
-    for i, fi in enumerate(f):
-        meets = lattice.meet_row(i)
-        for j in range(i + 1, size):
-            if f[meets[j]] + f[lattice.join_idx(i, j)] > fi + f[j]:
-                return SubmodularReport(False, "submodular", (subspaces[i], subspaces[j]))
-    return SubmodularReport(True, None, None)
-
-
 def check_submodular(lattice: Lattice, values) -> SubmodularReport:
     """Check the three submodular-function axioms over the whole lattice.
 
@@ -319,21 +285,33 @@ def check_submodular(lattice: Lattice, values) -> SubmodularReport:
     diamond.  For any A and B, maximal chains from A meet B up to A and
     up to B generate a distributive sublattice whose unit squares are
     diamonds, and their inequalities telescope to the one for A and B
-    (module docstring).  Only a failing table pays for the ordered pair
-    scan, which names the first failure in index order: which axiom
-    broke and the witnessing subspace (or pair).  A local failure the
-    scan cannot find raises InvariantViolation.
+    (module docstring).  A failing table names the axiom and its first
+    failing bottom, cover pair or diamond's pair (Y, Z), in the order the
+    lattice holds them, re-read from the masks: a pair that does not
+    violate the axiom raises InvariantViolation.
     """
     f = _dense_values(lattice, values)
-    if _locally_submodular(lattice, f):
-        return SubmodularReport(True, None, None)
-    report = _first_failure(lattice, f)
-    if report.ok:
-        raise InvariantViolation(
-            "local submodularity check and ordered pair scan disagree",
-            payload={"spec": lattice.spec.to_jsonable(), "values": list(f)},
-        )
-    return report
+    subspaces = lattice.subspaces
+    if f[lattice.bottom_index] != 0:
+        return SubmodularReport(False, "bottom", (subspaces[lattice.bottom_index],))
+    for lo, hi in zip(*lattice.covers):
+        if f[lo] > f[hi]:
+            if not lattice.leq_idx(lo, hi):
+                raise _misnamed(lattice, f)
+            return SubmodularReport(False, "monotone", (subspaces[lo], subspaces[hi]))
+    for x, y, z, w in zip(*lattice.diamonds):
+        if f[x] + f[w] > f[y] + f[z]:
+            if lattice.meet_idx(y, z) != x or lattice.join_idx(y, z) != w:
+                raise _misnamed(lattice, f)
+            return SubmodularReport(False, "submodular", (subspaces[y], subspaces[z]))
+    return SubmodularReport(True, None, None)
+
+
+def _misnamed(lattice: Lattice, f: list[int]) -> InvariantViolation:
+    return InvariantViolation(
+        "a cover or diamond names a pair that does not violate the axiom",
+        payload={"spec": lattice.spec.to_jsonable(), "values": list(f)},
+    )
 
 
 def check_rank_axioms(lattice: Lattice, ranks: Sequence[int]) -> SubmodularReport:

@@ -556,6 +556,22 @@ def _levels(values: bytes, top: int) -> list[int]:
     return [int(digits.translate(b"1" * (d + 1) + b"0" * (255 - d)), 2) for d in range(top + 1)]
 
 
+def _rank_key(ranks) -> tuple[int, ...]:
+    """A rank table as its levels: bit A of entry k - 1 is set iff
+    r(A) >= k, for k = 1..max r.  Tables with equal keys are equal."""
+    full = (1 << len(ranks)) - 1
+    return tuple(full ^ m for m in _levels(bytes(ranks), max(ranks) - 1))
+
+
+def _bits(mask: int):
+    """The positions of mask's set bits, ascending."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 class Lattice:
     """Fully materialized subspace lattice, its order read from point masks.
 
@@ -586,10 +602,10 @@ class Lattice:
     itself are built on first use and kept: the cover columns
     (``covers``), which the axiom checks, induction, the presentation
     matroid and circuits walk; the diamonds (``diamonds``), which the
-    axiom checks walk; ``below``, which only fundamental circuits and
-    the ordered scan naming a failed axiom read; and the q-Rado scan's
-    ``meet_levels``, S x S x (n + 1) bits.  Nothing a caller asks about
-    one subspace or family is kept: ``meet_row`` builds its row anew.
+    axiom checks walk; ``below``, which only fundamental circuits read;
+    and the q-Rado scan's ``meet_levels``, S x S x (n + 1) bits.  Nothing
+    a caller asks about one subspace or family is kept: ``meet_row``
+    builds its row anew.
     """
 
     def __init__(self, spec: VectorSpaceSpec):
@@ -720,6 +736,15 @@ class Lattice:
             )
         rows = (bytes(map(dims.__getitem__, self.meet_row(x))) for x in range(len(dims)))
         return tuple(_levels(row, n) for row in rows)
+
+    def codim_levels(self, t: int) -> list[int]:
+        """C_X[t] for every subspace X: bit A is set iff dim A - dim(A meet
+        X) >= t, the union over d of the dimension-d subspaces in
+        meet_levels[X][d - t].  Indices ascend with dimension, so the
+        dimension-d subspaces are one run of bits."""
+        of_dim = [((1 << len(block)) - 1) << block[0] for block in self.by_dim.values()]
+        # The dimension classes are disjoint: their sum is their union.
+        return [sum(of_dim[d] & row[d - t] for d in range(t, len(of_dim))) for row in self.meet_levels]
 
     def __len__(self):
         return len(self.subspaces)

@@ -288,6 +288,18 @@ def test_set_family_refuses_a_string_ground():
         SetFamily("ab", (frozenset("a"), frozenset("b")))
 
 
+@pytest.mark.parametrize("ground", ["ab", ("a", "a")], ids=["string", "repeated"])
+def test_classical_matroid_refuses_a_string_or_repeated_ground(ground):
+    # A string ground would be read as its characters; SetFamily refuses both.
+    gf2 = field_make(2, 1)
+    with pytest.raises(GroundMismatch):
+        ClassicalMatroid.free(ground)
+    with pytest.raises(GroundMismatch):
+        ClassicalMatroid.linear(ground, gf2, [(1,), (1,)])
+    with pytest.raises(GroundMismatch):
+        ClassicalMatroid(ground, len, "free")
+
+
 def test_linear_matroid_axiom_spot_check_rejects_bad_columns():
     # Construction itself verifies the axioms on small grounds; a healthy
     # matrix passes.

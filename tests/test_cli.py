@@ -1,5 +1,6 @@
 """CLI behavior: golden verdicts, exit codes, round-trips, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import qtransversal
 
-from qtransversal import ScanConfig, errors
+from qtransversal import ScanConfig, errors, scan_representability
 from qtransversal.cli import _COMMANDS, main
 
 
@@ -676,6 +677,21 @@ def test_random_scan_requires_a_positive_count(tmp_path, capsys, count):
     path = write(tmp_path, "i.json", {"scan": {**scan, "count": count}})
     code, out = run_cli(capsys, "scan", path)
     assert code == 2 and out["message"].startswith("OutOfRange: ")
+
+
+def test_scan_kinds_come_from_one_table(tmp_path, capsys):
+    # An unknown kind is malformed input; a representability block without
+    # attempts_per_degree gets the library's default, and one without
+    # max_ext_degree is refused.
+    scan = {"kind": "nope", "q": 2, "max_dim": 1, "max_family": 1}
+    code, out = run_cli(capsys, "scan", write(tmp_path, "i.json", {"scan": scan}))
+    assert code == 2 and out["message"] == "ValueError: unknown scan kind 'nope'"
+    scan["kind"] = "representability"
+    code, out = run_cli(capsys, "scan", write(tmp_path, "i.json", {"scan": {**scan, "max_ext_degree": 1}}))
+    default = inspect.signature(scan_representability).parameters["attempts_per_degree"].default
+    assert code == 0 and out["report"]["config"]["attempts_per_degree"] == default
+    code, out = run_cli(capsys, "scan", write(tmp_path, "i.json", {"scan": scan}))
+    assert code == 2
 
 
 @pytest.mark.parametrize("attempts", [0, -5])

@@ -19,6 +19,7 @@ from qtransversal import (
 )
 from qtransversal.conjectures import (
     SCAN_INSTANCE_CAP,
+    SCAN_KINDS,
     UNIQUENESS_NOTE,
     default_matroid_source,
     reverify_minimal_uniqueness,
@@ -171,6 +172,8 @@ def test_reports_match_golden_digests():
         for kind, report in reports.items()
     }
     assert digests == GOLDEN_REPORT_SHA256
+    # No scan kind lands without a pinned digest.
+    assert reports.keys() == SCAN_KINDS.keys()
 
 
 def test_minimal_uniqueness_scan():

@@ -62,10 +62,9 @@ from qtransversal.conjectures import (
     _q_rado_mismatches,
     _q_rado_sides,
     _random_draws,
-    _rank_key,
     default_matroid_source,
 )
-from qtransversal.subspaces import count_bases
+from qtransversal.subspaces import _bits, _rank_key, count_bases
 
 SPACES = (
     [(2, 1, n) for n in range(1, 5)]
@@ -499,6 +498,19 @@ def test_meet_levels_match_the_meet_dimensions(p, e, n):
             assert level == sum(
                 1 << a for a in range(len(lattice)) if lattice.dims[lattice.meet_idx(a, x)] <= d
             )
+
+
+@pytest.mark.parametrize("p,e,n", SPACES, ids=SPACE_IDS)
+def test_codim_levels_and_bits_match_the_meet_dimensions(p, e, n):
+    # Bit A of codim_levels(t)[X] is set iff dim A - dim(A meet X) >= t,
+    # read one meet at a time, and _bits lists those A.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    dims = lattice.dims
+    for t in range(n + 2):
+        for x, level in enumerate(lattice.codim_levels(t)):
+            expected = [a for a in range(len(lattice)) if dims[a] - dims[lattice.meet_idx(a, x)] >= t]
+            assert list(_bits(level)) == expected
+            assert level == sum(1 << a for a in expected)
 
 
 def table_route_masks(matroid, max_family):

@@ -28,9 +28,8 @@ from qtransversal import (
     union,
     zero_matroid,
 )
-from qtransversal import qmatroids
 from qtransversal.qmatroids import SubmodularReport
-from qtransversal.subspaces import bottom, leq
+from qtransversal.subspaces import Lattice, bottom, leq
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
 GF2_3 = VectorSpaceSpec(field_make(2, 1), 3)
@@ -179,15 +178,33 @@ def integer_tables(draw):
     return lattice, f
 
 
+def violates(lattice, f, report):
+    """Whether the report's witness breaks its axiom, read from the
+    lattice's order, meet and join, not from its covers or diamonds."""
+    idx = [lattice.idx(s) for s in report.witness]
+    if report.failure == "bottom":
+        return idx == [lattice.bottom_index] and f[idx[0]] != 0
+    a, b = idx
+    if report.failure == "monotone":
+        return lattice.leq_idx(a, b) and f[a] > f[b]
+    return f[lattice.meet_idx(a, b)] + f[lattice.join_idx(a, b)] > f[a] + f[b]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(integer_tables())
 def test_check_submodular_and_induce_match_pairwise_loops(table):
+    # The verdict and the broken axiom are the pair scan's; the witness is
+    # the first failing cover or diamond, which need not be the scan's
+    # first pair in index order, so it is checked against the axiom.
     lattice, f = table
     report = check_submodular(lattice, f)
-    assert report == pairwise_check_submodular(lattice, f)
+    reference = pairwise_check_submodular(lattice, f)
+    assert (report.ok, report.failure) == (reference.ok, reference.failure)
     if report.ok:
+        assert report.witness is None
         assert induce(lattice, f).ranks == induced_by_below_lists(lattice, f)
     else:
+        assert violates(lattice, f, report)
         with pytest.raises(NotSubmodular):
             induce(lattice, f)
 
@@ -209,13 +226,37 @@ def test_pool_unions_match_pairwise_routes(p, e, n):
             assert union([a, b]).ranks == induced_by_below_lists(lattice, f)
 
 
-def test_local_verdict_disagreeing_with_pair_scan_raises(monkeypatch):
-    monkeypatch.setattr(qmatroids, "_locally_submodular", lambda lattice, f: False)
-    with pytest.raises(InvariantViolation) as info:
-        check_submodular(LAT2, LAT2.dims)
-    assert info.value.payload["values"] == list(LAT2.dims)
-    with pytest.raises(InvariantViolation):
-        union([rank_one(L10), rank_one(L01)])
+@pytest.mark.parametrize("table", ["covers", "diamonds"])
+def test_a_cover_or_diamond_naming_no_violation_raises(table):
+    # A fresh lattice whose cover columns hold V below a line, or whose
+    # diamonds hold (V, 0, 0, V): the dimension table fails there, but the
+    # masks say V is not below the line and 0 meet 0 is not V.
+    lattice = Lattice(GF2_2)
+    top_i, line_i = lattice.top_index, lattice.by_dim[1][0]
+    bottom_i = lattice.bottom_index
+    if table == "covers":
+        lattice.__dict__["covers"] = ((top_i,), (line_i,))
+    else:
+        lattice.__dict__["diamonds"] = ((top_i,), (bottom_i,), (bottom_i,), (top_i,))
+    for check in (check_submodular, induce):
+        with pytest.raises(InvariantViolation) as info:
+            check(lattice, lattice.dims)
+        assert info.value.payload == {"spec": GF2_2.to_jsonable(), "values": list(lattice.dims)}
+
+
+def test_failing_check_leaves_below_unbuilt():
+    # A table failing only at V: r(V) = 0 breaks a cover (H, V), H a
+    # hyperplane, and the check names it without the pair lists.
+    lattice = Lattice(GF2_3)
+    f = list(lattice.dims)
+    f[lattice.top_index] = 0
+    report = check_submodular(lattice, f)
+    assert report.failure == "monotone"
+    h, v = report.witness
+    assert h.dim == 2 and v == top(GF2_3)
+    bad = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert check_submodular(lattice, bad).failure == "submodular"
+    assert "below" not in lattice.__dict__
 
 
 def test_union_examples():
