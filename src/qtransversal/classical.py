@@ -10,9 +10,9 @@ partial transversal and injection; avoidance Rado is Rado on the
 complemented family, and no check walks the index sets J.
 
 This module is both a standalone implementation of the classical
-theorems and the inner engine for the q-analog: the definitional
-q-transversal oracle reduces each vector basis to a partial-transversal
-check here, and a q-certificate's injections are matchings from here.
+theorems and the inner engine for the q-analog: the q-side basis walk,
+behind the definitional oracle and a certificate's injections, matches
+each vector basis through maximum_matching here.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class SetFamily:
     members: tuple[frozenset, ...]
 
     def __post_init__(self):
-        gset = set(_labels(self.ground))
+        object.__setattr__(self, "ground", _labels(self.ground))
+        gset = set(self.ground)
         # A string would be read as the set of its characters.
         if any(isinstance(m, str) for m in self.members):
             raise GroundMismatch("the members must be label collections, not strings")

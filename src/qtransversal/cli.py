@@ -34,6 +34,7 @@ from .errors import Error, InfeasibleScale, InvariantViolation
 from .fields import field_make, json_array, json_int, prime_power
 from .qmatroids import QMatroid
 from .qtransversals import (
+    _instance,
     is_minimal_presentation,
     is_partial_q_transversal,
     presentation_matroid,
@@ -171,7 +172,7 @@ def _cmd_check_q_transversal(doc, args):
     if not recheck_certificate(cert, t, fam):
         raise InvariantViolation(
             "certificate failed its own re-check",
-            payload={"T": t.to_rows(), "family": fam.to_rows()},
+            payload=_instance(t, fam),
         )
     payload = {"verdict": cert.verdict, "certificate": cert.to_jsonable(fam.spec)}
     if args.oracle:
@@ -180,7 +181,7 @@ def _cmd_check_q_transversal(doc, args):
         if oracle != cert.verdict:
             raise InvariantViolation(
                 "fast q-transversal test and definitional oracle disagree",
-                payload={"T": t.to_rows(), "family": fam.to_rows()},
+                payload=_instance(t, fam),
             )
     return payload, doc
 

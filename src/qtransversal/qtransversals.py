@@ -33,12 +33,14 @@ or a counterexample worth reporting:
     its vectors to the members that do not contain them.
 
 The three are independent: the presentation matroid reads no meet of the
-members, the fast test no cover, and the oracle neither.  The closed
-formula gives r(T) = dim T exactly when the fast test's inequality holds
-at every W; a violation at some J is one at W = X(J) too, since
-|J| <= |J_W|, so the closure misses none.  The tests also hold the
-presentation matroid to the union of rank-1 matroids (qmatroids.union of
-qmatroids.rank_one), which checks the summed table's submodularity first.
+members and the fast test no cover.  The oracle shares one basis walk
+with the certificate's injections, and that walk reads the point masks
+alone, no meet and no cover.  The closed formula gives r(T) = dim T
+exactly when the fast test's inequality holds at every W; a violation
+at some J is one at W = X(J) too, since |J| <= |J_W|, so the closure
+misses none.  The tests also hold the presentation matroid to the union
+of rank-1 matroids (qmatroids.union of qmatroids.rank_one), which checks
+the summed table's submodularity first.
 
 Partial q-transversals are accepted at every dimension m <= n; a T with
 dim T > n fails the fast test at W = V and the certificate records that
@@ -51,13 +53,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import subspaces
-from .classical import (
-    HallVerdict,
-    SetFamily,
-    _mask_to_indices,
-    is_partial_transversal,
-    maximum_matching,
-)
+from .classical import HallVerdict, _mask_to_indices, maximum_matching
 from .errors import InfeasibleScale, InvariantViolation, OutOfRange
 from .qmatroids import QMatroid, _lower_envelope
 from .subspaces import (
@@ -65,7 +61,6 @@ from .subspaces import (
     SubspaceFamily,
     count_bases,
     enumerate_bases,
-    subspace_vectors,
     vector_to_string,
 )
 
@@ -158,6 +153,47 @@ class QTransversalCertificate:
         return out
 
 
+def _instance(t: Subspace, fam: SubspaceFamily) -> dict:
+    """The check-q-transversal instance of T and the family, as a failure
+    payload that one CLI call replays."""
+    return {**fam.spec.to_jsonable(), "family": fam.to_rows(), "subspace": t.to_rows()}
+
+
+def _avoiding_injections(t: Subspace, fam: SubspaceFamily) -> list:
+    """(basis, assignment) per vector basis of T in enumeration order:
+    one distinct member per vector, 1-based, that avoids it.  The walk
+    stops after the first basis with no such injection, giving it None.
+
+    Bases share their vectors and, often, their adjacency patterns; the
+    matching is a deterministic function of the pattern, so each vector's
+    avoid mask and each pattern's match are computed once."""
+    lattice = fam.lattice
+    n = len(fam)
+    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
+    avoid_of = {}
+    match_of = {}
+    walk = []
+    for basis in enumerate_bases(t):
+        adj = []
+        for v in basis:
+            avoid = avoid_of.get(v)
+            if avoid is None:
+                bit = 1 << lattice.code(v)
+                avoid = sum(1 << i for i in range(n) if not member_masks[i] & bit)
+                avoid_of[v] = avoid
+            adj.append(avoid)
+        adj = tuple(adj)
+        assignment = match_of.get(adj)
+        if assignment is None:
+            match = maximum_matching(adj, n)
+            if any(m < 0 for m in match):
+                walk.append((basis, None))
+                break
+            assignment = match_of[adj] = tuple(m + 1 for m in match)
+        walk.append((basis, assignment))
+    return walk
+
+
 def is_partial_q_transversal(
     t: Subspace,
     fam: SubspaceFamily,
@@ -186,34 +222,13 @@ def is_partial_q_transversal(
             )
     if not with_witness:
         return QTransversalCertificate(True)
-    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
-    # Bases share their vectors and, often, their adjacency patterns; the
-    # matching is a deterministic function of the pattern, so each
-    # vector's avoid mask and each pattern's match are computed once.
-    avoid_of = {}
-    match_of = {}
-    witnesses = []
-    for basis in enumerate_bases(t):
-        adj = []
-        for v in basis:
-            avoid = avoid_of.get(v)
-            if avoid is None:
-                bit = 1 << lattice.code(v)
-                avoid = sum(1 << i for i in range(n) if not member_masks[i] & bit)
-                avoid_of[v] = avoid
-            adj.append(avoid)
-        adj = tuple(adj)
-        assignment = match_of.get(adj)
-        if assignment is None:
-            match = maximum_matching(adj, n)
-            if any(m < 0 for m in match):
-                raise InvariantViolation(
-                    "fast q-transversal test passed but a basis has no avoiding injection",
-                    payload={"T": t.to_rows(), "family": fam.to_rows()},
-                )
-            assignment = match_of[adj] = tuple(m + 1 for m in match)
-        witnesses.append((basis, assignment))
-    return QTransversalCertificate(True, basis_witnesses=tuple(witnesses))
+    walk = _avoiding_injections(t, fam)
+    if walk[-1][1] is None:
+        raise InvariantViolation(
+            "fast q-transversal test passed but a basis has no avoiding injection",
+            payload=_instance(t, fam),
+        )
+    return QTransversalCertificate(True, basis_witnesses=tuple(walk))
 
 
 def recheck_certificate(
@@ -245,12 +260,7 @@ def recheck_certificate(
     if len(bases) != expected:
         raise InvariantViolation(
             "basis enumeration disagrees with the closed-form basis count",
-            payload={
-                "T": t.to_rows(),
-                "family": fam.to_rows(),
-                "enumerated": len(bases),
-                "expected": expected,
-            },
+            payload={**_instance(t, fam), "enumerated": len(bases), "expected": expected},
         )
     # Certificates list the bases in enumeration order; any other order,
     # repeats included, is accepted when it covers the same set.
@@ -276,32 +286,12 @@ def recheck_certificate(
 
 def q_transversal_by_definition(t: Subspace, fam: SubspaceFamily) -> bool:
     """Definitional oracle: every vector basis of T must be a partial
-    avoiding transversal of the family.
-
-    Each basis becomes a family over its own vectors whose i-th set holds
-    the vectors not in X_i, and the classical is_partial_transversal
-    matches the basis into it.  Exponential in dim T; desk scale only.
+    avoiding transversal of the family, its vectors matched to distinct
+    members that do not contain them.  It walks the bases as the
+    certificate does and stops at the first without an injection.
+    Exponential in dim T; desk scale only.
     """
-    lattice = fam.lattice
-    spec = fam.spec
-    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
-    code_of = {v: lattice.code(v) for v in subspace_vectors(t)}
-    for basis in enumerate_bases(t):
-        labels = tuple(vector_to_string(spec, v) for v in basis)
-        pattern = SetFamily(
-            labels,
-            tuple(
-                frozenset(
-                    lbl
-                    for lbl, v in zip(labels, basis)
-                    if not mask >> code_of[v] & 1
-                )
-                for mask in member_masks
-            ),
-        )
-        if not is_partial_transversal(labels, pattern):
-            return False
-    return True
+    return _avoiding_injections(t, fam)[-1][1] is not None
 
 
 def is_q_transversal(t: Subspace, fam: SubspaceFamily) -> bool:

@@ -288,6 +288,19 @@ def test_set_family_refuses_a_string_ground():
         SetFamily("ab", (frozenset("a"), frozenset("b")))
 
 
+def test_set_family_keeps_a_list_ground_as_a_tuple():
+    # A list ground is stored as the tuple it was validated as, so the
+    # family equals its tuple-ground twin and shares a ground with a
+    # matroid built on it.
+    listed = SetFamily(["a", "b"], [{"a"}])
+    assert listed.ground == ("a", "b")
+    assert listed == SetFamily(("a", "b"), [{"a"}])
+    assert hash(listed) == hash(SetFamily(("a", "b"), [{"a"}]))
+    free = ClassicalMatroid.free(listed.ground)
+    assert rado_check(free, listed).ok
+    assert avoid_rado_check(free, listed).ok
+
+
 @pytest.mark.parametrize("ground", ["ab", ("a", "a")], ids=["string", "repeated"])
 def test_classical_matroid_refuses_a_string_or_repeated_ground(ground):
     # A string ground would be read as its characters; SetFamily refuses both.

@@ -370,6 +370,7 @@ def test_json_numbers_and_arrays_are_read_exactly(tmp_path, capsys, command, doc
 
 _CLASSICAL = {"ground": ["a", "b", "c"], "members": [["a"], ["a", "b"]]}
 _Q_SIDE = {"q": 2, "dim": 2, "family": [["10"]], "subspace": ["01"]}
+_GF2 = {"p": 2, "e": 1, "modulus": "01"}  # the field keys of a replayable payload
 
 
 @pytest.mark.parametrize(
@@ -387,14 +388,14 @@ _Q_SIDE = {"q": 2, "dim": 2, "family": [["10"]], "subspace": ["01"]}
             _Q_SIDE,
             ("recheck_certificate", lambda cert, t, fam: False),
             "certificate failed its own re-check",
-            {"T": ["01"], "family": [["10"]]},
+            {**_Q_SIDE, **_GF2},
         ),
         (
             "check-q-transversal",
             _Q_SIDE,
             ("q_transversal_by_definition", lambda t, fam: False),
             "fast q-transversal test and definitional oracle disagree",
-            {"T": ["01"], "family": [["10"]]},
+            {**_Q_SIDE, **_GF2},
         ),
     ],
     ids=["check-transversal-oracle", "check-q-transversal-recheck", "check-q-transversal-oracle"],
@@ -408,6 +409,66 @@ def test_disagreeing_routes_exit_4_with_the_instance(
     code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc), "--oracle")
     assert code == 4 and out["error"] == "invariant-violation"
     assert out["message"] == message and out["payload"] == payload
+
+
+_Q_TRUE = {"q": 2, "dim": 3, "family": [["100"], ["010"]], "subspace": ["010", "001"]}
+_Q_FALSE = {"q": 4, "dim": 2, "family": [["1000"]], "subspace": ["1000", "0010"]}
+
+
+def _negated_oracle(t, fam):
+    from qtransversal import qtransversals
+
+    return not qtransversals.q_transversal_by_definition(t, fam)
+
+
+@pytest.mark.parametrize(
+    "doc, target, fake, message",
+    [
+        (
+            _Q_TRUE,
+            "qtransversal.qtransversals.maximum_matching",
+            lambda adj, n: [-1] * len(adj),
+            "fast q-transversal test passed but a basis has no avoiding injection",
+        ),
+        (
+            _Q_TRUE,
+            "qtransversal.qtransversals.count_bases",
+            lambda t: -1,
+            "basis enumeration disagrees with the closed-form basis count",
+        ),
+        *(
+            (doc, "qtransversal.cli.recheck_certificate", lambda cert, t, fam: False,
+             "certificate failed its own re-check")
+            for doc in (_Q_TRUE, _Q_FALSE)
+        ),
+        *(
+            (doc, "qtransversal.cli.q_transversal_by_definition", _negated_oracle,
+             "fast q-transversal test and definitional oracle disagree")
+            for doc in (_Q_TRUE, _Q_FALSE)
+        ),
+    ],
+    ids=["no-injection", "basis-count", "recheck-true", "recheck-false", "oracle-true", "oracle-false"],
+)
+def test_q_side_violation_payloads_replay_through_one_call(
+    tmp_path, capsys, monkeypatch, doc, target, fake, message
+):
+    # Each forced violation's payload is a check-q-transversal instance:
+    # replayed unpatched with --oracle, it answers with the fast verdict.
+    from qtransversal.subspaces import VectorSpaceSpec, family_from_rows, subspace_from_rows
+
+    monkeypatch.setattr(target, fake)
+    code, out = run_cli(capsys, "check-q-transversal", write(tmp_path, "i.json", doc), "--oracle")
+    assert code == 4 and out["message"] == message
+    monkeypatch.undo()
+    fam = family_from_rows(VectorSpaceSpec.from_jsonable(doc), doc["family"])
+    fast = qtransversal.is_partial_q_transversal(
+        subspace_from_rows(fam.spec, doc["subspace"]), fam, with_witness=False
+    ).verdict
+    code, replay = run_cli(
+        capsys, "check-q-transversal", write(tmp_path, "payload.json", out["payload"]), "--oracle"
+    )
+    assert code == 0 and replay["verdict"] is fast and replay["oracle_verdict"] is fast
+    assert replay["instance"] == out["payload"]
 
 
 def test_rado_command(tmp_path, capsys):

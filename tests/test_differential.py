@@ -15,6 +15,10 @@ X(J) over every multiset of a few members of GF(2)^<=4, GF(3)^<=3 and
 GF(4)^<=2.  The presentation matroid, built by the union theorem over
 the covers, is compared with the closed formula over the meet-closure,
 with the union of rank-1 matroids and with the fast test at every T.
+The definitional oracle's basis walk is compared with the label route it
+replaced, a SetFamily of vector strings per basis, and with the fast
+test, exhaustively on GF(2)^<=3, GF(3)^2 and GF(4)^2 with at most three
+members and GF(3)^3 with at most two, and on a sample of GF(2)^4.
 The default pool's bitset keys and the scan's bitset viol masks are
 compared with the tuple route of the closed-form pair tables and with
 the bar-nullity-table route they replace."""
@@ -34,12 +38,14 @@ from qtransversal import (
     InvariantViolation,
     QMatroid,
     ScanConfig,
+    SetFamily,
     SubspaceFamily,
     VectorSpaceSpec,
     field_make,
     free_matroid,
     get_lattice,
     is_partial_q_transversal,
+    is_partial_transversal,
     join,
     leq,
     presentation_matroid,
@@ -64,14 +70,22 @@ from qtransversal.conjectures import (
     _random_draws,
     default_matroid_source,
 )
-from qtransversal.subspaces import _bits, _rank_key, count_bases
+from qtransversal.qtransversals import _avoiding_injections
+from qtransversal.subspaces import (
+    _bits,
+    _rank_key,
+    count_bases,
+    enumerate_bases,
+    subspace_from_rows,
+    subspace_vectors,
+    vector_to_string,
+)
 
 SPACES = (
     [(2, 1, n) for n in range(1, 5)]
     + [(3, 1, n) for n in range(1, 4)]
     + [(2, 2, n) for n in range(1, 3)]
 )
-DEFINITION_BASIS_CAP = 2000
 
 
 @st.composite
@@ -97,8 +111,127 @@ def test_q_transversal_routes_agree(drawn, data):
     else:
         reference = zero_matroid(lattice.spec)  # the empty family presents it
     assert presented.ranks == reference.ranks
-    if count_bases(t) <= DEFINITION_BASIS_CAP:
-        assert q_transversal_by_definition(t, fam) == cert.verdict
+    assert q_transversal_by_definition(t, fam) == cert.verdict
+
+
+def label_route_definition(t, fam):
+    """The definitional oracle through labels, the reference of the basis
+    walk: each basis becomes a family over its own vectors whose i-th set
+    holds the vectors not in X_i, and the classical is_partial_transversal
+    matches the basis into it."""
+    lattice = fam.lattice
+    spec = fam.spec
+    member_masks = [lattice.masks[mi] for mi in fam.member_indices]
+    code_of = {v: lattice.code(v) for v in subspace_vectors(t)}
+    for basis in enumerate_bases(t):
+        labels = tuple(vector_to_string(spec, v) for v in basis)
+        pattern = SetFamily(
+            labels,
+            tuple(
+                frozenset(
+                    lbl
+                    for lbl, v in zip(labels, basis)
+                    if not mask >> code_of[v] & 1
+                )
+                for mask in member_masks
+            ),
+        )
+        if not is_partial_transversal(labels, pattern):
+            return False
+    return True
+
+
+def assert_definition_routes_agree(t, fam):
+    reference = label_route_definition(t, fam)
+    assert q_transversal_by_definition(t, fam) == reference
+    assert is_partial_q_transversal(t, fam, with_witness=False).verdict == reference
+
+
+# (p, e, n, most members) for the exhaustive definition check: 29,328 pairs.
+DEFINITION_SPACES = (
+    [(2, 1, n, 3) for n in range(1, 4)] + [(3, 1, 2, 3), (2, 2, 2, 3), (3, 1, 3, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "p,e,n,size",
+    DEFINITION_SPACES,
+    ids=[f"{p**e}-{n}-{k}" for p, e, n, k in DEFINITION_SPACES],
+)
+def test_basis_walk_matches_the_label_route(p, e, n, size):
+    # Every T against every multiset of at most `size` members.
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    for k in range(size + 1):
+        for members in itertools.combinations_with_replacement(lattice.subspaces, k):
+            fam = SubspaceFamily(lattice.spec, members)
+            for t in lattice.subspaces:
+                assert_definition_routes_agree(t, fam)
+
+
+def test_basis_walk_matches_the_label_route_on_sampled_gf2_4():
+    lattice = get_lattice(VectorSpaceSpec(field_make(2, 1), 4))
+    rng = random.Random(35)
+    for _ in range(1000):
+        members = rng.choices(lattice.subspaces, k=rng.randint(0, 4))
+        fam = SubspaceFamily(lattice.spec, tuple(members))
+        assert_definition_routes_agree(rng.choice(lattice.subspaces), fam)
+
+
+def counting_matching(monkeypatch):
+    """Count maximum_matching calls from either module that binds it."""
+    from qtransversal import classical, qtransversals
+
+    calls = []
+    real = classical.maximum_matching
+
+    def counted(adj, n):
+        calls.append(tuple(adj))
+        return real(adj, n)
+
+    monkeypatch.setattr(classical, "maximum_matching", counted)
+    monkeypatch.setattr(qtransversals, "maximum_matching", counted)
+    return calls
+
+
+def test_oracle_matches_once_per_adjacency_pattern(monkeypatch):
+    # T = span(e1, e2, e3) in GF(3)^4 against the lines through e1, e2, e3:
+    # 1,872 bases, all with an avoiding injection, but few patterns.
+    lattice = get_lattice(VectorSpaceSpec(field_make(3, 1), 4))
+    spec = lattice.spec
+    lines = [subspace_from_rows(spec, [row]) for row in ("1000", "0100", "0010")]
+    fam = SubspaceFamily(spec, tuple(lines))
+    t = subspace_from_rows(spec, ["1000", "0100", "0010"])
+    patterns = {
+        tuple(
+            sum(1 << i for i, x in enumerate(fam.member_indices) if not lattice.contains_idx(x, v))
+            for v in basis
+        )
+        for basis in enumerate_bases(t)
+    }
+    assert count_bases(t) == 1872 and len(patterns) < 100
+    calls = counting_matching(monkeypatch)
+    assert q_transversal_by_definition(t, fam)
+    assert len(calls) == len(set(calls)) == len(patterns)
+
+
+def test_oracle_stops_at_the_first_basis_without_an_injection(monkeypatch):
+    spec = VectorSpaceSpec(field_make(2, 1), 2)
+    v = subspace_from_rows(spec, ["10", "01"])
+    # The bases of V are (01, 10), (01, 11), (10, 11); 11 lies in both
+    # members, so the second basis has no avoiding injection.
+    diagonal = subspace_from_rows(spec, ["11"])
+    fam = SubspaceFamily(spec, (diagonal, diagonal))
+    walk = _avoiding_injections(v, fam)
+    assert [(list(map(tuple, basis)), a) for basis, a in walk] == [
+        ([(0, 1), (1, 0)], (1, 2)),
+        ([(0, 1), (1, 1)], None),
+    ]
+    # dim T > n: the first basis already fails, after one matching.
+    calls = counting_matching(monkeypatch)
+    assert not q_transversal_by_definition(v, SubspaceFamily(spec, (diagonal,)))
+    assert len(calls) == 1
+    assert not q_transversal_by_definition(v, fam)
+    assert len(calls) == 3
 
 
 @lru_cache(maxsize=None)
