@@ -267,19 +267,29 @@ def recheck_certificate(
     certified = [basis for basis, _ in cert.basis_witnesses]
     if certified != bases and set(certified) != set(bases):
         return False
-    code_of = {}  # each distinct vector's code, computed once
+    # Bases share their vectors and, often, their assignments: each
+    # distinct assignment is checked once, and each distinct vector's
+    # avoid mask (bit i set iff the vector lies outside member i) is read
+    # once, on first use.
+    checked = set()
+    avoids = {}
     for basis, assignment in cert.basis_witnesses:
-        if (
-            len(assignment) != t.dim
-            or len(set(assignment)) != t.dim
-            or not all(1 <= i <= n for i in assignment)
-        ):
-            return False
+        if assignment not in checked:
+            if (
+                len(assignment) != t.dim
+                or len(set(assignment)) != t.dim
+                or not all(1 <= i <= n for i in assignment)
+            ):
+                return False
+            checked.add(assignment)
         for v, i in zip(basis, assignment):
-            code = code_of.get(v)
-            if code is None:
-                code = code_of[v] = lattice.code(v)
-            if member_masks[i - 1] >> code & 1:
+            mask = avoids.get(v)
+            if mask is None:
+                code = lattice.code(v)
+                mask = avoids[v] = sum(
+                    1 << i for i, m in enumerate(member_masks, 1) if not m >> code & 1
+                )
+            if not mask >> i & 1:
                 return False
     return True
 

@@ -11,10 +11,28 @@ the base modulus in K, in code order).
 The rank is read from an echelon form of the column images G v of the
 canonical basis rows v of X.  Dropping the last row of an RREF basis
 leaves the RREF basis of a subspace one dimension lower, its parent, so
-a subspace's echelon form is its parent's plus one reduced image: one
-image and one reduction step per subspace.  A walk over many subspaces
-(verify_representation, represent) shares one memo of echelon forms,
-keyed by basis rows, for the length of that walk only.
+a subspace's echelon form is its parent's plus one reduced image.  The
+last row v, with its leading 1, is also the RREF basis of the atom it
+spans, and that atom's one-row form is G v scaled to 1 at its pivot: a
+nonzero multiple with the same K-span, which reduces to the same row.
+So a walk over many subspaces (verify_representation, represent) shares
+one memo of echelon forms, keyed by basis rows, for the length of that
+walk only; it computes each atom's image G v once, and every other
+subspace costs one reduction step.  In index order the parent and the
+atom come before the subspace, and the walk needs no recursion.
+
+The random search skips the degrees at which no representation can
+exist.  Let phi(x) = G x at degree m, K = GF(q^m).  phi is GF(q)-linear
+with kernel the loop space L, and the flats of the represented matroid
+are the preimages phi^-1(S) of K-subspaces S.  So for every flat F:
+
+  (a) dim F - dim L <= m r(F), as phi(F) spans a K-space of dimension
+      r(F), which has dimension m r(F) over GF(q);
+  (b) at most (Q^(r(V) - r(F)) - 1) / (Q - 1) flats of rank r(F) + 1 lie
+      above F, Q = q^m, for they inject into the K-points of S_V / S_F,
+      S_X the K-span of phi(X), of dimension r(X).
+
+The least m that meets both is the matroid's degree floor.
 
 For a family of coordinate subspaces X_i = <b_j : j in L_i> the
 construction uses a k x n matrix over GF(q^(n^k)) with
@@ -36,7 +54,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     InfeasibleScale,
@@ -51,6 +68,7 @@ from .subspaces import (
     Subspace,
     SubspaceFamily,
     VectorSpaceSpec,
+    _lazy,
     canonicalize,
     get_lattice,
 )
@@ -121,11 +139,11 @@ class QRepresentation:
             if any(not 0 <= v < self.ext.order for v in row):
                 raise OutOfRange("matrix entries must be extension field codes")
 
-    @cached_property
+    @_lazy
     def embedding(self) -> tuple[int, ...]:
         return subfield_embedding(self.base_spec.field, self.ext)
 
-    @cached_property
+    @_lazy
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The n columns of G, each as a tuple of its k entries."""
         return tuple(zip(*self.matrix))
@@ -167,35 +185,56 @@ def _image(rep: QRepresentation, row: tuple[int, ...]) -> list[int]:
     return image
 
 
+def _grow(rep: QRepresentation, form: tuple, row: tuple[int, ...], echelons: dict) -> tuple:
+    """The echelon form of a basis whose rows less the last have form,
+    the last being row.  Row's image is read from the form of the atom
+    it spans, (row,) in the memo, computed there once per walk: that
+    form's one row is a nonzero multiple of G row, with the same K-span,
+    so it reduces to the same row."""
+    if len(form) == len(rep.matrix):
+        return form
+    atom = echelons.get((row,))
+    if atom is None:
+        atom = echelons[(row,)] = _reduce(rep.ext, (), _image(rep, row))
+    if not (atom and form):
+        return form or atom
+    return _reduce(rep.ext, form, atom[0][1])
+
+
+def _reduce(ext, form: tuple, image) -> tuple:
+    """form plus image reduced against it and scaled to 1 at its pivot,
+    when the reduced image is nonzero; form itself otherwise."""
+    for pivot, e in form:
+        f = image[pivot]
+        if f:
+            image = [ext.sub_codes(a, ext.mul_codes(f, b)) if b else a for a, b in zip(image, e)]
+    pivot = next((c for c, a in enumerate(image) if a), None)
+    if pivot is None:
+        return form
+    f = image[pivot]
+    if f != 1:
+        inv = ext.inv_code(f)
+        image = [ext.mul_codes(inv, a) if a else 0 for a in image]
+    return form + ((pivot, tuple(image)),)
+
+
 def _echelon(rep: QRepresentation, rows: tuple, echelons: dict) -> tuple:
     """Echelon form of the images of a nonempty RREF basis, as (pivot, row) pairs.
 
     Each row is 1 at its pivot and 0 at the pivots of the rows before
-    it.  The form of rows[:-1] comes from the memo or by recursion; the
-    last row's image is reduced against it and kept when nonzero.
+    it.  The form grows from the longest prefix of rows in the memo, one
+    row at a time, and every prefix's form is kept there: in a walk in
+    index order the parent is always in the memo, and one step is made.
     """
     form = echelons.get(rows)
     if form is not None:
         return form
-    form = _echelon(rep, rows[:-1], echelons) if len(rows) > 1 else ()
-    if len(form) < len(rep.matrix):
-        ext = rep.ext
-        image = _image(rep, rows[-1])
-        for pivot, e in form:
-            f = image[pivot]
-            if f:
-                image = [
-                    ext.sub_codes(a, ext.mul_codes(f, b)) if b else a
-                    for a, b in zip(image, e)
-                ]
-        pivot = next((c for c, a in enumerate(image) if a), None)
-        if pivot is not None:
-            f = image[pivot]
-            if f != 1:
-                inv = ext.inv_code(f)
-                image = [ext.mul_codes(inv, a) if a else 0 for a in image]
-            form = form + ((pivot, tuple(image)),)
-    echelons[rows] = form
+    start = len(rows) - 1
+    while start and rows[:start] not in echelons:
+        start -= 1
+    form = echelons[rows[:start]] if start else ()
+    for end in range(start + 1, len(rows) + 1):
+        form = echelons[rows[:end]] = _grow(rep, form, rows[end - 1], echelons)
     return form
 
 
@@ -206,11 +245,13 @@ def represented_rank(
 
     The rank is the length of the echelon form of the images G v of
     x's basis rows, grown from the form of x's parent (its basis less
-    the last row).  Pass one echelons dict to every call of a walk to
-    share those forms; without one a fresh dict is used, with the same
-    result.
+    the last row) by the image of the atom its last row spans.  Pass one
+    echelons dict to every call of a walk to share those forms and atom
+    images; without one a fresh dict is used, with the same result.
     """
-    if x.spec != rep.base_spec:
+    # A subspace's spec is most often the representation's own object,
+    # which skips the dataclass ==.
+    if x.spec is not rep.base_spec and x.spec != rep.base_spec:
         raise SpecMismatch("subspace does not live on the representation's base space")
     if not rep.matrix or x.dim == 0:
         return 0
@@ -231,7 +272,9 @@ def verify_representation(
     """Compare represented ranks with a matroid's table on every subspace.
 
     Returns (True, None) or (False, first disagreeing subspace) in
-    enumeration order.  One memo of echelon forms serves the whole walk.
+    enumeration order.  One memo of echelon forms serves the whole walk:
+    in enumeration order each subspace finds its parent's form and its
+    last row's atom image there, and so costs one reduction step.
     """
     if matroid.spec != rep.base_spec:
         raise SpecMismatch("matroid and representation live on different spaces")
@@ -328,6 +371,44 @@ def build_aligned_representation(
     raise AssertionError("unreachable")
 
 
+def _degree_floor(matroid: QMatroid) -> int | None:
+    """The least extension degree m at which a matrix can represent the
+    matroid, by the two counts of its flats in the module docstring, or
+    None when its flats fail them at every degree (no rank function of
+    a matrix has such flats).
+
+    One walk down the cover columns, upper covers first, reads the
+    flats (no upper cover of equal rank) and the closure of every
+    subspace (its own index for a flat, else the closure of an upper
+    cover of equal rank); the flats of rank r(F) + 1 above a flat F are
+    the closures of its upper covers.
+    """
+    lattice = matroid.lattice
+    ranks, dims = matroid.ranks, lattice.dims
+    closure = list(range(len(dims)))
+    above = [set() for _ in dims]  # closures of the upper covers of other rank
+    lower, upper = lattice.covers
+    for lo, hi in zip(reversed(lower), reversed(upper)):
+        if ranks[lo] == ranks[hi]:
+            closure[lo] = closure[hi]
+        else:
+            above[lo].add(closure[hi])
+    flats = [f for f, c in enumerate(closure) if c == f]
+    loops = dims[closure[lattice.bottom_index]]
+    top_rank = matroid.space_rank
+    q = lattice.spec.field.order
+    floor = max([1] + [-((loops - dims[f]) // ranks[f]) for f in flats if ranks[f] > 0])
+    for f in flats:
+        count, d = len(above[f]), top_rank - ranks[f]
+        if d <= 1:  # at most d points, whatever the degree
+            if count > max(d, 0):
+                return None
+            continue
+        while (q ** (floor * d) - 1) // (q**floor - 1) < count:
+            floor += 1
+    return floor
+
+
 def find_representation(
     matroid: QMatroid,
     *,
@@ -338,15 +419,26 @@ def find_representation(
     """Randomized matrix search, reproducible from the seed.
 
     Tries degrees 1..max_ext_degree with rank-many rows; returns the
-    first verified representation or None.  A None is inconclusive, the
-    search is bounded.
+    first verified representation or None.  A degree below the floor
+    the matroid's flats set (see _degree_floor) cannot hold one and is
+    skipped: its matrices are drawn, so that the seeded stream and every
+    found matrix stay those of the full search, but neither built nor
+    verified.  A floor above max_ext_degree returns None at once.  A
+    None is inconclusive, the search is bounded.
     """
     base = matroid.spec.field
     n = matroid.spec.dim
     rows = matroid.space_rank
+    floor = _degree_floor(matroid)
+    if floor is None or floor > max_ext_degree:
+        return None
     rng = random.Random(seed)
     for degree in range(1, max_ext_degree + 1):
         ext = field_make(base.p, base.e * degree)
+        if degree < floor:
+            for _ in range(attempts_per_degree * rows * n):
+                rng.randrange(ext.order)
+            continue
         for _ in range(attempts_per_degree):
             matrix = tuple(
                 tuple(rng.randrange(ext.order) for _ in range(n)) for _ in range(rows)

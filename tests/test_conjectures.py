@@ -194,6 +194,11 @@ def test_representability_scan_all_found():
     for entry in report.details["instances"]:
         assert reverify_representation_entry(entry)
     assert any("inconclusive" in note for note in report.notes)
+    # One base and one ext block object per (space, extension field).
+    blocks = [e["representation"] for e in report.details["instances"]]
+    headers = {(json.dumps(b["base"]), json.dumps(b["ext"])) for b in blocks}
+    assert len({id(b["base"]) for b in blocks}) == len(headers)
+    assert len({id(b["ext"]) for b in blocks}) == len(headers)
 
 
 @pytest.mark.parametrize("attempts", [0, -5])

@@ -21,8 +21,14 @@ test, exhaustively on GF(2)^<=3, GF(3)^2 and GF(4)^2 with at most three
 members and GF(3)^3 with at most two, and on a sample of GF(2)^4.
 The default pool's bitset keys and the scan's bitset viol masks are
 compared with the tuple route of the closed-form pair tables and with
-the bar-nullity-table route they replace."""
+the bar-nullity-table route they replace.  Represented ranks and
+verify_representation, grown from shared atom images, are compared with
+the recursive echelon route they replaced on seeded random and wrong
+matrices over GF(2)^<=4, GF(3)^<=3, GF(4)^2 and GF(5)^2; the
+certificate re-check, which checks each distinct assignment and vector
+once, with the per-pair route on original and mutated certificates."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -37,6 +43,7 @@ from hypothesis import strategies as st
 from qtransversal import (
     InvariantViolation,
     QMatroid,
+    QRepresentation,
     ScanConfig,
     SetFamily,
     SubspaceFamily,
@@ -53,8 +60,10 @@ from qtransversal import (
     q_transversal_by_definition,
     rank_one,
     recheck_certificate,
+    represented_rank,
     scan_q_rado,
     union,
+    verify_representation,
     zero_matroid,
 )
 from qtransversal.conjectures import (
@@ -869,3 +878,182 @@ def test_presentation_matroid_matches_three_routes(p, e, n, size):
                 is_partial_q_transversal(t, fam, with_witness=False).verdict
                 for t in lattice.subspaces
             ]
+
+
+def recursive_image(rep, row):
+    """G v for a nonzero base vector v, from the columns of G."""
+    ext, emb = rep.ext, rep.embedding
+    image = None
+    for v, col in zip(row, zip(*rep.matrix)):
+        if not v:
+            continue
+        col = [ext.mul_codes(emb[v], g) for g in col]
+        image = col if image is None else [ext.add_codes(a, g) for a, g in zip(image, col)]
+    return image
+
+
+def recursive_echelon(rep, rows, echelons):
+    """The echelon route the shared atom images replaced: the form of
+    rows[:-1] by recursion through the memo, and the last row's own
+    image G v reduced against it."""
+    form = echelons.get(rows)
+    if form is not None:
+        return form
+    form = recursive_echelon(rep, rows[:-1], echelons) if len(rows) > 1 else ()
+    if len(form) < len(rep.matrix):
+        ext = rep.ext
+        image = recursive_image(rep, rows[-1])
+        for pivot, e in form:
+            f = image[pivot]
+            if f:
+                image = [ext.sub_codes(a, ext.mul_codes(f, b)) for a, b in zip(image, e)]
+        pivot = next((c for c, a in enumerate(image) if a), None)
+        if pivot is not None:
+            inv = ext.inv_code(image[pivot])
+            form = form + ((pivot, tuple(ext.mul_codes(inv, a) for a in image)),)
+    echelons[rows] = form
+    return form
+
+
+def recursive_rank(rep, x, echelons):
+    if not rep.matrix or x.dim == 0:
+        return 0
+    return len(recursive_echelon(rep, x.rows, echelons))
+
+
+def recursive_verify(rep, matroid):
+    echelons = {}
+    for s, r in zip(matroid.lattice.subspaces, matroid.ranks):
+        if recursive_rank(rep, s, echelons) != r:
+            return False, s
+    return True, None
+
+
+REPRESENTATION_SPACES = (
+    [(2, 1, n) for n in range(1, 5)]
+    + [(3, 1, n) for n in range(1, 4)]
+    + [(2, 2, 2), (5, 1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "p,e,n", REPRESENTATION_SPACES, ids=[f"{p**e}-{n}" for p, e, n in REPRESENTATION_SPACES]
+)
+def test_shared_atom_images_match_the_recursive_route(p, e, n):
+    # Seeded random matrices of 0..n rows at degrees 1..3, each verified
+    # against its own table, a nudged table, the free and zero tables,
+    # and by a wrong matrix, one entry changed: the (ok, first
+    # disagreement) pair and every represented rank, in index order with
+    # one memo and in a shuffled order with one memo and with none.
+    spec = VectorSpaceSpec(field_make(p, e), n)
+    lattice = get_lattice(spec)
+    rng = random.Random(f"atom-images:{p}-{e}-{n}")
+    for degree in (1, 2, 3):
+        ext = field_make(p, e * degree)
+        for _ in range(8):
+            rows = rng.randint(0, n)
+            matrix = [
+                [rng.randrange(ext.order) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(rows)
+            ]
+            rep = QRepresentation(spec, ext, tuple(map(tuple, matrix)))
+            echelons = {}
+            ranks = [recursive_rank(rep, s, echelons) for s in lattice.subspaces]
+            order = list(range(len(lattice)))
+            rng.shuffle(order)
+            echelons = {}
+            for i in order:
+                s = lattice.subspaces[i]
+                assert represented_rank(rep, s, echelons) == ranks[i]
+                assert represented_rank(rep, s) == ranks[i]
+            nudged = list(ranks)
+            nudged[rng.randrange(len(nudged))] += 1
+            tables = (ranks, nudged, free_matroid(spec).ranks, zero_matroid(spec).ranks)
+            for table in tables:
+                target = QMatroid(lattice, table)
+                assert verify_representation(rep, target) == recursive_verify(rep, target)
+            if rows:
+                row = matrix[rng.randrange(rows)]
+                j = rng.randrange(n)
+                row[j] = (row[j] + 1) % ext.order
+                wrong = QRepresentation(spec, ext, tuple(map(tuple, matrix)))
+                target = QMatroid(lattice, ranks)
+                assert verify_representation(wrong, target) == recursive_verify(wrong, target)
+
+
+def pairwise_recheck(cert, t, fam):
+    """The witness re-check that every distinct assignment and vector
+    replaced: every assignment's length, injectivity and range, and
+    avoidance at every (vector, index) pair, read from the member's
+    mask, after the basis count and the set of bases."""
+    lattice = fam.lattice
+    bases = list(enumerate_bases(t))
+    assert len(bases) == count_bases(t)
+    certified = [basis for basis, _ in cert.basis_witnesses]
+    if certified != bases and set(certified) != set(bases):
+        return False
+    n = len(fam)
+    for basis, assignment in cert.basis_witnesses:
+        if (
+            len(assignment) != t.dim
+            or len(set(assignment)) != t.dim
+            or not all(1 <= i <= n for i in assignment)
+        ):
+            return False
+        for v, i in zip(basis, assignment):
+            if lattice.masks[fam.member_indices[i - 1]] >> lattice.code(v) & 1:
+                return False
+    return True
+
+
+ASSIGNMENT_MUTATIONS = {
+    "reversed": lambda a, n: a[::-1],
+    "zero": lambda a, n: (0,) * len(a),
+    "short": lambda a, n: a[:-1],
+    "repeated": lambda a, n: a[:1] * len(a),
+    "out-of-range": lambda a, n: (n + 1,) + a[1:],
+}
+
+
+def mutated_certificates(cert, n, rng):
+    """The certificate, each assignment mutation at one witness and at
+    every witness, and the certificate with one basis dropped and with
+    one basis listed twice."""
+    witnesses = cert.basis_witnesses
+    at = rng.randrange(len(witnesses))
+    yield cert
+    for mutate in ASSIGNMENT_MUTATIONS.values():
+        basis, assignment = witnesses[at]
+        one = witnesses[:at] + ((basis, mutate(assignment, n)),) + witnesses[at + 1:]
+        every = tuple((basis, mutate(assignment, n)) for basis, assignment in witnesses)
+        yield dataclasses.replace(cert, basis_witnesses=one)
+        yield dataclasses.replace(cert, basis_witnesses=every)
+    yield dataclasses.replace(cert, basis_witnesses=witnesses[:at] + witnesses[at + 1:])
+    yield dataclasses.replace(cert, basis_witnesses=witnesses[: at + 1] + witnesses[at:])
+
+
+# (p, e, n, members) of the mutated-certificate comparison.
+RECHECK_SPACES = ((2, 1, 3, 3), (2, 1, 4, 4), (3, 1, 2, 2), (2, 2, 2, 2), (3, 1, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "p,e,n,size", RECHECK_SPACES, ids=[f"{p**e}-{n}-{k}" for p, e, n, k in RECHECK_SPACES]
+)
+def test_recheck_matches_the_pairwise_route_on_mutated_certificates(p, e, n, size):
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    rng = random.Random(f"recheck-mutations:{p}-{e}-{n}")
+    verdicts = []
+    certificates = 0
+    while certificates < 12:
+        t = rng.choice([s for s in lattice.subspaces if 0 < s.dim <= 3])
+        fam = SubspaceFamily(lattice.spec, tuple(rng.choices(lattice.subspaces, k=size)))
+        cert = is_partial_q_transversal(t, fam, with_witness=True)
+        if not cert.verdict:
+            continue
+        certificates += 1
+        for forged in mutated_certificates(cert, size, rng):
+            verdict = pairwise_recheck(forged, t, fam)
+            assert recheck_certificate(forged, t, fam) is verdict
+            verdicts.append(verdict)
+    # Both verdicts occur: the originals pass and some mutations fail.
+    assert True in verdicts and False in verdicts

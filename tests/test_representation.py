@@ -1,6 +1,8 @@
 """Represented q-matroids and the aligned construction."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from qtransversal import (
     OutOfRange,
     QMatroid,
     QRepresentation,
+    ScanConfig,
     SpecMismatch,
     SubspaceFamily,
     VectorSpaceSpec,
@@ -26,12 +29,14 @@ from qtransversal import (
     rank_one,
     represent,
     represented_rank,
+    scan_representability,
     subfield_embedding,
     top,
     verify_representation,
     zero_matroid,
 )
-from qtransversal.subspaces import Subspace, matrix_rank, rref
+from qtransversal.representation import _degree_floor
+from qtransversal.subspaces import Subspace, bottom, family_from_rows, matrix_rank, rref
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
 GF2_3 = VectorSpaceSpec(field_make(2, 1), 3)
@@ -284,6 +289,78 @@ def test_find_representation_rank_zero():
     m = zero_matroid(GF2_2)
     rep = find_representation(m, max_ext_degree=1, seed=0)
     assert rep is not None and rep.matrix == ()
+
+
+def test_u23_has_degree_floor_three(monkeypatch):
+    # (0, <011>) presents U(2,3) on GF(2)^3: its 7 rank-1 flats exceed
+    # the 5 points of PG(1,4), so no matrix over GF(4) represents it.
+    m = presentation_matroid(SubspaceFamily(GF2_3, (bottom(GF2_3), line(GF2_3, 0, 1, 1))))
+    flats_of_rank_one = [
+        i for i, r in enumerate(m.ranks)
+        if r == 1 and all(m.ranks[j] == 2 for j in range(len(m.ranks))
+                          if m.lattice.dims[j] == m.lattice.dims[i] + 1
+                          and m.lattice.leq_idx(i, j))
+    ]
+    assert len(flats_of_rank_one) == 7 and m.space_rank == 2
+    assert _degree_floor(m) == 3
+    rep = find_representation(m, max_ext_degree=3, seed=0)
+    assert rep is not None and rep.ext.e == 3
+    assert verify_representation(rep, m) == (True, None)
+    # A floor above the largest degree searched answers at once.
+    calls = []
+    monkeypatch.setattr(
+        "qtransversal.representation.verify_representation", lambda *a: calls.append(a)
+    )
+    assert find_representation(m, max_ext_degree=2, seed=0) is None
+    assert calls == []
+
+
+def test_degree_floor_of_tables_no_matrix_has():
+    lattice = get_lattice(GF2_2)
+    # Three rank-1 flats above the bottom with r(V) = 0: the rank table
+    # of no matrix, at any degree; the floor says so instead of looping.
+    broken = QMatroid(lattice, [0, 1, 1, 1, 0])
+    assert _degree_floor(broken) is None
+    assert find_representation(broken, max_ext_degree=3, seed=0) is None
+    assert _degree_floor(free_matroid(GF2_2)) == 1
+    assert _degree_floor(zero_matroid(GF2_2)) == 1
+
+
+FLOOR_SCANS = (
+    ScanConfig(q=2, max_dim=3, max_family=2),
+    ScanConfig(q=3, max_dim=2, max_family=3),
+)
+
+
+@pytest.mark.parametrize("cfg", FLOOR_SCANS, ids=["2-3-2", "3-2-3"])
+def test_no_representation_is_found_below_the_degree_floor(monkeypatch, cfg):
+    # The search with every degree tried finds each representation at a
+    # degree at least the family's floor, and so reports the same bytes
+    # as the search that skips the degrees below it.
+    skipping = scan_representability(cfg, max_ext_degree=3, attempts_per_degree=20)
+    monkeypatch.setattr("qtransversal.representation._degree_floor", lambda m: 1)
+    full = scan_representability(cfg, max_ext_degree=3, attempts_per_degree=20)
+    monkeypatch.undo()
+    assert json.dumps(full.to_jsonable(), sort_keys=True) == json.dumps(
+        skipping.to_jsonable(), sort_keys=True
+    )
+    searched = [e for e in full.details["instances"] if e["method"] == "random-search"]
+    assert searched
+    for entry in searched:
+        if entry["status"] == "found":
+            spec = VectorSpaceSpec.from_jsonable({"q": cfg.q, "dim": entry["dim"]})
+            fam = family_from_rows(spec, entry["family"])
+            assert entry["ext_degree_over_base"] >= _degree_floor(presentation_matroid(fam))
+
+
+def test_certify_representability_scan_digest():
+    # sha256 of the canonical report of the benchmark's certify scan,
+    # pinned from the search that verified every attempt at every degree.
+    report = scan_representability(
+        ScanConfig(q=2, max_dim=3, max_family=2, seed=3), max_ext_degree=3, attempts_per_degree=20
+    )
+    digest = hashlib.sha256(json.dumps(report.to_jsonable(), sort_keys=True).encode()).hexdigest()
+    assert digest == "5daca204ef1c3fac8195123a7ae7ce890241407d6aa621bffbec7bfb8c361a31"
 
 
 def test_subfield_embedding_prime_base():
