@@ -21,7 +21,6 @@ from .errors import (
     OutOfRange,
     ReducibleModulus,
     SpecMismatch,
-    WrongNullity,
 )
 from .fields import FieldSpec, field_make, prime_power
 from .subspaces import (

@@ -30,7 +30,7 @@ from .classical import (
     avoiding_transversal_check,
     rado_check,
 )
-from .errors import Error, InfeasibleScale, InvariantViolation
+from .errors import Error, InfeasibleScale, InvariantViolation, OutOfRange
 from .fields import field_make, json_array, json_int, prime_power
 from .qmatroids import QMatroid
 from .qtransversals import (
@@ -84,6 +84,8 @@ def _set_family(doc: dict) -> SetFamily:
 
 def _classical_matroid(doc: dict, ground) -> ClassicalMatroid:
     block = doc["matroid"]
+    if not isinstance(block, dict):
+        raise OutOfRange(f"matroid must be an object, got {block!r}")
     kind = block.get("kind", "free")
     if kind == "free":
         return ClassicalMatroid.free(ground)

@@ -52,10 +52,6 @@ class NotSubmodular(Error):
     pass
 
 
-class WrongNullity(Error):
-    pass
-
-
 class GroundMismatch(Error):
     pass
 

@@ -322,8 +322,6 @@ class FieldSpec:
         """The codes of an element string of count elements, e digits each,
         or of any whole number of them when count is None; another length
         raises DimensionMismatch, a non-string or a bad digit OutOfRange."""
-        if not isinstance(text, str):
-            raise OutOfRange(f"an element string must be a string, got {text!r}")
         digits = modulus_from_string(text)
         if any(d >= self.p for d in digits):
             raise OutOfRange(f"element string {text!r} has a digit outside GF({self.p})")
@@ -390,7 +388,10 @@ def field_make(p: int, e: int, modulus=None) -> FieldSpec:
 
 def modulus_from_string(text: str) -> tuple[int, ...]:
     """The digits of a little-endian digit string: a modulus's
-    coefficients, or the digits of an element string."""
+    coefficients, or the digits of an element string.  A non-string or a
+    bad digit raises OutOfRange."""
+    if not isinstance(text, str):
+        raise OutOfRange(f"a digit string must be a string, got {text!r}")
     out = []
     for ch in text:
         d = _DIGIT_CHARS.find(ch.lower())

@@ -5,11 +5,12 @@ rank axioms: 0 <= r(A) <= dim A, monotonicity, and submodularity.
 Construction routes are rank-1 from a loop space, induction from a
 submodular function, union (induction from the sum of rank functions),
 and explicit tables.  Derived notions (circuits, closure, flats,
-nullity, fundamental circuits, cyclicity) are computed by full lattice
-scans; at desk scale this is the point, since exhaustive theorem checks
-need totality.  Bar nullity is the min over bases B of dim(B meet X):
+nullity, cyclicity) cover every subspace, since exhaustive theorem
+checks need totality.  Bar nullity is the min over bases B of dim(B meet X):
 bar_nullity_idx evaluates it at one subspace, and bar_nullity_table
 builds every entry once, on first use, for callers that read many.
+closure_table does the same for the closure, which closure, is_flat
+and loop_space read.
 
 The axioms are checked on the lattice's covers and diamonds, not on all
 pairs (see Lattice.covers and Lattice.diamonds).  The subspace lattice
@@ -26,9 +27,13 @@ is graded and modular, and:
   every unit square of the grid is a diamond, and the s*t diamond
   inequalities sum (telescope) to f(A) + f(B) >= f(A meet B) + f(A join B).
 
-Induction and the circuits walk the covers too: every B < A lies below
-a lower cover of A.  Independence is hereditary, so a dependent subspace
-is a circuit exactly when all its lower covers are independent.
+Induction, the circuits and the closure walk the covers too: every
+B < A lies below a lower cover of A.  Independence is hereditary, so a
+dependent subspace is a circuit exactly when all its lower covers are
+independent.  A subspace that is not a flat has an upper cover of equal
+rank (its join with an atom of its closure outside it), and that cover
+has the same closure.  No library code reads Lattice.below; only the
+benchmark's gates and the tests do.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .errors import (
     InvariantViolation,
     NotSubmodular,
     SpecMismatch,
-    WrongNullity,
 )
 from .fields import json_array, json_int
 from .subspaces import Lattice, Subspace, VectorSpaceSpec, get_lattice
@@ -60,7 +64,7 @@ class QMatroid:
     through matroid_from_table, which refuses an entry that is not an int.
     """
 
-    __slots__ = ("lattice", "ranks", "provenance", "_bases", "_circuits", "_bar_nullity")
+    __slots__ = ("lattice", "ranks", "provenance", "_bases", "_circuits", "_bar_nullity", "_closure")
 
     def __init__(self, lattice: Lattice, ranks: Iterable[int], provenance: str = "table"):
         ranks = tuple(ranks)
@@ -74,6 +78,7 @@ class QMatroid:
         self._bases = None
         self._circuits = None
         self._bar_nullity = None
+        self._closure = None
 
     @property
     def spec(self) -> VectorSpaceSpec:
@@ -152,23 +157,34 @@ class QMatroid:
             self.circuits()
         return self._circuits
 
+    def closure_table(self) -> tuple[int, ...]:
+        """The index of every subspace's closure, the largest B >= A with
+        r(B) = r(A), built on first use in one walk down the cover columns,
+        upper covers first: a subspace with an upper cover of equal rank
+        takes that cover's closure, and a flat keeps its own index."""
+        if self._closure is None:
+            ranks = self.ranks
+            closure = list(range(len(ranks)))
+            lower, upper = self.lattice.covers
+            for lo, hi in zip(reversed(lower), reversed(upper)):
+                if ranks[lo] == ranks[hi]:
+                    closure[lo] = closure[hi]
+            self._closure = tuple(closure)
+        return self._closure
+
     def closure(self, a: Subspace) -> Subspace:
-        """Largest B >= A with r(B) = r(A), built from 1-dim probes."""
+        """Largest B >= A with r(B) = r(A)."""
         lat = self.lattice
-        ai = lat.idx(a)
-        ra = self.ranks[ai]
-        cur = ai
-        for atom in lat.by_dim[1]:
-            if self.ranks[lat.join_idx(ai, atom)] == ra:
-                cur = lat.join_idx(cur, atom)
-        return lat.subspaces[cur]
+        return lat.subspaces[self.closure_table()[lat.idx(a)]]
 
     def is_flat(self, x: Subspace) -> bool:
-        return self.closure(x) == x
+        i = self.lattice.idx(x)
+        return self.closure_table()[i] == i
 
     def loop_space(self) -> Subspace:
         """Closure of the bottom element: the largest rank-0 subspace."""
-        return self.closure(self.lattice.subspaces[self.lattice.bottom_index])
+        lat = self.lattice
+        return lat.subspaces[self.closure_table()[lat.bottom_index]]
 
     def circuit_join_idx(self, xi: int) -> int:
         """Index of the join of the circuits below subspace xi (empty join = bottom)."""
@@ -183,32 +199,6 @@ class QMatroid:
         """True iff x equals the join of the circuits below it."""
         xi = self.lattice.idx(x)
         return self.circuit_join_idx(xi) == xi
-
-    def fundamental_circuit(self, s: Subspace) -> Subspace:
-        """The unique circuit below a nullity-1 subspace.
-
-        Computed as the meet of the nullity-1 subspaces of s; the
-        nullity dichotomy (n(T) = 1 iff C <= T, else 0) is re-verified
-        on every call and a failure raises instead of being smoothed over.
-        """
-        lat = self.lattice
-        si = lat.idx(s)
-        nullity = lat.dims[si] - self.ranks[si]
-        if nullity != 1:
-            raise WrongNullity(f"fundamental circuit needs nullity 1, got {nullity}")
-        ones = [t for t in lat.below[si] if lat.dims[t] - self.ranks[t] == 1]
-        ci = ones[0]
-        for t in ones[1:]:
-            ci = lat.meet_idx(ci, t)
-        for t in lat.below[si]:
-            nt = lat.dims[t] - self.ranks[t]
-            expected = 1 if lat.leq_idx(ci, t) else 0
-            if nt != expected:
-                raise InvariantViolation(
-                    "fundamental-circuit dichotomy failed",
-                    payload={"S": s.to_rows(), "T": lat.subspaces[t].to_rows()},
-                )
-        return lat.subspaces[ci]
 
     def __eq__(self, other):
         if not isinstance(other, QMatroid):

@@ -71,6 +71,7 @@ from .subspaces import (
     _lazy,
     canonicalize,
     get_lattice,
+    refuse_beyond_vector_cap,
 )
 
 #: Largest extension field (element count) the embeddings will scan.
@@ -301,6 +302,7 @@ class AlignedFamily:
 
     def induced_family(self) -> SubspaceFamily:
         n = self.spec.dim
+        refuse_beyond_vector_cap(self.spec.field.order, n)  # before any vector n entries long
         members = []
         for s in self.index_sets:
             vectors = [
@@ -377,23 +379,18 @@ def _degree_floor(matroid: QMatroid) -> int | None:
     None when its flats fail them at every degree (no rank function of
     a matrix has such flats).
 
-    One walk down the cover columns, upper covers first, reads the
-    flats (no upper cover of equal rank) and the closure of every
-    subspace (its own index for a flat, else the closure of an upper
-    cover of equal rank); the flats of rank r(F) + 1 above a flat F are
-    the closures of its upper covers.
+    The flats are the subspaces the closure table maps to themselves,
+    and the flats of rank r(F) + 1 above a flat F are the closures of
+    its upper covers, all of higher rank.
     """
     lattice = matroid.lattice
     ranks, dims = matroid.ranks, lattice.dims
-    closure = list(range(len(dims)))
-    above = [set() for _ in dims]  # closures of the upper covers of other rank
-    lower, upper = lattice.covers
-    for lo, hi in zip(reversed(lower), reversed(upper)):
-        if ranks[lo] == ranks[hi]:
-            closure[lo] = closure[hi]
-        else:
-            above[lo].add(closure[hi])
+    closure = matroid.closure_table()
     flats = [f for f, c in enumerate(closure) if c == f]
+    above = {f: set() for f in flats}
+    for lo, hi in zip(*lattice.covers):
+        if lo in above:
+            above[lo].add(closure[hi])
     loops = dims[closure[lattice.bottom_index]]
     top_rank = matroid.space_rank
     q = lattice.spec.field.order

@@ -601,11 +601,11 @@ class Lattice:
     none of them is S x S (S subspaces).  Four tables of the lattice
     itself are built on first use and kept: the cover columns
     (``covers``), which the axiom checks, induction, the presentation
-    matroid and circuits walk; the diamonds (``diamonds``), which the
-    axiom checks walk; ``below``, which only fundamental circuits read;
-    and the q-Rado scan's ``meet_levels``, S x S x (n + 1) bits.  Nothing
-    a caller asks about one subspace or family is kept: ``meet_row``
-    builds its row anew.
+    matroid, circuits and closures walk; the diamonds (``diamonds``),
+    which the axiom checks walk; ``below``, which no library code reads
+    (the benchmark's gates and the tests do); and the q-Rado scan's
+    ``meet_levels``, S x S x (n + 1) bits.  Nothing a caller asks about
+    one subspace or family is kept: ``meet_row`` builds its row anew.
     """
 
     def __init__(self, spec: VectorSpaceSpec):
@@ -700,7 +700,8 @@ class Lattice:
     @cached_property
     def below(self) -> tuple[tuple[int, ...], ...]:
         """below[i]: every subspace below subspace i, i itself included, in
-        index order; i with the subspaces below each lower cover of i."""
+        index order; i with the subspaces below each lower cover of i.
+        No library code reads it: the benchmark's gates and the tests do."""
         below = [{i} for i in range(len(self))]
         for lo, hi in zip(*self.covers):
             below[hi] |= below[lo]

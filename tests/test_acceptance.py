@@ -49,6 +49,7 @@ from qtransversal.conjectures import (
     reverify_representation_entry,
 )
 from test_classical import co_nullity
+from test_qmatroids import fundamental_circuit
 from test_qtransversals import partial_equiv_check
 
 GF2_2 = VectorSpaceSpec(field_make(2, 1), 2)
@@ -338,7 +339,7 @@ def test_criterion_10_propositions(union_pool_gf2_2, sweep_gf2_2):
         for s in lat.subspaces:
             if m.nullity(s) != 1:
                 continue
-            c = m.fundamental_circuit(s)  # verifies the dichotomy internally
+            c = fundamental_circuit(m, s)  # asserts the dichotomy on the way
             assert [x for x in m.circuits() if lat.leq_idx(lat.idx(x), lat.idx(s))] == [c]
             fc_checked += 1
     assert qualifying > 0 and fc_checked > 0

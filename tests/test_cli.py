@@ -490,6 +490,14 @@ def test_rado_rejects_a_column_count_unlike_the_ground(tmp_path, capsys):
         assert code == 2 and out["message"].startswith("GroundMismatch: ")
 
 
+@pytest.mark.parametrize("matroid", [[], "", 7, None], ids=["array", "string", "int", "null"])
+@pytest.mark.parametrize("command", ["rado", "avoid-rado"])
+def test_rado_refuses_a_matroid_that_is_not_an_object(tmp_path, capsys, command, matroid):
+    doc = {"ground": ["s1"], "members": [["s1"]], "matroid": matroid}
+    code, out = run_cli(capsys, command, write(tmp_path, "i.json", doc))
+    assert code == 2 and out["message"].startswith("OutOfRange: matroid must be an object")
+
+
 def test_avoid_rado_command(tmp_path, capsys):
     matroid = {"kind": "linear", "q": 2, "columns": ["10", "01", "11"]}
     ground = ["s1", "s2", "s3"]
@@ -638,8 +646,12 @@ _P61 = 2**61 - 1  # a prime
         ("q-hall", {"q": 2, "dim": 100_000, "family": [[]]}),
         ("scan", {"scan": {"kind": "minimal-uniqueness", "q": 2, "max_dim": 100_000, "max_family": 1}}),
         ("scan", {"scan": {"kind": "minimal-uniqueness", "q": 2, "max_dim": 2, "max_family": 10**8}}),
+        ("represent-aligned", {"q": 2, "dim": 10**12, "index_sets": [[1]]}),
     ],
-    ids=["huge-q", "huge-linear-q", "huge-ext-p", "huge-dim", "huge-max-dim", "huge-max-family"],
+    ids=[
+        "huge-q", "huge-linear-q", "huge-ext-p", "huge-dim", "huge-max-dim", "huge-max-family",
+        "huge-aligned-dim",
+    ],
 )
 def test_guards_refuse_before_the_work_they_bound(command, doc):
     # Each cap is read before the trial division, count or sum it bounds,
@@ -684,6 +696,15 @@ def test_verify_representation_rejects_extra_digits(tmp_path, capsys):
     representation["matrix"] = ["11111"]
     code, out = run_cli(capsys, "verify-representation", write(tmp_path, "t.json", doc))
     assert code == 2 and out["message"].startswith("DimensionMismatch: ")
+
+
+@pytest.mark.parametrize("modulus", [[1], ["0", "1"]], ids=["ints", "strings"])
+def test_verify_representation_refuses_a_modulus_that_is_not_a_string(tmp_path, capsys, modulus):
+    # ["0", "1"] is not read as the string "01" it would spell.
+    representation = {"ext": {"p": 2, "e": 1, "modulus": modulus}, "matrix": ["1"]}
+    doc = {"q": 2, "dim": 1, "family": [[]], "representation": representation}
+    code, out = run_cli(capsys, "verify-representation", write(tmp_path, "v.json", doc))
+    assert code == 2 and out["message"].startswith("OutOfRange: a digit string must be a string")
 
 
 def test_verify_representation_names_a_missing_subspace(tmp_path, capsys):

@@ -2,7 +2,10 @@
 verdict must agree on GF(2)^<=4, GF(3)^<=3 and GF(4)^<=2 with families
 of at most three members.  The circuits, and the join of the circuits
 below a subspace, are compared with RREF orders and joins exhaustively,
-over every pool matroid.  The q-Rado scan's mask verdicts are compared
+over every pool matroid; the closure table, with the largest superspace
+of equal rank, over every pool matroid and every presentation matroid of
+at most three members on GF(2)^<=3 and GF(3)^2, where the degree floor is
+compared with the cover walk it replaced.  The q-Rado scan's mask verdicts are compared
 with its witness route on the same families and exhaustively on
 GF(2)^<=3, GF(3)^<=2 and GF(4)^<=2, where seeded tables that are not
 q-matroids give it mismatches to record, in exhaustive and random scans
@@ -80,6 +83,7 @@ from qtransversal.conjectures import (
     default_matroid_source,
 )
 from qtransversal.qtransversals import _avoiding_injections
+from qtransversal.representation import _degree_floor
 from qtransversal.subspaces import (
     _bits,
     _rank_key,
@@ -89,6 +93,7 @@ from qtransversal.subspaces import (
     subspace_vectors,
     vector_to_string,
 )
+from test_qmatroids import closure_oracle
 
 SPACES = (
     [(2, 1, n) for n in range(1, 5)]
@@ -739,6 +744,72 @@ def test_circuits_match_the_definition(p, e, n):
             and all(matroid.independent_idx(j) for j in proper[i])
         )
         assert matroid.circuits_idx() == expected
+
+
+def walk_degree_floor(matroid):
+    """The degree floor by the walk _degree_floor ran before it read the
+    closure table: one walk down the cover columns, upper covers first,
+    reads the closure of every subspace (its own index for a flat, else
+    the closure of an upper cover of equal rank) and the closures of the
+    upper covers of other rank."""
+    lattice = matroid.lattice
+    ranks, dims = matroid.ranks, lattice.dims
+    closure = list(range(len(dims)))
+    above = [set() for _ in dims]
+    lower, upper = lattice.covers
+    for lo, hi in zip(reversed(lower), reversed(upper)):
+        if ranks[lo] == ranks[hi]:
+            closure[lo] = closure[hi]
+        else:
+            above[lo].add(closure[hi])
+    flats = [f for f, c in enumerate(closure) if c == f]
+    loops = dims[closure[lattice.bottom_index]]
+    top_rank = matroid.space_rank
+    q = lattice.spec.field.order
+    floor = max([1] + [-((loops - dims[f]) // ranks[f]) for f in flats if ranks[f] > 0])
+    for f in flats:
+        count, d = len(above[f]), top_rank - ranks[f]
+        if d <= 1:
+            if count > max(d, 0):
+                return None
+            continue
+        while (q ** (floor * d) - 1) // (q**floor - 1) < count:
+            floor += 1
+    return floor
+
+
+def assert_closure_table_matches(matroid):
+    lattice = matroid.lattice
+    table = matroid.closure_table()
+    expected = [lattice.idx(closure_oracle(matroid, x)) for x in lattice.subspaces]
+    assert list(table) == expected
+    assert matroid.loop_space() == closure_oracle(matroid, lattice.subspaces[lattice.bottom_index])
+    assert _degree_floor(matroid) == walk_degree_floor(matroid)
+
+
+@pytest.mark.parametrize("p,e,n", SPACES, ids=SPACE_IDS)
+def test_closure_table_matches_the_definition_on_the_pool(p, e, n):
+    # The cover walk against the largest superspace of equal rank, found
+    # by a scan of every subspace, and the degree floor against the walk
+    # it replaced, on every pool matroid.
+    for matroid in pool(get_lattice(VectorSpaceSpec(field_make(p, e), n))):
+        assert_closure_table_matches(matroid)
+
+
+# (p, e, n, most members): every multiset on GF(2)^<=3 and GF(3)^2.
+PRESENTED_CLOSURE_SPACES = [(2, 1, n, 3) for n in range(1, 4)] + [(3, 1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "p,e,n,size",
+    PRESENTED_CLOSURE_SPACES,
+    ids=[f"{p**e}-{n}-{k}" for p, e, n, k in PRESENTED_CLOSURE_SPACES],
+)
+def test_closure_table_matches_the_definition_on_presentations(p, e, n, size):
+    lattice = get_lattice(VectorSpaceSpec(field_make(p, e), n))
+    for k in range(size + 1):
+        for members in itertools.combinations_with_replacement(lattice.subspaces, k):
+            assert_closure_table_matches(presentation_matroid(SubspaceFamily(lattice.spec, members)))
 
 
 def meet_table(fam):

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "Subspace",
     "SubspaceFamily",
     "VectorSpaceSpec",
-    "WrongNullity",
     "aligned_from_family",
     "avoid_rado_check",
     "avoiding_transversal_by_injections",
